@@ -28,7 +28,7 @@ def _parse_remote(value: str | None) -> tuple[str, int] | None:
     if value is None:
         return None
     host, _, port = value.rpartition(":")
-    if not host:
+    if not host or not (port.isascii() and port.isdigit() and 0 < int(port) < 65536):
         raise SystemExit(f"--remote expects host:port, got {value!r}")
     return host, int(port)
 
@@ -66,7 +66,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     else:
         config = _load(args)
         embedder = NgramEmbedder(config.embedder)
-        embeddings = [embedder.embed(t) for t in args.text]
+        embeddings = embedder.embed_many(args.text)
         payload = {
             "embeddings": [e.values.tolist() for e in embeddings],
             "queries_used": embedder.queries_used(),

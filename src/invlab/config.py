@@ -1,6 +1,7 @@
 """Experiment configuration, serialized as JSON."""
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +24,8 @@ class DefenseSweep:
     mask_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if any(lam < 0 for lam in self.lambdas):
-            raise ConfigError("noise levels must be non-negative")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
+            raise ConfigError("noise levels must be finite and non-negative")
 
 
 @dataclass

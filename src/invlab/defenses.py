@@ -8,6 +8,7 @@ order agnostic -> noise -> mask (-> optional renormalize) so the masked
 dimension-0 value always survives composition.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +28,7 @@ class DefenseConfig:
 
     ``masking`` maps language codes to the value written into dimension 0;
     ``None`` disables masking entirely. ``noise_lambda`` of 0 disables noise.
+    Non-finite noise levels and language ids are refused.
     """
 
     noise_lambda: float = 0.0
@@ -36,10 +38,12 @@ class DefenseConfig:
     renormalize_after: bool = False
 
     def __post_init__(self) -> None:
-        if self.noise_lambda < 0:
-            raise ConfigError("noise_lambda must be non-negative")
+        if not math.isfinite(self.noise_lambda) or self.noise_lambda < 0:
+            raise ConfigError("noise_lambda must be finite and non-negative")
         if self.masking is not None:
             ids = list(self.masking.values())
+            if not all(math.isfinite(i) for i in ids):
+                raise ConfigError("language ids must be finite")
             if len(set(ids)) != len(ids):
                 raise ConfigError("language ids must be pairwise distinct")
 
@@ -153,7 +157,10 @@ def apply_defense_stack(
             raise ConfigError("language-agnostic stage needs group means in context")
         if out.lang not in means:
             raise UnknownLanguageError(f"no group mean for language {out.lang!r}")
-        out = out.with_values(out.values - means[out.lang])
+        mean = means[out.lang]
+        if np.shape(mean) != out.values.shape:
+            raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.values.shape}")
+        out = out.with_values(out.values - mean)
     if config.noise_lambda > 0:
         rng = derive_noise_rng(config.noise_seed, key)
         out = noise_insert(out, config.noise_lambda, rng)
@@ -168,6 +175,21 @@ def apply_defense_stack(
     return out
 
 
+def embed_many_with_defense(
+    embedder: BlackBoxEmbedder,
+    texts: Sequence[str],
+    langs: Sequence[str | None],
+    config: DefenseConfig | None = None,
+    context: DefenseContext | None = None,
+) -> list[Embedding]:
+    """Embed texts in one batch, tag each with its language, and pass each
+    through the defense stack keyed by its text."""
+    tagged = [e.with_lang(lang) for e, lang in zip(embedder.embed_many(texts), langs)]
+    if config is None:
+        return tagged
+    return [apply_defense_stack(e, config, context, key=t) for e, t in zip(tagged, texts)]
+
+
 def embed_with_defense(
     embedder: BlackBoxEmbedder,
     text: str,
@@ -176,7 +198,4 @@ def embed_with_defense(
     context: DefenseContext | None = None,
 ) -> Embedding:
     """Embed text, tag its language, and pass it through the defense stack."""
-    e = embedder.embed(text).with_lang(lang)
-    if config is None:
-        return e
-    return apply_defense_stack(e, config, context, key=text)
+    return embed_many_with_defense(embedder, [text], [lang], config, context)[0]

@@ -11,8 +11,10 @@ Errors:   {"error": "unknown_op" | "bad_request" | "unknown_lang"}
 
 ``defense`` overrides the server's default stack for that request; ``langs``
 tags each text for masking; ``context`` supplies per-language mean vectors
-when the language-agnostic stage is enabled. Any op other than "embed" is
-refused: the service never helps the attacker beyond embedding.
+when the language-agnostic stage is enabled. The whole request is validated
+before its texts are embedded in one batch, so an error response charges no
+queries. Any op other than "embed" is refused: the service never helps the
+attacker beyond embedding.
 """
 
 import json
@@ -89,24 +91,33 @@ class _Handler(socketserver.StreamRequestHandler):
         else:
             defense = server.defense
             context = server.context
-        if defense is not None and defense.masking is not None:
-            for lang in langs:
-                if lang is None or lang not in defense.masking:
-                    return {"error": "unknown_lang"}
+        dim = server.embedder.dimension()
+        if defense is not None:
+            # A dry run of the stack on a zero vector per language refuses,
+            # before anything is embedded and charged, every request on which
+            # the real run would fail: missing masking ids or group means,
+            # group means of the wrong length or with non-finite values.
+            try:
+                for lang in dict.fromkeys(langs):
+                    apply_defense_stack(Embedding(np.zeros(dim), lang), defense, context)
+            except UnknownLanguageError:
+                return {"error": "unknown_lang"}
+            except ValueError:
+                return {"error": "bad_request"}
         vectors = []
         try:
-            for text, lang in zip(texts, langs):
-                e = server.embedder.embed(text).with_lang(lang)
+            for text, lang, e in zip(texts, langs, server.embedder.embed_many(texts)):
+                e = e.with_lang(lang)
                 if defense is not None:
                     e = apply_defense_stack(e, defense, context, key=text)
                 vectors.append(e.values.tolist())
-        except UnknownLanguageError:
-            return {"error": "unknown_lang"}
         except ValueError:
+            # Validated above; only arithmetic overflow to a non-finite
+            # vector lands here, after the texts were charged.
             return {"error": "bad_request"}
         return {
             "embeddings": vectors,
-            "dim": server.embedder.dimension(),
+            "dim": dim,
             "queries_used": server.embedder.queries_used(),
         }
 
@@ -225,11 +236,12 @@ def eaas_embed(
     response = client.request(payload)
     if "error" in response:
         raise EaasError(response["error"])
-    embeddings = [np.asarray(vec, dtype=np.float64) for vec in response["embeddings"]]
-    out = []
-    for i, vec in enumerate(embeddings):
-        lang = langs[i] if langs is not None else None
-        out.append(Embedding(vec, lang=lang))
+    # One conversion and one check for the whole response, not per vector.
+    vectors = np.asarray(response["embeddings"], dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] < 2 or not np.isfinite(vectors).all():
+        raise ValueError("service returned malformed embeddings")
+    tags = langs if langs is not None else [None] * len(vectors)
+    out = [Embedding._trusted(vec, lang) for vec, lang in zip(vectors, tags)]
     return out, int(response["queries_used"])
 
 

@@ -4,10 +4,11 @@ The embedder maps text to a fixed-dimension vector by hashing character
 n-grams into seeded signed slots. It is cheap, deterministic across
 processes, and invertible by exhaustive search at small scale, which makes
 ground truth computable for every attack experiment. Callers only ever see
-the black-box surface: text in, vector out, one query counted per call.
+the black-box surface: text in, vector out, one query counted per text.
 """
 
 import hashlib
+import math
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -35,8 +36,17 @@ class Embedding:
             raise ValueError("embedding values must be one-dimensional")
         if values.size < 2:
             raise ValueError("embedding dimension must be at least 2")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("embedding components must be finite")
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, lang: str | None = None) -> "Embedding":
+        """Wrap values already known to pass the checks above, without
+        repeating them (a hot path: one call per embedded text)."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "values", values)
+        object.__setattr__(e, "lang", lang)
+        return e
 
     @property
     def dim(self) -> int:
@@ -46,7 +56,7 @@ class Embedding:
         return Embedding(values, lang=self.lang)
 
     def with_lang(self, lang: str | None) -> "Embedding":
-        return Embedding(self.values, lang=lang)
+        return Embedding._trusted(self.values, lang)
 
 
 @dataclass(frozen=True)
@@ -68,11 +78,13 @@ def cosine(a: "Embedding | np.ndarray", b: "Embedding | np.ndarray") -> float:
     vb = b.values if isinstance(b, Embedding) else np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    # Bitwise equal to the np.linalg.norm / np.clip formulation, which
+    # computes the same dot products, at a quarter of the per-call cost.
+    na = math.sqrt(va.dot(va))
+    nb = math.sqrt(vb.dot(vb))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.clip(np.dot(va, vb) / (na * nb), -1.0, 1.0))
+    return float(min(max(va.dot(vb) / (na * nb), -1.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -96,24 +108,20 @@ class NgramConfig:
             raise ConfigError("embedding dimension must be >= 2")
 
 
-# (seed, dim, gram) -> (slot index, sign); grams repeat heavily across texts.
-_SLOT_CACHE: dict[tuple[int, int, str], tuple[int, float]] = {}
-
-
 def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, float]:
-    key = (seed, dim, gram)
-    slot = _SLOT_CACHE.get(key)
-    if slot is None:
-        salt = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        digest = hashlib.blake2b(gram.encode("utf-8"), key=salt, digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        slot = (h % dim, 1.0 if (h >> 63) == 0 else -1.0)
-        _SLOT_CACHE[key] = slot
-    return slot
+    """Seeded (slot index, sign) of one gram."""
+    salt = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    digest = hashlib.blake2b(gram.encode("utf-8"), key=salt, digest_size=8).digest()
+    h = int.from_bytes(digest, "little")
+    return h % dim, 1.0 if (h >> 63) == 0 else -1.0
 
 
 def embed_ngram(text: str, config: NgramConfig) -> Embedding:
-    """Hashed character n-gram embedding; a pure function of (text, config)."""
+    """Hashed character n-gram embedding; a pure function of (text, config).
+
+    This is the plain-Python reference implementation: ``NgramEmbedder``
+    computes the same vectors in batches and must stay bytewise equal to it.
+    """
     vec = np.zeros(config.dim, dtype=np.float64)
     grams: Counter[str] = Counter()
     for order in range(1, config.n + 1):
@@ -133,7 +141,8 @@ class BlackBoxEmbedder(ABC):
     """Encoder reachable only through embed queries.
 
     Implementations must be deterministic per input and count exactly one
-    query per embed call; the counter must be safe under concurrent use.
+    query per text, whether it arrives through ``embed`` or ``embed_many``;
+    the counter must be safe under concurrent use.
     """
 
     @abstractmethod
@@ -150,7 +159,14 @@ class BlackBoxEmbedder(ABC):
 
 
 class NgramEmbedder(BlackBoxEmbedder):
-    """The toy embedder behind the black-box interface."""
+    """The toy embedder behind the black-box interface.
+
+    ``embed_many`` is the kernel: grams of every text map to signed slot
+    codes, one ``bincount`` scatters the whole batch, and the rows are
+    normalised together. Before normalisation every component is a sum of
+    +-1, an exact integer in float64, and so is its sum of squares; any
+    summation order therefore gives the bits of ``embed_ngram``.
+    """
 
     def __init__(self, config: NgramConfig | None = None, **kwargs):
         if config is not None and kwargs:
@@ -158,11 +174,57 @@ class NgramEmbedder(BlackBoxEmbedder):
         self.config = config or NgramConfig(**kwargs)
         self._lock = threading.Lock()
         self._queries = 0
+        # gram -> signed slot code: the slot index for a positive sign, dim +
+        # the index for a negative one. Concurrent misses write the same code.
+        self._codes: dict[str, int] = {}
+
+    def _slot_codes(self, texts: Sequence[str]) -> list[int]:
+        """Slot codes of every gram of every text, text after text."""
+        codes, n = self._codes, self.config.n
+        try:
+            return [
+                codes[text[i : i + order]]
+                for text in texts
+                for order in range(1, n + 1)
+                for i in range(len(text) - order + 1)
+            ]
+        except KeyError:
+            pass
+        seed, dim = self.config.seed, self.config.dim
+        for text in texts:
+            for order in range(1, n + 1):
+                for i in range(len(text) - order + 1):
+                    gram = text[i : i + order]
+                    if gram not in codes:
+                        idx, sign = _gram_slot(gram, seed, dim)
+                        codes[gram] = idx if sign > 0 else dim + idx
+        return self._slot_codes(texts)
 
     def embed(self, text: str) -> Embedding:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
         with self._lock:
-            self._queries += 1
-        return embed_ngram(text, self.config)
+            self._queries += len(texts)
+        if not texts:
+            return []
+        n, dim = self.config.n, self.config.dim
+        # A text of length m has k * m - k * (k - 1) / 2 grams, k = min(n, m).
+        sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        k = np.minimum(sizes, n)
+        rows = len(texts)
+        negative, slots = np.divmod(np.asarray(self._slot_codes(texts), dtype=np.int64), dim)
+        slots += np.repeat(np.arange(0, rows * dim, dim), k * sizes - k * (k - 1) // 2)
+        # Sums of +-1.0 are exact, so the scatter order does not matter. An
+        # all-empty batch scatters nothing and comes back as int64 zeros.
+        vecs = np.bincount(slots, weights=1.0 - 2.0 * negative, minlength=rows * dim)
+        vecs = vecs.astype(np.float64, copy=False).reshape(rows, dim)
+        if self.config.unit_norm:
+            norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+            norms[norms == 0.0] = 1.0  # zero rows stay zero
+            vecs /= norms[:, None]
+        # Rows are finite float64 vectors of length dim >= 2 by construction.
+        return [Embedding._trusted(row) for row in vecs]
 
     def dimension(self) -> int:
         return self.config.dim

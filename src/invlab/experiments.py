@@ -22,7 +22,7 @@ from .defenses import (
     DefenseContext,
     assign_language_ids,
     compute_group_means,
-    embed_with_defense,
+    embed_many_with_defense,
 )
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
 from .embeddings import BlackBoxEmbedder, Embedding, NgramEmbedder, TextSample
@@ -64,39 +64,22 @@ class _Runtime:
             self.client = EaasClient(*remote)
             self.attack_embedder = RemoteEmbedder(self.client, dim=config.embedder.dim)
 
-    def raw_embeddings(self, samples: list[TextSample]) -> list[Embedding]:
-        if not samples:
-            return []
-        if self.client is not None:
-            embs, _ = eaas_embed(
-                self.client, [s.text for s in samples], langs=[s.lang for s in samples]
-            )
-            return embs
-        return [
-            self.attack_embedder.embed(s.text).with_lang(s.lang) for s in samples
-        ]
-
     def defended_targets(
         self,
         samples: list[TextSample],
         defense: DefenseConfig | None,
         context: DefenseContext | None,
     ) -> list[Embedding]:
+        """Language-tagged embeddings of the samples, defended when
+        ``defense`` is set, from one batch request."""
         if not samples:
             return []
+        texts = [s.text for s in samples]
+        langs = [s.lang for s in samples]
         if self.client is not None:
-            embs, _ = eaas_embed(
-                self.client,
-                [s.text for s in samples],
-                defense=defense,
-                langs=[s.lang for s in samples],
-                context=context,
-            )
+            embs, _ = eaas_embed(self.client, texts, defense=defense, langs=langs, context=context)
             return embs
-        return [
-            embed_with_defense(self.attack_embedder, s.text, s.lang, defense, context)
-            for s in samples
-        ]
+        return embed_many_with_defense(self.attack_embedder, texts, langs, defense, context)
 
     def close(self) -> None:
         if self.client is not None:
@@ -108,7 +91,7 @@ def _agnostic_context(
 ) -> DefenseContext:
     pool = []
     for lang in sorted(samples_by_lang):
-        pool.extend(runtime.raw_embeddings(samples_by_lang[lang]))
+        pool.extend(runtime.defended_targets(samples_by_lang[lang], None, None))
     return DefenseContext(compute_group_means(pool))
 
 

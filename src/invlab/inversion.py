@@ -27,6 +27,7 @@ CONVERGED = "converged"
 
 _CONVERGENCE = 1.0 - 1e-9
 ORACLE_GUARD = 1_000_000
+_ORACLE_BATCH = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +88,12 @@ class MutationGenerator(ABC):
         """Up to k candidate texts."""
 
 
+def _sorted_unique(edits: list[str], text: str) -> list[str]:
+    """Sorted distinct edits other than ``text``; sorts in place."""
+    edits.sort()
+    return [e for e, prev in zip(edits, [None] + edits) if e != prev and e != text]
+
+
 class EditMutationGenerator(MutationGenerator):
     """Token-level edits over a fixed vocabulary: swaps of two positions,
     insertions, substitutions, and deletions.
@@ -109,46 +116,56 @@ class EditMutationGenerator(MutationGenerator):
 
     def _families(self, text: str) -> list[list[str]]:
         tokens = text.split()
-        swaps: set[str] = set()
-        for i in range(len(tokens)):
-            for j in range(i + 1, len(tokens)):
+        n = len(tokens)
+        # Edits are spliced from precomputed joins: head[i] is tokens[:i]
+        # joined with its trailing separator and tail[i] is tokens[i:] with
+        # its leading one, so no candidate re-joins a token list.
+        head = [""] + [" ".join(tokens[:i]) + " " for i in range(1, n + 1)]
+        tail = [" " + " ".join(tokens[i:]) for i in range(n)] + [""]
+        swaps = []
+        for i in range(n):
+            for j in range(i + 1, n):
                 if tokens[i] != tokens[j]:
-                    swapped = list(tokens)
-                    swapped[i], swapped[j] = swapped[j], swapped[i]
-                    swaps.add(" ".join(swapped))
-        inserts: set[str] = set()
-        if len(tokens) < self.max_tokens:
-            for i in range(len(tokens) + 1):
-                for v in self.vocab:
-                    inserts.add(" ".join(tokens[:i] + [v] + tokens[i:]))
-        substitutions: set[str] = set()
-        for i, tok in enumerate(tokens):
-            for v in self.vocab:
-                if v != tok:
-                    substitutions.add(" ".join(tokens[:i] + [v] + tokens[i + 1 :]))
-        deletions = {" ".join(tokens[:i] + tokens[i + 1 :]) for i in range(len(tokens))}
-        families = []
-        for family in (swaps, inserts, substitutions, deletions):
-            family.discard(text)
-            families.append(sorted(family))
-        return families
+                    middle = " ".join([""] + tokens[i + 1 : j] + [""])
+                    swaps.append(f"{head[i]}{tokens[j]}{middle}{tokens[i]}{tail[j + 1]}")
+        inserts = (
+            [f"{h}{v}{t}" for h, t in zip(head, tail) for v in self.vocab]
+            if n < self.max_tokens
+            else []
+        )
+        substitutions = [
+            f"{head[i]}{v}{tail[i + 1]}"
+            for i, tok in enumerate(tokens)
+            for v in self.vocab
+            if v != tok
+        ]
+        deletions = [
+            f"{head[i]}{tail[i + 1][1:]}" if i + 1 < n else head[i][:-1] for i in range(n)
+        ]
+        return [
+            _sorted_unique(family, text)
+            for family in (swaps, inserts, substitutions, deletions)
+        ]
 
     def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
         rng = derive_rng("mutate", self.seed, hypothesis.text, hypothesis.step)
-        shuffled = []
-        for family in self._families(hypothesis.text):
-            order = rng.permutation(len(family)) if family else []
-            shuffled.append([family[i] for i in order])
+        families = self._families(hypothesis.text)
+        # Every family draws its permutation, in order, so the stream matches
+        # the full shuffle; members are looked up only to the depth reached.
+        orders = [rng.permutation(len(f)).tolist() if f else [] for f in families]
+        deepest = max(len(f) for f in families)
         out: list[str] = []
         seen: set[str] = set()
         depth = 0
-        while len(out) < k and any(depth < len(f) for f in shuffled):
-            for family in shuffled:
-                if depth < len(family) and family[depth] not in seen:
-                    seen.add(family[depth])
-                    out.append(family[depth])
-                    if len(out) == k:
-                        break
+        while len(out) < k and depth < deepest:
+            for family, order in zip(families, orders):
+                if depth < len(family):
+                    candidate = family[order[depth]]
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        out.append(candidate)
+                        if len(out) == k:
+                            break
             depth += 1
         return out
 
@@ -352,15 +369,16 @@ def exhaustive_oracle(
         raise ValueError(f"{total} candidates exceed the enumeration guard of {guard}")
     best: Hypothesis | None = None
     for length in range(max_len + 1):
-        for combo in itertools.product(vocab, repeat=length):
-            text = " ".join(combo)
-            emb = embedder.embed(text)
-            score = cosine(emb, target)
-            if (
-                best is None
-                or score > best.score
-                or (score == best.score and text < best.text)
-            ):
-                best = Hypothesis(text, emb, score, 0)
+        combos = itertools.product(vocab, repeat=length)
+        # Batches of bounded size keep memory flat up to the guard.
+        while texts := [" ".join(c) for c in itertools.islice(combos, _ORACLE_BATCH)]:
+            for text, emb in zip(texts, embedder.embed_many(texts)):
+                score = cosine(emb, target)
+                if (
+                    best is None
+                    or score > best.score
+                    or (score == best.score and text < best.text)
+                ):
+                    best = Hypothesis(text, emb, score, 0)
     assert best is not None
     return best

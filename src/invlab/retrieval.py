@@ -81,10 +81,8 @@ def build_index(
     """Embed every document, apply the defense stack, and stack the vectors."""
     if not docs:
         raise ValueError("cannot index an empty document list")
-    vectors = []
-    for doc in docs:
-        raw = embedder.embed(doc.text)
-        vectors.append(_defended(doc, raw, defense, context).values)
+    raws = embedder.embed_many([d.text for d in docs])
+    vectors = [_defended(doc, raw, defense, context).values for doc, raw in zip(docs, raws)]
     return Index([d.id for d in docs], np.stack(vectors))
 
 
@@ -122,11 +120,13 @@ def evaluate_task(
     Queries are masked with their own language id unless ``query_mask_lang``
     overrides it. Queries without judgments score 0 and are logged.
     """
-    raw_docs = [embedder.embed(d.text).with_lang(d.lang) for d in task.docs]
-    raw_queries = [embedder.embed(q.text).with_lang(q.lang) for q in task.queries]
+    samples = task.docs + task.queries
+    embs = embedder.embed_many([s.text for s in samples])
+    raws = [e.with_lang(s.lang) for e, s in zip(embs, samples)]
+    raw_docs, raw_queries = raws[: len(task.docs)], raws[len(task.docs) :]
     context = None
     if defense is not None and defense.language_agnostic:
-        context = DefenseContext(compute_group_means(raw_docs + raw_queries))
+        context = DefenseContext(compute_group_means(raws))
     doc_vectors = [
         _defended(doc, raw, defense, context).values
         for doc, raw in zip(task.docs, raw_docs)

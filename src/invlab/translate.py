@@ -96,14 +96,12 @@ def translated_metrics(
     translating it from the attack's language into the target language."""
     if not translator.supports(src, tgt):
         raise ValueError(f"unsupported language pair ({src}, {tgt})")
-    target_emb = embedder.embed(target_text)
-    pre = pair_report(
-        generated, target_text, cos=cosine(embedder.embed(generated), target_emb)
-    )
     translated = translator.translate(generated, src, tgt)
-    post = pair_report(
-        translated, target_text, cos=cosine(embedder.embed(translated), target_emb)
+    target_emb, generated_emb, translated_emb = embedder.embed_many(
+        [target_text, generated, translated]
     )
+    pre = pair_report(generated, target_text, cos=cosine(generated_emb, target_emb))
+    post = pair_report(translated, target_text, cos=cosine(translated_emb, target_emb))
     return TranslationGain(pre, post, bleu_gain_pct(pre.bleu, post.bleu))
 
 

@@ -130,6 +130,13 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["--config", str(config_path), "attack", "--remote", "nocolon"])
 
+    @pytest.mark.parametrize(
+        "remote", ["localhost:http", "localhost:", "localhost:0", "localhost:65536", "h:-1", "h:１２"]
+    )
+    def test_bad_remote_port_rejected(self, config_path, remote):
+        with pytest.raises(SystemExit, match="--remote expects host:port"):
+            main(["--config", str(config_path), "attack", "--remote", remote])
+
     def test_seed_override_accepted(self, config_path, tmp_path, capsys):
         assert main(["--config", str(config_path), "--seed", "99", "attack", "--langs", "en"]) == 0
         assert (tmp_path / "out" / "reconstruction.csv").exists()

@@ -178,6 +178,18 @@ class TestDefenseConfig:
         with pytest.raises(ConfigError):
             DefenseConfig(masking={"en": 1.0, "fr": 1.0})
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError):
+            DefenseConfig(noise_lambda=lam)
+        with pytest.raises(ConfigError):
+            DefenseConfig.from_dict({"noise_lambda": lam})
+
+    @pytest.mark.parametrize("lang_id", [float("nan"), float("inf")])
+    def test_non_finite_language_id_rejected(self, lang_id):
+        with pytest.raises(ConfigError):
+            DefenseConfig(masking={"en": 1.0, "fr": lang_id})
+
 
 class TestApplyDefenseStack:
     def test_all_disabled_is_identity(self):
@@ -220,6 +232,12 @@ class TestApplyDefenseStack:
                 config,
                 DefenseContext({"fr": np.zeros(2)}),
             )
+
+    def test_agnostic_wrong_length_mean_rejected(self):
+        config = DefenseConfig(language_agnostic=True)
+        context = DefenseContext({"en": np.array([0.5])})
+        with pytest.raises(ValueError, match="shape"):
+            apply_defense_stack(emb(1.0, 2.0, 3.0, lang="en"), config, context)
 
     def test_stage_order_agnostic_then_noise_then_mask(self):
         e = emb(1.0, 1.0, lang="en")

@@ -96,6 +96,131 @@ class TestWireProtocol:
         assert err.value.code == "unknown_lang"
 
 
+class TestNoChargeOnError:
+    """An error response charges no queries: the whole request is validated
+    before any text is embedded."""
+
+    AGNOSTIC = DefenseConfig(language_agnostic=True).to_dict()
+    EN_MEAN = {"en": [0.0] * 32}
+
+    def refused(self, server, request: dict) -> str:
+        before = server.embedder.queries_used()
+        response = raw_request(server, json.dumps({"op": "embed", **request}))
+        assert set(response) == {"error"}
+        assert server.embedder.queries_used() == before
+        return response["error"]
+
+    def test_agnostic_unknown_lang(self, server):
+        request = {
+            "texts": ["a", "b", "c"],
+            "langs": ["xx", "en", "en"],
+            "defense": self.AGNOSTIC,
+            "context": {"group_means": self.EN_MEAN},
+        }
+        assert self.refused(server, request) == "unknown_lang"
+
+    def test_agnostic_unknown_lang_after_known(self, server):
+        request = {
+            "texts": ["a", "b", "c"],
+            "langs": ["en", "en", "xx"],
+            "defense": self.AGNOSTIC,
+            "context": {"group_means": self.EN_MEAN},
+        }
+        assert self.refused(server, request) == "unknown_lang"
+
+    def test_agnostic_without_group_means(self, server):
+        request = {"texts": ["a", "b"], "langs": ["en", "en"], "defense": self.AGNOSTIC}
+        assert self.refused(server, request) == "bad_request"
+
+    @pytest.mark.parametrize(
+        "mean",
+        [[0.5], [0.0] * 31, [0.0] * 33, [[0.0] * 32], 0.5, ["x"] * 32],
+        ids=["length-1", "short", "long", "matrix", "scalar", "strings"],
+    )
+    def test_agnostic_wrong_shape_mean(self, server, mean):
+        request = {
+            "texts": ["a"],
+            "langs": ["en"],
+            "defense": self.AGNOSTIC,
+            "context": {"group_means": {"en": mean}},
+        }
+        assert self.refused(server, request) == "bad_request"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_agnostic_non_finite_mean(self, server, bad):
+        mean = [0.0] * 32
+        mean[3] = bad
+        request = {
+            "texts": ["a"],
+            "langs": ["en"],
+            "defense": self.AGNOSTIC,
+            "context": {"group_means": {"en": mean}},
+        }
+        assert self.refused(server, request) == "bad_request"
+
+    def test_masking_missing_id(self, server):
+        request = {
+            "texts": ["a", "b"],
+            "langs": ["en", "de"],
+            "defense": DefenseConfig(masking={"en": 1.0}).to_dict(),
+        }
+        assert self.refused(server, request) == "unknown_lang"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_noise_lambda(self, server, bad):
+        defense = DefenseConfig().to_dict()
+        defense["noise_lambda"] = bad
+        request = {"texts": ["a", "b"], "defense": defense}
+        assert self.refused(server, request) == "bad_request"
+
+    def test_non_finite_masking_id(self, server):
+        request = {
+            "texts": ["a"],
+            "langs": ["en"],
+            "defense": {"masking": {"en": float("nan")}},
+        }
+        assert self.refused(server, request) == "bad_request"
+
+    def test_valid_request_still_charges_every_text(self, server):
+        request = {
+            "texts": ["a", "b", "c"],
+            "langs": ["en", "en", "en"],
+            "defense": self.AGNOSTIC,
+            "context": {"group_means": self.EN_MEAN},
+        }
+        response = raw_request(server, json.dumps({"op": "embed", **request}))
+        assert len(response["embeddings"]) == 3
+        assert response["queries_used"] == server.embedder.queries_used() == 3
+
+
+class TestMalformedResponse:
+    @pytest.mark.parametrize(
+        "embeddings",
+        ["[[1.0, NaN]]", "[[1.0, Infinity]]", "[[1.0]]", "[1.0, 2.0]", "[[1.0, 2.0], [3.0]]"],
+    )
+    def test_client_refuses(self, embeddings):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reply_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(
+                    f'{{"embeddings": {embeddings}, "dim": 2, "queries_used": 1}}\n'.encode()
+                )
+
+        thread = threading.Thread(target=reply_once, daemon=True)
+        thread.start()
+        try:
+            with EaasClient(*listener.getsockname()[:2]) as client:
+                with pytest.raises(ValueError):
+                    eaas_embed(client, ["x"])
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+
+
 class TestDefenseOverWire:
     def test_noise_defense_matches_local_stack(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)

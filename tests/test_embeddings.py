@@ -174,3 +174,111 @@ class TestNgramEmbedder:
     def test_config_and_kwargs_conflict(self):
         with pytest.raises(ConfigError):
             NgramEmbedder(NgramConfig(), dim=8)
+
+
+def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """The original formulation of ``cosine``: norms and clip through numpy."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+class TestCosineMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 24).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+                st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
+            )
+        )
+    )
+    def test_bitwise_equal(self, pair):
+        a, b = (np.asarray(v, dtype=np.float64) for v in pair)
+        assert cosine(a, b) == reference_cosine(a, b)
+
+    def test_random_and_embedded_pairs(self):
+        rng = np.random.default_rng(3)
+        for a, b in rng.standard_normal((2000, 2, 64)):
+            assert cosine(a, b) == reference_cosine(a, b)
+        embedder = NgramEmbedder(n=3, dim=64, seed=2)
+        embs = embedder.embed_many(["abc", "abd", "a b c", "", "xyz xyz"])
+        for x in embs:
+            for y in embs:
+                assert cosine(x, y) == reference_cosine(x.values, y.values)
+
+
+# Empty, whitespace-only, ASCII and non-ASCII texts, mixed in one batch.
+batch_texts = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(alphabet=" \t\n", max_size=6),
+        st.text(alphabet="ab c", max_size=20),
+        st.text(max_size=20),
+    ),
+    max_size=12,
+)
+configs = st.builds(
+    NgramConfig,
+    n=st.integers(1, 4),
+    dim=st.sampled_from([2, 3, 16, 64]),
+    seed=st.integers(0, 2**64),
+    unit_norm=st.booleans(),
+)
+
+
+class TestEmbedManyMatchesReference:
+    """``NgramEmbedder.embed_many`` is bytewise equal to ``embed_ngram``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(configs, batch_texts)
+    def test_bytewise_equal_and_counted(self, config, texts):
+        embedder = NgramEmbedder(config)
+        embedder.embed("warm")
+        before = embedder.queries_used()
+        got = embedder.embed_many(texts)
+        assert embedder.queries_used() == before + len(texts)
+        assert [e.values.tobytes() for e in got] == [
+            embed_ngram(t, config).values.tobytes() for t in texts
+        ]
+        assert all(e.values.dtype == np.float64 and e.lang is None for e in got)
+
+    @pytest.mark.parametrize("unit_norm", [True, False])
+    def test_all_empty_batch_is_float_zero(self, unit_norm):
+        embedder = NgramEmbedder(n=2, dim=2, seed=1, unit_norm=unit_norm)
+        got = embedder.embed_many(["", ""])
+        assert [e.values.dtype for e in got] == [np.float64, np.float64]
+        assert not any(e.values.any() for e in got)
+
+    def test_empty_batch_charges_nothing(self):
+        embedder = NgramEmbedder(n=2, dim=8, seed=1)
+        assert embedder.embed_many([]) == []
+        assert embedder.queries_used() == 0
+
+    def test_embed_is_a_batch_of_one(self):
+        config = NgramConfig(n=3, dim=32, seed=4)
+        embedder = NgramEmbedder(config)
+        for text in ["", " ", "héllo wörld", "a a a"]:
+            assert embedder.embed(text).values.tobytes() == embed_ngram(text, config).values.tobytes()
+        assert embedder.queries_used() == 4
+
+    def test_shared_slot_codes_under_thread_stress(self):
+        # Threads share one embedder, so its gram -> code dict fills from
+        # several threads at once; a lost or wrong code would change a vector.
+        config = NgramConfig(n=3, dim=32, seed=9)
+        embedder = NgramEmbedder(config)
+        batches = [[f"t{w} {i} é{w * i}" for i in range(40)] for w in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(embedder.embed_many, batches, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        assert embedder.queries_used() == 8 * 40
+        for batch, got in zip(batches, results):
+            assert [e.values.tobytes() for e in got] == [
+                embed_ngram(t, config).values.tobytes() for t in batch
+            ]

@@ -1,5 +1,6 @@
 import csv
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from invlab.datagen import (
     parallel_corpora,
     synthetic_corpus,
 )
-from invlab.embeddings import NgramConfig, NgramEmbedder, embed_ngram
+from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
 from invlab.translate import DictionaryTranslator, save_dictionary_tsv
 
@@ -96,18 +97,21 @@ class TestReconstructionQuality:
         embedder_config = NgramConfig(n=3, dim=192, seed=5)
         vocab = language_tokens("en", vocab_size)
 
-        census: dict[bytes, int] = {}
+        # NgramEmbedder.embed_many is pinned bytewise equal to embed_ngram
+        # (test_embeddings); chunks keep the length-4 batch's memory small.
+        embedder = NgramEmbedder(embedder_config)
+        census: Counter[bytes] = Counter()
         for length in range(text_len + 1):
-            for combo in itertools.product(vocab, repeat=length):
-                key = embed_ngram(" ".join(combo), embedder_config).values.tobytes()
-                census[key] = census.get(key, 0) + 1
+            texts = [" ".join(combo) for combo in itertools.product(vocab, repeat=length)]
+            for start in range(0, len(texts), 1024):
+                batch = embedder.embed_many(texts[start : start + 1024])
+                census.update(e.values.tobytes() for e in batch)
 
         corpus = synthetic_corpus(
             "en", 100, vocab_size=vocab_size, min_len=text_len, max_len=text_len, seed=31
         )
-        unique_targets = sum(
-            1 for s in corpus if census[embed_ngram(s.text, embedder_config).values.tobytes()] == 1
-        )
+        targets = embedder.embed_many([s.text for s in corpus])
+        unique_targets = sum(1 for e in targets if census[e.values.tobytes()] == 1)
         assert unique_targets >= 95
 
         path = tmp_path / "en.jsonl"

@@ -135,6 +135,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             DefenseSweep(lambdas=[-0.1])
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError):
+            DefenseSweep(lambdas=[0.0, lam])
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"defense": {"lambdas": [lam]}})
+
 
 def make_report():
     report = ExperimentReport()

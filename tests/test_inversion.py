@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
 from invlab.inversion import (
@@ -351,3 +353,62 @@ class TestEditMutationGenerator:
         gen = EditMutationGenerator(("a", "b"), max_tokens=2, seed=0)
         hyp = Hypothesis("", Embedding(np.zeros(2)), 0.0, 0)
         assert set(gen.propose(hyp, 10)) == {"a", "b"}
+
+
+def reference_propose(gen: EditMutationGenerator, hypothesis: Hypothesis, k: int) -> list[str]:
+    """The plain formulation of ``EditMutationGenerator.propose``: every
+    family built by re-joining token lists, then shuffled in full."""
+    text = hypothesis.text
+    tokens = text.split()
+    swaps, inserts, substitutions = set(), set(), set()
+    for i in range(len(tokens)):
+        for j in range(i + 1, len(tokens)):
+            if tokens[i] != tokens[j]:
+                swapped = list(tokens)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                swaps.add(" ".join(swapped))
+    if len(tokens) < gen.max_tokens:
+        for i in range(len(tokens) + 1):
+            for v in gen.vocab:
+                inserts.add(" ".join(tokens[:i] + [v] + tokens[i:]))
+    for i, tok in enumerate(tokens):
+        for v in gen.vocab:
+            if v != tok:
+                substitutions.add(" ".join(tokens[:i] + [v] + tokens[i + 1 :]))
+    deletions = {" ".join(tokens[:i] + tokens[i + 1 :]) for i in range(len(tokens))}
+    rng = derive_rng("mutate", gen.seed, text, hypothesis.step)
+    shuffled = []
+    for family in (swaps, inserts, substitutions, deletions):
+        family.discard(text)
+        family = sorted(family)
+        order = rng.permutation(len(family)) if family else []
+        shuffled.append([family[i] for i in order])
+    out, seen, depth = [], set(), 0
+    while len(out) < k and any(depth < len(f) for f in shuffled):
+        for family in shuffled:
+            if depth < len(family) and family[depth] not in seen:
+                seen.add(family[depth])
+                out.append(family[depth])
+                if len(out) == k:
+                    break
+        depth += 1
+    return out
+
+
+class TestProposeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vocab=st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "aena", "\u00e9t\u00e9"]),
+                       min_size=1, max_size=6, unique=True),
+        picks=st.lists(st.integers(0, 5), max_size=7),
+        spacing=st.sampled_from([" ", "  ", "\t"]),
+        max_tokens=st.integers(1, 7),
+        seed=st.integers(0, 1000),
+        step=st.integers(0, 60),
+        k=st.sampled_from([0, 1, 3, 8, 1000]),
+    )
+    def test_equal_output(self, vocab, picks, spacing, max_tokens, seed, step, k):
+        text = spacing.join(vocab[p % len(vocab)] for p in picks)
+        gen = EditMutationGenerator(vocab, max_tokens=max_tokens, seed=seed)
+        hyp = Hypothesis(text, Embedding(np.ones(2)), 0.0, step)
+        assert gen.propose(hyp, k) == reference_propose(gen, hyp, k)
