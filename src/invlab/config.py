@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .embeddings import ConfigError, NgramConfig
@@ -43,32 +43,7 @@ class ExperimentConfig:
     test_size: int = 100
 
     def to_dict(self) -> dict:
-        return {
-            "corpora": dict(self.corpora),
-            "embedder": {
-                "n": self.embedder.n,
-                "dim": self.embedder.dim,
-                "seed": self.embedder.seed,
-                "unit_norm": self.embedder.unit_norm,
-            },
-            "attack": {
-                "steps": list(self.attack.steps),
-                "beams": list(self.attack.beams),
-                "max_tokens": self.attack.max_tokens,
-                "query_budget": self.attack.query_budget,
-            },
-            "defense": {
-                "lambdas": list(self.defense.lambdas),
-                "masking": self.defense.masking,
-                "language_agnostic": self.defense.language_agnostic,
-                "mask_scale": self.defense.mask_scale,
-            },
-            "dictionaries": dict(self.dictionaries),
-            "retrieval_tasks": [dict(t) for t in self.retrieval_tasks],
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "test_size": self.test_size,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

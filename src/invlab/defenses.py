@@ -9,7 +9,7 @@ dimension-0 value always survives composition.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,13 +51,7 @@ class DefenseConfig:
         return bool(self.noise_lambda > 0 or self.masking is not None or self.language_agnostic)
 
     def to_dict(self) -> dict:
-        return {
-            "noise_lambda": self.noise_lambda,
-            "noise_seed": self.noise_seed,
-            "masking": dict(self.masking) if self.masking is not None else None,
-            "language_agnostic": self.language_agnostic,
-            "renormalize_after": self.renormalize_after,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DefenseConfig":
@@ -188,14 +182,3 @@ def embed_many_with_defense(
     if config is None:
         return tagged
     return [apply_defense_stack(e, config, context, key=t) for e, t in zip(tagged, texts)]
-
-
-def embed_with_defense(
-    embedder: BlackBoxEmbedder,
-    text: str,
-    lang: str | None,
-    config: DefenseConfig | None = None,
-    context: DefenseContext | None = None,
-) -> Embedding:
-    """Embed text, tag its language, and pass it through the defense stack."""
-    return embed_many_with_defense(embedder, [text], [lang], config, context)[0]

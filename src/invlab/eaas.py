@@ -13,8 +13,9 @@ Errors:   {"error": "unknown_op" | "bad_request" | "unknown_lang"}
 tags each text for masking; ``context`` supplies per-language mean vectors
 when the language-agnostic stage is enabled. The whole request is validated
 before its texts are embedded in one batch, so an error response charges no
-queries. Any op other than "embed" is refused: the service never helps the
-attacker beyond embedding.
+queries, unless finite inputs overflow to a non-finite vector. Any op other
+than "embed" is refused: the service never helps the attacker beyond
+embedding.
 """
 
 import json
@@ -28,6 +29,7 @@ from .defenses import (
     DefenseContext,
     UnknownLanguageError,
     apply_defense_stack,
+    embed_many_with_defense,
 )
 from .embeddings import BlackBoxEmbedder, Embedding
 
@@ -65,7 +67,8 @@ class _Handler(socketserver.StreamRequestHandler):
         server: "EaasServer" = self.server.eaas  # type: ignore[attr-defined]
         try:
             request = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
+            # Also integers past the int-to-str digit limit and deep nesting.
             return {"error": "bad_request"}
         if not isinstance(request, dict):
             return {"error": "bad_request"}
@@ -73,6 +76,12 @@ class _Handler(socketserver.StreamRequestHandler):
             return {"error": "unknown_op"}
         texts = request.get("texts")
         if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+            return {"error": "bad_request"}
+        try:
+            # JSON escapes can carry lone surrogates, which the embedder
+            # cannot hash; refuse them before the texts are charged.
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError:
             return {"error": "bad_request"}
         langs = request.get("langs")
         if langs is not None:
@@ -86,7 +95,7 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 defense = DefenseConfig.from_dict(request["defense"])
                 context = _parse_context(request.get("context"))
-            except (ValueError, TypeError, AttributeError):
+            except (ValueError, TypeError, AttributeError, OverflowError):
                 return {"error": "bad_request"}
         else:
             defense = server.defense
@@ -104,19 +113,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 return {"error": "unknown_lang"}
             except ValueError:
                 return {"error": "bad_request"}
-        vectors = []
         try:
-            for text, lang, e in zip(texts, langs, server.embedder.embed_many(texts)):
-                e = e.with_lang(lang)
-                if defense is not None:
-                    e = apply_defense_stack(e, defense, context, key=text)
-                vectors.append(e.values.tolist())
+            embs = embed_many_with_defense(server.embedder, texts, langs, defense, context)
         except ValueError:
             # Validated above; only arithmetic overflow to a non-finite
             # vector lands here, after the texts were charged.
             return {"error": "bad_request"}
         return {
-            "embeddings": vectors,
+            "embeddings": [e.values.tolist() for e in embs],
             "dim": dim,
             "queries_used": server.embedder.queries_used(),
         }
@@ -249,24 +253,14 @@ class RemoteEmbedder(BlackBoxEmbedder):
     """Client-side embedder: every embed call crosses the wire.
 
     ``queries_used`` counts this client's own requests so attack-side query
-    accounting matches local runs; the service's global counter arrives in
-    every response for end-to-end verification.
+    accounting matches local runs.
     """
 
-    def __init__(
-        self,
-        client: EaasClient,
-        dim: int,
-        defense: DefenseConfig | None = None,
-        lang: str | None = None,
-    ):
+    def __init__(self, client: EaasClient, dim: int):
         self._client = client
         self._dim = dim
-        self._defense = defense
-        self._lang = lang
         self._lock = threading.Lock()
         self._queries = 0
-        self.last_server_count: int | None = None
 
     def embed(self, text: str) -> Embedding:
         return self.embed_many([text])[0]
@@ -274,13 +268,9 @@ class RemoteEmbedder(BlackBoxEmbedder):
     def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
         if not texts:
             return []
-        langs = [self._lang] * len(texts) if self._lang is not None else None
-        embeddings, server_count = eaas_embed(
-            self._client, texts, defense=self._defense, langs=langs
-        )
+        embeddings, _ = eaas_embed(self._client, texts)
         with self._lock:
             self._queries += len(texts)
-            self.last_server_count = server_count
         return embeddings
 
     def dimension(self) -> int:

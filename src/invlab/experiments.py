@@ -26,7 +26,7 @@ from .defenses import (
 )
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
 from .embeddings import BlackBoxEmbedder, Embedding, NgramEmbedder, TextSample
-from .inversion import AttackConfig, EditMutationGenerator, invert
+from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert
 from .metrics import MetricReport, aggregate, pair_report
 from .report import ExperimentReport, ReportRow
 from .retrieval import RetrievalTask, evaluate_task, load_qrels_tsv
@@ -95,19 +95,22 @@ def _agnostic_context(
     return DefenseContext(compute_group_means(pool))
 
 
-def _attack_sample(
+def _attack_split(
     runtime: _Runtime,
-    target: Embedding,
-    sample: TextSample,
+    samples: list[TextSample],
+    targets: list[Embedding],
     vocab: list[str],
     steps: int,
     beam: int,
-    gen_seed: int,
-) -> tuple[MetricReport, int, float]:
+    labels: tuple[str, ...],
+) -> tuple[list[AttackResult], int, float]:
+    """Invert each sample's target embedding with the given vocabulary.
+
+    Each sample's generator is seeded from the run seed, ``labels`` and the
+    sample id. Returns the results, their summed queries and their summed
+    attack wall time in seconds.
+    """
     config = runtime.config
-    gen = EditMutationGenerator(
-        vocab, max_tokens=config.attack.max_tokens, seed=gen_seed
-    )
     attack_config = AttackConfig(
         vocab=tuple(vocab),
         steps=steps,
@@ -115,9 +118,19 @@ def _attack_sample(
         max_tokens=config.attack.max_tokens,
         query_budget=config.attack.query_budget,
     )
-    result = invert(target, runtime.attack_embedder, gen, attack_config)
-    report = pair_report(result.best.text, sample.text, cos=result.best.score)
-    return report, result.queries_used, result.wall_time
+    results = []
+    for sample, target in zip(samples, targets):
+        gen = EditMutationGenerator(
+            vocab,
+            max_tokens=config.attack.max_tokens,
+            seed=stable_seed(config.seed, "gen", *labels, sample.id),
+        )
+        results.append(invert(target, runtime.attack_embedder, gen, attack_config))
+    return results, sum(r.queries_used for r in results), sum(r.wall_time for r in results)
+
+
+def _pair_reports(results: list[AttackResult], samples: list[TextSample]) -> list[MetricReport]:
+    return [pair_report(r.best.text, s.text, cos=r.best.score) for r, s in zip(results, samples)]
 
 
 def run_reconstruction(
@@ -151,19 +164,9 @@ def run_reconstruction(
             for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
                 for steps in config.attack.steps:
                     for beam in config.attack.beams:
-                        reports = []
-                        queries = 0
-                        wall = 0.0
-                        for sample, target in zip(samples, targets):
-                            gen_seed = stable_seed(
-                                config.seed, "gen", condition, lang, sample.id
-                            )
-                            rep, used, spent = _attack_sample(
-                                runtime, target, sample, vocab, steps, beam, gen_seed
-                            )
-                            reports.append(rep)
-                            queries += used
-                            wall += spent
+                        results, queries, wall = _attack_split(
+                            runtime, samples, targets, vocab, steps, beam, (condition, lang)
+                        )
                         report.add(
                             ReportRow(
                                 experiment_id=f"recon_{condition}",
@@ -171,7 +174,7 @@ def run_reconstruction(
                                 steps=steps,
                                 beam=beam,
                                 defense=defense_label,
-                                metrics=aggregate(reports),
+                                metrics=aggregate(_pair_reports(results, samples)),
                                 queries=queries,
                                 wall_ms=max(wall * 1000.0, 1e-6),
                             )
@@ -235,32 +238,16 @@ def run_crosslingual(
     runtime = _Runtime(config, remote)
     try:
         targets = runtime.defended_targets(samples, None, None)
+        results, queries, attack_wall = _attack_split(
+            runtime, samples, targets, vocab, steps, beam, ("xling", src, tgt)
+        )
         pre_reports: list[MetricReport] = []
         post_reports: list[MetricReport] = []
         gains: list[float] = []
-        queries = 0
-        attack_wall = 0.0
-        generated_texts = []
-        for sample, target in zip(samples, targets):
-            gen_seed = stable_seed(config.seed, "gen", "xling", src, tgt, sample.id)
-            gen = EditMutationGenerator(
-                vocab, max_tokens=config.attack.max_tokens, seed=gen_seed
-            )
-            attack_config = AttackConfig(
-                vocab=tuple(vocab),
-                steps=steps,
-                beam_width=beam,
-                max_tokens=config.attack.max_tokens,
-                query_budget=config.attack.query_budget,
-            )
-            result = invert(target, runtime.attack_embedder, gen, attack_config)
-            queries += result.queries_used
-            attack_wall += result.wall_time
-            generated_texts.append((sample, result.best.text))
         rescore_start = time.perf_counter()
-        for sample, generated in generated_texts:
+        for sample, result in zip(samples, results):
             gain = translated_metrics(
-                generated, src, sample.text, tgt, translator, runtime.attack_embedder
+                result.best.text, src, sample.text, tgt, translator, runtime.attack_embedder
             )
             pre_reports.append(gain.pre)
             post_reports.append(gain.post)
@@ -386,20 +373,18 @@ def run_defense_sweep(
             for lang in langs:
                 samples = splits[lang]
                 targets = runtime.defended_targets(samples, defense, context)
-                for sample, target in zip(samples, targets):
-                    gen_seed = stable_seed(config.seed, "gen", "defense", lang, sample.id)
-                    rep, used, spent = _attack_sample(
-                        runtime,
-                        target,
-                        sample,
-                        vocabs[lang],
-                        DEFENSE_SWEEP_STEPS,
-                        DEFENSE_SWEEP_BEAM,
-                        gen_seed,
-                    )
-                    reports.append(rep)
-                    queries += used
-                    wall += spent
+                results, used, spent = _attack_split(
+                    runtime,
+                    samples,
+                    targets,
+                    vocabs[lang],
+                    DEFENSE_SWEEP_STEPS,
+                    DEFENSE_SWEEP_BEAM,
+                    ("defense", lang),
+                )
+                reports += _pair_reports(results, samples)
+                queries += used
+                wall += spent
             ndcg = sum(
                 evaluate_task(task, runtime.attack_embedder, defense) for task in tasks
             ) / len(tasks)

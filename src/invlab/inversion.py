@@ -343,6 +343,11 @@ def invert(
         if not history and scorer.best is not None:
             history.append(scorer.best.score)
     best = scorer.best if scorer.best is not None else _empty_hypothesis(target)
+    # An embedded row is a view of its whole scored batch: copy it, so a kept
+    # result does not keep that batch alive.
+    best = Hypothesis(
+        best.text, best.embedding.with_values(best.embedding.values.copy()), best.score, best.step
+    )
     if not history:
         history.append(best.score)
     wall = max(time.perf_counter() - start, 1e-9)

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .defenses import DefenseConfig, DefenseContext, apply_defense_stack, compute_group_means
+from .defenses import (
+    DefenseConfig,
+    DefenseContext,
+    apply_defense_stack,
+    compute_group_means,
+    embed_many_with_defense,
+)
 from .embeddings import BlackBoxEmbedder, Embedding, TextSample
 from .metrics import ndcg_at_k
 
@@ -59,19 +65,6 @@ class Index:
         return len(self.ids)
 
 
-def _defended(
-    sample: TextSample,
-    raw: Embedding,
-    defense: DefenseConfig | None,
-    context: DefenseContext | None,
-    lang_override: str | None = None,
-) -> Embedding:
-    tagged = raw.with_lang(lang_override if lang_override is not None else sample.lang)
-    if defense is None:
-        return tagged
-    return apply_defense_stack(tagged, defense, context, key=sample.text)
-
-
 def build_index(
     docs: list[TextSample],
     embedder: BlackBoxEmbedder,
@@ -81,9 +74,10 @@ def build_index(
     """Embed every document, apply the defense stack, and stack the vectors."""
     if not docs:
         raise ValueError("cannot index an empty document list")
-    raws = embedder.embed_many([d.text for d in docs])
-    vectors = [_defended(doc, raw, defense, context).values for doc, raw in zip(docs, raws)]
-    return Index([d.id for d in docs], np.stack(vectors))
+    embs = embed_many_with_defense(
+        embedder, [d.text for d in docs], [d.lang for d in docs], defense, context
+    )
+    return Index([d.id for d in docs], np.stack([e.values for e in embs]))
 
 
 def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -121,20 +115,18 @@ def evaluate_task(
     overrides it. Queries without judgments score 0 and are logged.
     """
     samples = task.docs + task.queries
-    embs = embedder.embed_many([s.text for s in samples])
-    raws = [e.with_lang(s.lang) for e, s in zip(embs, samples)]
-    raw_docs, raw_queries = raws[: len(task.docs)], raws[len(task.docs) :]
+    n_docs = len(task.docs)
+    # Undefended first: the language-agnostic stage needs the raw group means.
+    embs = embed_many_with_defense(embedder, [s.text for s in samples], [s.lang for s in samples])
     context = None
     if defense is not None and defense.language_agnostic:
-        context = DefenseContext(compute_group_means(raws))
-    doc_vectors = [
-        _defended(doc, raw, defense, context).values
-        for doc, raw in zip(task.docs, raw_docs)
-    ]
-    index = Index([d.id for d in task.docs], np.stack(doc_vectors))
+        context = DefenseContext(compute_group_means(embs))
+    if query_mask_lang is not None:
+        embs[n_docs:] = [e.with_lang(query_mask_lang) for e in embs[n_docs:]]
+    defended = [apply_defense_stack(e, defense, context, key=s.text) for e, s in zip(embs, samples)]
+    index = Index([d.id for d in task.docs], np.stack([e.values for e in defended[:n_docs]]))
     total = 0.0
-    for query, raw in zip(task.queries, raw_queries):
-        qvec = _defended(query, raw, defense, context, lang_override=query_mask_lang)
+    for query, qvec in zip(task.queries, defended[n_docs:]):
         ranking = [doc_id for doc_id, _ in search(index, qvec, k)]
         rels = task.qrels_for(query.id)
         if not rels:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from invlab.defenses import (
     assign_language_ids,
     compute_group_means,
     derive_noise_rng,
-    embed_with_defense,
+    embed_many_with_defense,
     language_agnostic,
     mask_language,
     noise_insert,
@@ -38,6 +39,23 @@ class TestNoiseInsert:
         e = Embedding(np.asarray(values))
         out = noise_insert(e, 0.0, np.random.default_rng(1))
         assert np.array_equal(out.values, e.values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(
+            DefenseConfig,
+            noise_lambda=st.floats(min_value=0, allow_infinity=False),
+            noise_seed=st.integers(),
+            masking=st.none()
+            | st.dictionaries(
+                st.text(max_size=4), st.floats(allow_nan=False, allow_infinity=False), max_size=4
+            ).filter(lambda ids: len(set(ids.values())) == len(ids)),
+            language_agnostic=st.booleans(),
+            renormalize_after=st.booleans(),
+        )
+    )
+    def test_round_trip_through_json(self, config):
+        assert DefenseConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
@@ -293,12 +311,12 @@ class TestEmbedWithDefense:
     def test_tags_language_and_applies_stack(self):
         embedder = NgramEmbedder(n=2, dim=16, seed=0)
         config = DefenseConfig(masking={"it": 1.0})
-        out = embed_with_defense(embedder, "ciao", "it", config)
+        out = embed_many_with_defense(embedder, ["ciao"], ["it"], config)[0]
         assert out.lang == "it"
         assert out.values[0] == 1.0
 
     def test_no_defense_returns_raw(self):
         embedder = NgramEmbedder(n=2, dim=16, seed=0)
         raw = embedder.embed("ciao")
-        out = embed_with_defense(embedder, "ciao", "it", None)
+        out = embed_many_with_defense(embedder, ["ciao"], ["it"], None)[0]
         assert np.array_equal(out.values, raw.values)

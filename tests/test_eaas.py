@@ -2,16 +2,27 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab.defenses import (
     DefenseConfig,
     DefenseContext,
     apply_defense_stack,
     compute_group_means,
+    embed_many_with_defense,
 )
 from invlab.embeddings import NgramEmbedder
-from invlab.eaas import EaasClient, EaasError, RemoteEmbedder, eaas_embed, eaas_serve
+from invlab.eaas import (
+    EaasClient,
+    EaasError,
+    RemoteEmbedder,
+    _parse_context,
+    eaas_embed,
+    eaas_serve,
+)
 from invlab.inversion import AttackConfig, EditMutationGenerator, invert
 
 
@@ -30,12 +41,22 @@ def client(server):
         yield c
 
 
-def raw_request(server, line: str) -> dict:
+def exchange(server, lines: list[str]) -> list[dict]:
+    """Send each line on one connection; the service must answer every one."""
     host, port = server.address
+    responses = []
     with socket.create_connection((host, port), timeout=10) as sock:
-        sock.sendall(line.encode("utf-8") + b"\n")
         reader = sock.makefile("rb")
-        return json.loads(reader.readline())
+        for line in lines:
+            sock.sendall(line.encode("utf-8") + b"\n")
+            reply = reader.readline()
+            assert reply, "the service closed the connection"
+            responses.append(json.loads(reply))
+    return responses
+
+
+def raw_request(server, line: str) -> dict:
+    return exchange(server, [line])[0]
 
 
 class TestWireProtocol:
@@ -181,6 +202,28 @@ class TestNoChargeOnError:
         }
         assert self.refused(server, request) == "bad_request"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"op": "embed", "texts": ["a"], "defense": {"noise_seed": 1e400}}',
+            '{"op": "embed", "texts": ["a"], "defense": {"noise_seed": Infinity}}',
+            '{"op": "embed", "texts": ["a"], "defense": {"noise_seed": -Infinity}}',
+            '{"op": "embed", "texts": ["a"], "defense": {"noise_lambda": %s}}' % ("1" * 5000),
+            '{"op": "embed", "texts": ["a"], "langs": ["en"], "defense": '
+            '{"language_agnostic": true}, "context": {"group_means": {"en": [%s]}}}'
+            % ("1" + "0" * 400),
+            '{"op": "embed", "texts": ["a\\ud800"]}',
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["seed-1e400", "seed-inf", "seed-neg-inf", "digits", "mean-big-int", "surrogate",
+             "nesting"],
+    )
+    def test_refused_and_still_serving(self, server, line):
+        before = server.embedder.queries_used()
+        refused, served = exchange(server, [line, '{"op": "embed", "texts": ["a"]}'])
+        assert refused == {"error": "bad_request"}
+        assert served["queries_used"] == before + 1
+
     def test_valid_request_still_charges_every_text(self, server):
         request = {
             "texts": ["a", "b", "c"],
@@ -312,3 +355,128 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert server.embedder.queries_used() == 80
+
+
+# Literal tokens that json.dumps cannot produce from a Python value; each
+# sentinel string is replaced by its raw text after serialisation.
+RAW_TOKENS = {
+    "__1e400__": "1e400",
+    "__-1e400__": "-1e400",
+    "__digits__": "1" * 5000,
+}
+FUZZ_DIM = 8
+FUZZ_EMBEDDER = {"n": 3, "dim": FUZZ_DIM, "seed": 17}
+ERROR_CODES = {"unknown_op", "bad_request", "unknown_lang"}
+
+numbers = (
+    st.integers()
+    | st.floats()
+    | st.sampled_from([10**400, float("inf"), *RAW_TOKENS])
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=6) | st.just("\ud800"),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+langs = st.sampled_from([None, "en", "fr", "xx"])
+defenses = st.fixed_dictionaries(
+    {},
+    optional={
+        "noise_lambda": numbers,
+        "noise_seed": numbers,
+        "masking": st.dictionaries(langs.filter(bool), numbers, max_size=3) | json_values,
+        "language_agnostic": st.booleans() | json_values,
+        "renormalize_after": st.booleans(),
+    },
+)
+contexts = st.fixed_dictionaries(
+    {
+        "group_means": st.dictionaries(
+            langs.filter(bool),
+            st.lists(numbers, min_size=FUZZ_DIM, max_size=FUZZ_DIM) | json_values,
+            max_size=3,
+        )
+    }
+)
+# Well-formed embed requests with junk in the defense, then requests with
+# junk anywhere, then any JSON value at all.
+request_bodies = (
+    st.lists(st.text(max_size=8), min_size=1, max_size=4).flatmap(
+        lambda texts: st.fixed_dictionaries(
+            {"op": st.just("embed"), "texts": st.just(texts)},
+            optional={
+                "langs": st.lists(langs, min_size=len(texts), max_size=len(texts)),
+                "defense": defenses,
+                "context": contexts,
+            },
+        )
+    )
+    | st.fixed_dictionaries(
+        {"op": st.just("embed") | json_values},
+        optional={
+            "texts": st.lists(st.text(max_size=8) | st.just("a\ud800"), min_size=1, max_size=4)
+            | json_values,
+            "langs": st.lists(langs, max_size=4) | json_values,
+            "defense": defenses | json_values,
+            "context": contexts | json_values,
+        },
+    )
+    | json_values
+)
+
+
+def _to_line(body) -> str:
+    line = json.dumps(body)
+    for token, raw in RAW_TOKENS.items():
+        line = line.replace(json.dumps(token), raw)
+    return line
+
+
+def _overflows_after_validation(request: dict) -> bool:
+    """The one known way to be charged for an error: finite inputs (a noise
+    level near the float maximum) pass validation, and the real stack then
+    overflows to a non-finite vector after the texts were embedded."""
+    texts = request["texts"]
+    defense = DefenseConfig.from_dict(request["defense"])
+    context = _parse_context(request.get("context"))
+    embedder = NgramEmbedder(**FUZZ_EMBEDDER)
+    with np.errstate(all="ignore"):
+        try:
+            embed_many_with_defense(
+                embedder, texts, request.get("langs") or [None] * len(texts), defense, context
+            )
+        except ValueError as exc:
+            return "finite" in str(exc)
+    return False
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    server = eaas_serve(NgramEmbedder(**FUZZ_EMBEDDER))
+    yield server
+    server.stop()
+
+
+class TestHandlerFuzz:
+    """Arbitrary JSON bodies: every one gets an embeddings response or a
+    documented error code, the handler never drops the connection, and an
+    error response charges nothing outside the documented overflow case."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=request_bodies)
+    def test_documented_response_and_no_charge_on_error(self, fuzz_server, body):
+        line = _to_line(body)
+        before = fuzz_server.embedder.queries_used()
+        (response,) = exchange(fuzz_server, [line])
+        after = fuzz_server.embedder.queries_used()
+        if "error" in response:
+            assert set(response) == {"error"}
+            assert response["error"] in ERROR_CODES
+            if after != before:
+                assert response["error"] == "bad_request"
+                assert _overflows_after_validation(json.loads(line))
+        else:
+            assert set(response) == {"embeddings", "dim", "queries_used"}
+            assert len(response["embeddings"]) == len(body["texts"]) == after - before
+            assert response["dim"] == FUZZ_DIM
+            assert response["queries_used"] == after

@@ -255,6 +255,16 @@ class TestInvert:
         assert result.queries_used == 2
         assert result.beam_history  # whatever was scored is reported
 
+    def test_best_embedding_owns_its_values(self, embedder):
+        # a view into a scored batch would keep the whole batch alive
+        target = embedder.embed("c a b")
+        vocab = ("a", "b", "c")
+        config = AttackConfig(vocab=vocab, steps=3, beam_width=4, max_tokens=3)
+        result = invert(target, embedder, EditMutationGenerator(vocab, 3, seed=5), config)
+        assert result.best.embedding.values.base is None
+        rescored = embedder.embed(result.best.text).values
+        assert result.best.embedding.values.tobytes() == rescored.tobytes()
+
     def test_wall_time_positive(self, embedder):
         target = embedder.embed("a")
         result = invert(
