@@ -55,14 +55,23 @@ class DefenseConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "DefenseConfig":
-        masking = data.get("masking")
-        return cls(
-            noise_lambda=float(data.get("noise_lambda", 0.0)),
-            noise_seed=int(data.get("noise_seed", 0)),
-            masking={str(k): float(v) for k, v in masking.items()} if masking is not None else None,
-            language_agnostic=bool(data.get("language_agnostic", False)),
-            renormalize_after=bool(data.get("renormalize_after", False)),
-        )
+        """Build a validated config from outside input (such as decoded
+        JSON); any malformed value raises ConfigError."""
+        try:
+            masking = data.get("masking")
+            return cls(
+                noise_lambda=float(data.get("noise_lambda", 0.0)),
+                noise_seed=int(data.get("noise_seed", 0)),
+                masking={str(k): float(v) for k, v in masking.items()} if masking is not None else None,
+                language_agnostic=bool(data.get("language_agnostic", False)),
+                renormalize_after=bool(data.get("renormalize_after", False)),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # Wrong container types, unparsable or out-of-range numbers
+            # (int(inf), float(10**400), digit-limit strings).
+            raise ConfigError(f"malformed defense config: {exc}") from exc
 
 
 @dataclass

@@ -5,19 +5,30 @@ component holding the embedder; a client (or an attacker who obtained API
 access) sees vectors and the cumulative query counter, nothing else.
 
 Request:  {"op": "embed", "texts": [...], "defense": {...}?, "langs": [...]?,
-           "context": {"group_means": {lang: [...]}}?}
-Response: {"embeddings": [[...]], "dim": N, "queries_used": M}
+           "context": {"group_means": {lang: "<rows>"}}?}
+Response: {"embeddings": "<rows>", "dim": N, "queries_used": M}
 Errors:   {"error": "unknown_op" | "bad_request" | "unknown_lang"}
+
+Every vector travels as ``<rows>``: the standard base64 encoding (with
+padding) of the little-endian float64 bytes of a row-major (n, dim) matrix.
+A response carries one row per text, in request order; a group mean is one
+row. Raw bytes round-trip every float64 exactly, so remote vectors are
+bitwise equal to local ones.
 
 ``defense`` overrides the server's default stack for that request; ``langs``
 tags each text for masking; ``context`` supplies per-language mean vectors
 when the language-agnostic stage is enabled. The whole request is validated
 before its texts are embedded in one batch, so an error response charges no
-queries, unless finite inputs overflow to a non-finite vector. Any op other
-than "embed" is refused: the service never helps the attacker beyond
-embedding.
+queries, unless finite inputs overflow to a non-finite vector. A group mean
+that is not a base64 string of exactly ``dim * 8`` bytes, or is not finite,
+is a ``bad_request``. The client refuses, with ``ValueError``, a response
+whose rows are not a base64 string of exactly ``len(texts) * dim * 8``
+bytes, whose ``dim`` is below 2, or whose components are not all finite.
+Any op other than "embed" is refused: the service never helps the attacker
+beyond embedding.
 """
 
+import base64
 import json
 import socket
 import socketserver
@@ -44,11 +55,42 @@ class EaasError(RuntimeError):
         self.code = code
 
 
-def _parse_context(data: dict | None) -> DefenseContext | None:
+_WIRE_DTYPE = np.dtype("<f8")
+
+
+def _encode_rows(rows: np.ndarray | Sequence[np.ndarray]) -> str:
+    """Encode a (n, dim) float64 matrix, or a sequence of n rows, as wire
+    ``<rows>``: base64 of its row-major little-endian bytes."""
+    return base64.b64encode(np.asarray(rows, dtype=_WIRE_DTYPE).tobytes()).decode("ascii")
+
+
+def _decode_rows(data: object, n: int, dim: int) -> np.ndarray:
+    """Decode wire ``<rows>`` into a read-only (n, dim) float64 matrix.
+
+    Raises ValueError unless ``data`` is a base64 string of exactly
+    ``n * dim * 8`` bytes; finiteness is left to the caller.
+    """
+    if not isinstance(data, str):
+        raise ValueError("vectors must be a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ValueError("vectors are not valid base64") from None
+    if len(raw) != n * dim * _WIRE_DTYPE.itemsize:
+        raise ValueError(f"expected {n} x {dim} float64 values, got {len(raw)} bytes")
+    return np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(n, dim)
+
+
+def _parse_context(data: object, dim: int) -> DefenseContext | None:
+    """Decode a request's ``context``; ValueError on any malformed part."""
     if not data:
         return None
+    if not isinstance(data, dict):
+        raise ValueError("context must be an object")
     means = data.get("group_means") or {}
-    return DefenseContext({lang: np.asarray(vec, dtype=np.float64) for lang, vec in means.items()})
+    if not isinstance(means, dict):
+        raise ValueError("group_means must be an object")
+    return DefenseContext({lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()})
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -91,21 +133,21 @@ class _Handler(socketserver.StreamRequestHandler):
                 return {"error": "bad_request"}
         else:
             langs = [None] * len(texts)
+        dim = server.embedder.dimension()
         if "defense" in request and request["defense"] is not None:
             try:
                 defense = DefenseConfig.from_dict(request["defense"])
-                context = _parse_context(request.get("context"))
-            except (ValueError, TypeError, AttributeError, OverflowError):
+                context = _parse_context(request.get("context"), dim)
+            except ValueError:
                 return {"error": "bad_request"}
         else:
             defense = server.defense
             context = server.context
-        dim = server.embedder.dimension()
         if defense is not None:
             # A dry run of the stack on a zero vector per language refuses,
             # before anything is embedded and charged, every request on which
             # the real run would fail: missing masking ids or group means,
-            # group means of the wrong length or with non-finite values.
+            # group means with non-finite values.
             try:
                 for lang in dict.fromkeys(langs):
                     apply_defense_stack(Embedding(np.zeros(dim), lang), defense, context)
@@ -120,7 +162,7 @@ class _Handler(socketserver.StreamRequestHandler):
             # vector lands here, after the texts were charged.
             return {"error": "bad_request"}
         return {
-            "embeddings": [e.values.tolist() for e in embs],
+            "embeddings": _encode_rows([e.values for e in embs]),
             "dim": dim,
             "queries_used": server.embedder.queries_used(),
         }
@@ -204,7 +246,10 @@ class EaasClient:
             line = self._reader.readline()
         if not line:
             raise ConnectionError("service closed the connection")
-        return json.loads(line.decode("utf-8"))
+        reply = json.loads(line.decode("utf-8"))
+        if not isinstance(reply, dict):
+            raise ValueError("service reply is not a JSON object")
+        return reply
 
     def close(self) -> None:
         self._reader.close()
@@ -232,7 +277,7 @@ def eaas_embed(
         if context is not None and context.group_means:
             payload["context"] = {
                 "group_means": {
-                    lang: vec.tolist() for lang, vec in context.group_means.items()
+                    lang: _encode_rows([vec]) for lang, vec in context.group_means.items()
                 }
             }
     if langs is not None:
@@ -240,13 +285,16 @@ def eaas_embed(
     response = client.request(payload)
     if "error" in response:
         raise EaasError(response["error"])
-    # One conversion and one check for the whole response, not per vector.
-    vectors = np.asarray(response["embeddings"], dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] < 2 or not np.isfinite(vectors).all():
-        raise ValueError("service returned malformed embeddings")
+    dim, used = response.get("dim"), response.get("queries_used")
+    if type(dim) is not int or dim < 2 or type(used) is not int:
+        raise ValueError("service returned a malformed dim or query counter")
+    # One decode and one check for the whole response, not per vector.
+    vectors = _decode_rows(response.get("embeddings"), len(texts), dim)
+    if not np.isfinite(vectors).all():
+        raise ValueError("service returned non-finite embeddings")
     tags = langs if langs is not None else [None] * len(vectors)
     out = [Embedding._trusted(vec, lang) for vec, lang in zip(vectors, tags)]
-    return out, int(response["queries_used"])
+    return out, used
 
 
 class RemoteEmbedder(BlackBoxEmbedder):

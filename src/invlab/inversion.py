@@ -226,6 +226,12 @@ def _empty_hypothesis(target: Embedding) -> Hypothesis:
     return Hypothesis("", Embedding(np.zeros(target.dim)), 0.0, 0)
 
 
+def _detached(h: Hypothesis) -> Hypothesis:
+    """Copy of ``h`` owning its vector. An embedded row is a view of its whole
+    batch, so a kept result would otherwise keep that batch alive."""
+    return Hypothesis(h.text, h.embedding.with_values(h.embedding.values.copy()), h.score, h.step)
+
+
 def _check_dimensions(target: Embedding, embedder: BlackBoxEmbedder) -> None:
     if embedder.dimension() != target.dim:
         raise ValueError(
@@ -342,12 +348,7 @@ def invert(
         terminated = BUDGET_EXHAUSTED
         if not history and scorer.best is not None:
             history.append(scorer.best.score)
-    best = scorer.best if scorer.best is not None else _empty_hypothesis(target)
-    # An embedded row is a view of its whole scored batch: copy it, so a kept
-    # result does not keep that batch alive.
-    best = Hypothesis(
-        best.text, best.embedding.with_values(best.embedding.values.copy()), best.score, best.step
-    )
+    best = _detached(scorer.best if scorer.best is not None else _empty_hypothesis(target))
     if not history:
         history.append(best.score)
     wall = max(time.perf_counter() - start, 1e-9)
@@ -386,4 +387,4 @@ def exhaustive_oracle(
                 ):
                     best = Hypothesis(text, emb, score, 0)
     assert best is not None
-    return best
+    return _detached(best)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invlab.defenses import (
@@ -22,6 +22,19 @@ from invlab.defenses import (
 from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
 
 vectors = st.lists(st.floats(-5, 5), min_size=2, max_size=12)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([10**400, "1" * 5000, "0.5", "inf"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+config_keys = st.sampled_from(
+    ["noise_lambda", "noise_seed", "masking", "language_agnostic", "renormalize_after"]
+)
 
 
 def emb(*values, lang=None):
@@ -207,6 +220,26 @@ class TestDefenseConfig:
     def test_non_finite_language_id_rejected(self, lang_id):
         with pytest.raises(ConfigError):
             DefenseConfig(masking={"en": 1.0, "fr": lang_id})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(config_keys, json_values) | json_values)
+    @example({"noise_seed": float("inf")})
+    @example({"noise_lambda": 10**400})
+    @example({"noise_seed": "1" * 5000})
+    @example({"masking": [1.0]})
+    @example({"masking": {"en": None}})
+    @example([1.0])
+    def test_from_dict_validates_or_raises_config_error(self, data):
+        try:
+            config = DefenseConfig.from_dict(data)
+        except ConfigError:
+            return
+        assert type(config.noise_lambda) is float and type(config.noise_seed) is int
+        assert config.masking is None or all(
+            type(k) is str and type(v) is float for k, v in config.masking.items()
+        )
+        assert type(config.language_agnostic) is bool and type(config.renormalize_after) is bool
+        assert DefenseConfig(**config.to_dict()) == config
 
 
 class TestApplyDefenseStack:

@@ -1,3 +1,4 @@
+import base64
 import json
 import socket
 import threading
@@ -57,6 +58,15 @@ def exchange(server, lines: list[str]) -> list[dict]:
 
 def raw_request(server, line: str) -> dict:
     return exchange(server, [line])[0]
+
+
+def encode_rows(rows) -> str:
+    """Wire encoding of vectors, written out independently of invlab.eaas."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_rows(data: str, dim: int) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").reshape(-1, dim)
 
 
 class TestWireProtocol:
@@ -122,7 +132,7 @@ class TestNoChargeOnError:
     before any text is embedded."""
 
     AGNOSTIC = DefenseConfig(language_agnostic=True).to_dict()
-    EN_MEAN = {"en": [0.0] * 32}
+    EN_MEAN = {"en": encode_rows([[0.0] * 32])}
 
     def refused(self, server, request: dict) -> str:
         before = server.embedder.queries_used()
@@ -155,8 +165,16 @@ class TestNoChargeOnError:
 
     @pytest.mark.parametrize(
         "mean",
-        [[0.5], [0.0] * 31, [0.0] * 33, [[0.0] * 32], 0.5, ["x"] * 32],
-        ids=["length-1", "short", "long", "matrix", "scalar", "strings"],
+        [
+            # JSON lists and scalars: not a base64 string.
+            [0.5], [0.0] * 31, [0.0] * 33, [[0.0] * 32], 0.5, ["x"] * 32,
+            encode_rows([0.5]), encode_rows([0.0] * 31), encode_rows([0.0] * 33),
+            encode_rows([[0.0] * 32] * 2), encode_rows([0.0] * 32)[:-4],
+            encode_rows([0.0] * 32).replace("A", "*", 1), "",
+        ],
+        ids=["length-1", "short", "long", "matrix", "scalar", "strings",
+             "b64-length-1", "b64-short", "b64-long", "b64-matrix", "b64-truncated",
+             "b64-bad-alphabet", "b64-empty"],
     )
     def test_agnostic_wrong_shape_mean(self, server, mean):
         request = {
@@ -175,7 +193,7 @@ class TestNoChargeOnError:
             "texts": ["a"],
             "langs": ["en"],
             "defense": self.AGNOSTIC,
-            "context": {"group_means": {"en": mean}},
+            "context": {"group_means": {"en": encode_rows([mean])}},
         }
         assert self.refused(server, request) == "bad_request"
 
@@ -232,36 +250,64 @@ class TestNoChargeOnError:
             "context": {"group_means": self.EN_MEAN},
         }
         response = raw_request(server, json.dumps({"op": "embed", **request}))
-        assert len(response["embeddings"]) == 3
+        assert decode_rows(response["embeddings"], 32).shape == (3, 32)
         assert response["queries_used"] == server.embedder.queries_used() == 3
+
+
+def refuse_reply(reply: str, texts: list[str]) -> None:
+    """Serve ``reply`` to one request; the client must raise ValueError."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def reply_once():
+        conn, _ = listener.accept()
+        with conn:
+            conn.makefile("rb").readline()
+            conn.sendall(reply.encode() + b"\n")
+
+    thread = threading.Thread(target=reply_once, daemon=True)
+    thread.start()
+    try:
+        with EaasClient(*listener.getsockname()[:2]) as client:
+            with pytest.raises(ValueError) as err:
+                eaas_embed(client, texts)
+        assert type(err.value) is ValueError
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 class TestMalformedResponse:
     @pytest.mark.parametrize(
         "embeddings",
-        ["[[1.0, NaN]]", "[[1.0, Infinity]]", "[[1.0]]", "[1.0, 2.0]", "[[1.0, 2.0], [3.0]]"],
+        [
+            # The old nested-list vectors are not the wire format.
+            "[[1.0, NaN]]", "[[1.0, Infinity]]", "[[1.0]]", "[1.0, 2.0]", "[[1.0, 2.0], [3.0]]",
+            pytest.param(json.dumps(encode_rows([[1.0, float("nan")]])), id="nan-bits"),
+            pytest.param(json.dumps(encode_rows([[1.0, float("inf")]])), id="inf-bits"),
+            pytest.param(json.dumps(encode_rows([1.0])), id="short-buffer"),
+            pytest.param(json.dumps(encode_rows([[1.0, 2.0]] * 2)), id="long-buffer"),
+            pytest.param(json.dumps(encode_rows([[1.0, 2.0]]).replace("A", "*", 1)), id="bad-alphabet"),
+            pytest.param(json.dumps("\u00e9" * 12), id="non-ascii"),
+            pytest.param("12", id="not-a-string"),
+            pytest.param("null", id="missing"),
+        ],
     )
     def test_client_refuses(self, embeddings):
-        listener = socket.create_server(("127.0.0.1", 0))
+        refuse_reply(f'{{"embeddings": {embeddings}, "dim": 2, "queries_used": 1}}', ["x"])
 
-        def reply_once():
-            conn, _ = listener.accept()
-            with conn:
-                conn.makefile("rb").readline()
-                conn.sendall(
-                    f'{{"embeddings": {embeddings}, "dim": 2, "queries_used": 1}}\n'.encode()
-                )
+    def test_client_refuses_fewer_rows_than_texts(self):
+        # One well-formed row answering two texts.
+        rows = json.dumps(encode_rows([[1.0, 2.0]]))
+        refuse_reply(f'{{"embeddings": {rows}, "dim": 2, "queries_used": 2}}', ["x", "y"])
 
-        thread = threading.Thread(target=reply_once, daemon=True)
-        thread.start()
-        try:
-            with EaasClient(*listener.getsockname()[:2]) as client:
-                with pytest.raises(ValueError):
-                    eaas_embed(client, ["x"])
-        finally:
-            thread.join(timeout=10)
-            listener.close()
-        assert not thread.is_alive()
+    @pytest.mark.parametrize("dim", ["1", "0", "-2", "2.0", '"2"', "true", "null"])
+    def test_client_refuses_bad_dim(self, dim):
+        rows = json.dumps(encode_rows([1.0, 2.0]))
+        refuse_reply(f'{{"embeddings": {rows}, "dim": {dim}, "queries_used": 1}}', ["x"])
+
+    def test_client_refuses_non_object_reply(self):
+        refuse_reply("[1, 2]", ["x"])
 
 
 class TestDefenseOverWire:
@@ -389,14 +435,24 @@ defenses = st.fixed_dictionaries(
         "renormalize_after": st.booleans(),
     },
 )
+ROW_BYTES = FUZZ_DIM * 8
+
+
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+group_means = (
+    st.binary(min_size=ROW_BYTES, max_size=ROW_BYTES).map(b64)  # any bits, NaN and Inf too
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=FUZZ_DIM,
+               max_size=FUZZ_DIM).map(encode_rows)
+    | st.binary(max_size=3 * ROW_BYTES).filter(lambda raw: len(raw) != ROW_BYTES).map(b64)
+    | st.text(max_size=2 * ROW_BYTES)
+    | st.lists(numbers, min_size=FUZZ_DIM, max_size=FUZZ_DIM)
+    | json_values
+)
 contexts = st.fixed_dictionaries(
-    {
-        "group_means": st.dictionaries(
-            langs.filter(bool),
-            st.lists(numbers, min_size=FUZZ_DIM, max_size=FUZZ_DIM) | json_values,
-            max_size=3,
-        )
-    }
+    {"group_means": st.dictionaries(langs.filter(bool), group_means, max_size=3)}
 )
 # Well-formed embed requests with junk in the defense, then requests with
 # junk anywhere, then any JSON value at all.
@@ -438,7 +494,7 @@ def _overflows_after_validation(request: dict) -> bool:
     overflows to a non-finite vector after the texts were embedded."""
     texts = request["texts"]
     defense = DefenseConfig.from_dict(request["defense"])
-    context = _parse_context(request.get("context"))
+    context = _parse_context(request.get("context"), FUZZ_DIM)
     embedder = NgramEmbedder(**FUZZ_EMBEDDER)
     with np.errstate(all="ignore"):
         try:
@@ -477,6 +533,8 @@ class TestHandlerFuzz:
                 assert _overflows_after_validation(json.loads(line))
         else:
             assert set(response) == {"embeddings", "dim", "queries_used"}
-            assert len(response["embeddings"]) == len(body["texts"]) == after - before
+            rows = decode_rows(response["embeddings"], FUZZ_DIM)
+            assert len(rows) == len(body["texts"]) == after - before
+            assert np.isfinite(rows).all()
             assert response["dim"] == FUZZ_DIM
             assert response["queries_used"] == after

@@ -311,6 +311,14 @@ class TestExhaustiveOracle:
         oracle = exhaustive_oracle(embedder.embed("a"), embedder, ("a", "b"), max_len=0)
         assert oracle.text == ""
 
+    def test_best_embedding_owns_its_values(self, embedder):
+        # a view into an embedded chunk would keep the whole chunk alive
+        target = embedder.embed("b a")
+        oracle = exhaustive_oracle(target, embedder, ("a", "b", "c"), max_len=3)
+        assert oracle.embedding.values.base is None
+        rescored = embedder.embed(oracle.text).values
+        assert oracle.embedding.values.tobytes() == rescored.tobytes()
+
     def test_guard_refuses_large_enumerations(self, embedder):
         with pytest.raises(ValueError, match="guard"):
             exhaustive_oracle(embedder.embed("a"), embedder, tuple("abcdefghij"), max_len=7)
