@@ -21,9 +21,15 @@ when the language-agnostic stage is enabled. The whole request is validated
 before its texts are embedded in one batch, so an error response charges no
 queries, unless finite inputs overflow to a non-finite vector. A group mean
 that is not a base64 string of exactly ``dim * 8`` bytes, or is not finite,
-is a ``bad_request``. The client refuses, with ``ValueError``, a response
-whose rows are not a base64 string of exactly ``len(texts) * dim * 8``
-bytes, whose ``dim`` is below 2, or whose components are not all finite.
+is a ``bad_request``. A request line longer than ``MAX_LINE_BYTES`` (1 MiB,
+newline included) is a ``bad_request`` that charges nothing, and the service
+then closes the connection without reading the rest. ``eaas_embed`` sends
+a batch that would pass the limit as several requests, in order, each within
+it, and refuses with ``ValueError``, before sending anything, a text that
+cannot fit in a request of its own. The client refuses, with ``ValueError``,
+a response whose rows are not a base64 string of exactly
+``len(texts) * dim * 8`` bytes, whose ``dim`` is below 2, or whose
+components are not all finite.
 Any op other than "embed" is refused: the service never helps the attacker
 beyond embedding.
 """
@@ -56,6 +62,10 @@ class EaasError(RuntimeError):
 
 
 _WIRE_DTYPE = np.dtype("<f8")
+
+# Longest request line the service reads, newline included: 1 MiB, far above
+# any request the drivers send.
+MAX_LINE_BYTES = 1 << 20
 
 
 def _encode_rows(rows: np.ndarray | Sequence[np.ndarray]) -> str:
@@ -93,44 +103,61 @@ def _parse_context(data: object, dim: int) -> DefenseContext | None:
     return DefenseContext({lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()})
 
 
+def _error_line(code: str) -> str:
+    """An error reply as one wire line."""
+    return json.dumps({"error": code}) + "\n"
+
+
+def _success_line(rows: str, dim: int, used: int) -> str:
+    """A success reply as one wire line, byte-identical to ``json.dumps`` of
+    the same dict. It is formatted directly: the base64 rows hold nothing to
+    escape, and scanning them costs more than encoding them did."""
+    return f'{{"embeddings": "{rows}", "dim": {dim:d}, "queries_used": {used:d}}}\n'
+
+
 class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw) > MAX_LINE_BYTES:
+                # Nothing more is read from this connection: refuse, hang up.
+                self._send(_error_line("bad_request"))
+                return
             line = raw.strip()
-            if not line:
-                continue
-            response = self._respond(line)
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            if line:
+                self._send(self._respond(line))
 
-    def _respond(self, line: bytes) -> dict:
+    def _send(self, reply: str) -> None:
+        self.wfile.write(reply.encode("utf-8"))
+        self.wfile.flush()
+
+    def _respond(self, line: bytes) -> str:
         server: "EaasServer" = self.server.eaas  # type: ignore[attr-defined]
         try:
             request = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
             # Also integers past the int-to-str digit limit and deep nesting.
-            return {"error": "bad_request"}
+            return _error_line("bad_request")
         if not isinstance(request, dict):
-            return {"error": "bad_request"}
+            return _error_line("bad_request")
         if request.get("op") != "embed":
-            return {"error": "unknown_op"}
+            return _error_line("unknown_op")
         texts = request.get("texts")
         if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
-            return {"error": "bad_request"}
+            return _error_line("bad_request")
         try:
             # JSON escapes can carry lone surrogates, which the embedder
             # cannot hash; refuse them before the texts are charged.
             "".join(texts).encode("utf-8")
         except UnicodeEncodeError:
-            return {"error": "bad_request"}
+            return _error_line("bad_request")
         langs = request.get("langs")
         if langs is not None:
             if not isinstance(langs, list) or len(langs) != len(texts):
-                return {"error": "bad_request"}
+                return _error_line("bad_request")
             if not all(l is None or isinstance(l, str) for l in langs):
-                return {"error": "bad_request"}
+                return _error_line("bad_request")
         else:
             langs = [None] * len(texts)
         dim = server.embedder.dimension()
@@ -139,7 +166,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 defense = DefenseConfig.from_dict(request["defense"])
                 context = _parse_context(request.get("context"), dim)
             except ValueError:
-                return {"error": "bad_request"}
+                return _error_line("bad_request")
         else:
             defense = server.defense
             context = server.context
@@ -152,20 +179,18 @@ class _Handler(socketserver.StreamRequestHandler):
                 for lang in dict.fromkeys(langs):
                     apply_defense_stack(Embedding(np.zeros(dim), lang), defense, context)
             except UnknownLanguageError:
-                return {"error": "unknown_lang"}
+                return _error_line("unknown_lang")
             except ValueError:
-                return {"error": "bad_request"}
+                return _error_line("bad_request")
         try:
             embs = embed_many_with_defense(server.embedder, texts, langs, defense, context)
         except ValueError:
             # Validated above; only arithmetic overflow to a non-finite
             # vector lands here, after the texts were charged.
-            return {"error": "bad_request"}
-        return {
-            "embeddings": _encode_rows([e.values for e in embs]),
-            "dim": dim,
-            "queries_used": server.embedder.queries_used(),
-        }
+            return _error_line("bad_request")
+        return _success_line(
+            _encode_rows([e.values for e in embs]), dim, server.embedder.queries_used()
+        )
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):
@@ -240,7 +265,11 @@ class EaasClient:
         self._lock = threading.Lock()
 
     def request(self, payload: dict) -> dict:
-        data = (json.dumps(payload) + "\n").encode("utf-8")
+        return self._exchange(json.dumps(payload) + "\n")
+
+    def _exchange(self, line: str) -> dict:
+        """Send one wire line and read the reply line."""
+        data = line.encode("utf-8")
         with self._lock:
             self._sock.sendall(data)
             line = self._reader.readline()
@@ -262,6 +291,43 @@ class EaasClient:
         self.close()
 
 
+def _request_lines(texts: list[str], langs: list | None, extra: dict) -> list[tuple[str, int]]:
+    """Embed request lines for ``texts``, in order, each at most
+    ``MAX_LINE_BYTES`` bytes; returns (line, number of texts) pairs.
+
+    Raises ValueError, before anything is sent, if one text (with its lang)
+    cannot fit in a line of its own.
+    """
+
+    def line(lo: int, hi: int) -> str:
+        payload = {"op": "embed", "texts": texts[lo:hi], **extra}
+        if langs is not None:
+            payload["langs"] = langs[lo:hi]
+        # ensure_ascii: one byte per character.
+        return json.dumps(payload) + "\n"
+
+    whole = line(0, len(texts))
+    if len(whole) <= MAX_LINE_BYTES:
+        return [(whole, len(texts))]
+    # json.dumps joins list items with ", ", so a line is the empty request
+    # plus each item's encoding and two bytes, less two bytes per list.
+    lists = 1 if langs is None else 2
+    room = MAX_LINE_BYTES - len(line(0, 0)) + 2 * lists
+    cuts, used = [0], 0
+    for i, text in enumerate(texts):
+        cost = len(json.dumps(text)) + 2
+        if langs is not None:
+            cost += len(json.dumps(langs[i])) + 2
+        if cost > room:
+            raise ValueError(f"text {i} does not fit in a {MAX_LINE_BYTES}-byte request line")
+        if used + cost > room:
+            cuts.append(i)
+            used = 0
+        used += cost
+    cuts.append(len(texts))
+    return [(line(lo, hi), hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def eaas_embed(
     client: EaasClient,
     texts: Sequence[str],
@@ -270,28 +336,37 @@ def eaas_embed(
     context: DefenseContext | None = None,
 ) -> tuple[list[Embedding], int]:
     """Embed texts through the service; returns vectors and the service's
-    cumulative query counter. Raises EaasError on an error response."""
-    payload: dict = {"op": "embed", "texts": list(texts)}
+    cumulative query counter. Raises EaasError on an error response.
+
+    A batch whose request line would pass ``MAX_LINE_BYTES`` goes out as
+    several requests, in order, each within the limit. Each is charged on
+    its own, so an error response to a later one leaves the earlier ones
+    charged.
+    """
+    extra: dict = {}
     if defense is not None:
-        payload["defense"] = defense.to_dict()
+        extra["defense"] = defense.to_dict()
         if context is not None and context.group_means:
-            payload["context"] = {
+            extra["context"] = {
                 "group_means": {
                     lang: _encode_rows([vec]) for lang, vec in context.group_means.items()
                 }
             }
-    if langs is not None:
-        payload["langs"] = list(langs)
-    response = client.request(payload)
-    if "error" in response:
-        raise EaasError(response["error"])
-    dim, used = response.get("dim"), response.get("queries_used")
-    if type(dim) is not int or dim < 2 or type(used) is not int:
-        raise ValueError("service returned a malformed dim or query counter")
-    # One decode and one check for the whole response, not per vector.
-    vectors = _decode_rows(response.get("embeddings"), len(texts), dim)
-    if not np.isfinite(vectors).all():
-        raise ValueError("service returned non-finite embeddings")
+    langs = list(langs) if langs is not None else None
+    parts, used = [], 0
+    for line, count in _request_lines(list(texts), langs, extra):
+        response = client._exchange(line)
+        if "error" in response:
+            raise EaasError(response["error"])
+        dim, used = response.get("dim"), response.get("queries_used")
+        if type(dim) is not int or dim < 2 or type(used) is not int:
+            raise ValueError("service returned a malformed dim or query counter")
+        # One decode and one check per response, not per vector.
+        vectors = _decode_rows(response.get("embeddings"), count, dim)
+        if not np.isfinite(vectors).all():
+            raise ValueError("service returned non-finite embeddings")
+        parts.append(vectors)
+    vectors = parts[0] if len(parts) == 1 else np.concatenate(parts)
     tags = langs if langs is not None else [None] * len(vectors)
     out = [Embedding._trusted(vec, lang) for vec, lang in zip(vectors, tags)]
     return out, used

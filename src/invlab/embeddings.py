@@ -158,6 +158,14 @@ class BlackBoxEmbedder(ABC):
         return [self.embed(t) for t in texts]
 
 
+# Most slot codes the chunk memo of one ``NgramEmbedder`` holds; every gram
+# in its gram dict belongs to a held chunk, so this bounds both. Filled to
+# the cap with adversarial texts (random CJK and non-BMP characters, as
+# one- and two-character tokens or as one spaceless chunk, n = 1..5), the
+# two dicts hold at most about 9 MiB; the benchmark workloads peak near 13k.
+_MEMO_CAP = 1 << 16
+
+
 class NgramEmbedder(BlackBoxEmbedder):
     """The toy embedder behind the black-box interface.
 
@@ -166,6 +174,17 @@ class NgramEmbedder(BlackBoxEmbedder):
     normalised together. Before normalisation every component is a sum of
     +-1, an exact integer in float64, and so is its sum of squares; any
     summation order therefore gives the bits of ``embed_ngram``.
+
+    Slot codes come from a per-chunk memo. A text splits into chunks that
+    each run from a token start through the space after it, or to the end
+    of the text. The grams starting in a chunk depend only on its key, the
+    chunk plus the next ``n - 1`` characters, whose first space marks where
+    the chunk ends; the memo maps each key to the codes of those grams, so a
+    text costs one slice and one lookup per chunk, not per gram. Misses are
+    filled from a gram -> code dict, one ``blake2b`` per distinct gram. The
+    chunks never hold more than ``_MEMO_CAP`` codes: a miss that would pass
+    the cap first replaces both dicts with empty ones. Codes are a pure
+    function of the gram, so a reset changes no vector.
     """
 
     def __init__(self, config: NgramConfig | None = None, **kwargs):
@@ -174,31 +193,60 @@ class NgramEmbedder(BlackBoxEmbedder):
         self.config = config or NgramConfig(**kwargs)
         self._lock = threading.Lock()
         self._queries = 0
-        # gram -> signed slot code: the slot index for a positive sign, dim +
-        # the index for a negative one. Concurrent misses write the same code.
+        # chunk key -> slot codes of the grams starting in the chunk; gram ->
+        # signed slot code (the slot index for a positive sign, dim + the
+        # index for a negative one); and the codes the chunks hold. Misses
+        # update them under _memo_lock and a reset rebinds them, so a batch
+        # reading the old dicts keeps a consistent view.
+        self._memo_lock = threading.Lock()
+        self._chunks: dict[str, list[int]] = {}
         self._codes: dict[str, int] = {}
+        self._held = 0
 
     def _slot_codes(self, texts: Sequence[str]) -> list[int]:
         """Slot codes of every gram of every text, text after text."""
-        codes, n = self._codes, self.config.n
-        try:
-            return [
-                codes[text[i : i + order]]
-                for text in texts
-                for order in range(1, n + 1)
-                for i in range(len(text) - order + 1)
-            ]
-        except KeyError:
-            pass
-        seed, dim = self.config.seed, self.config.dim
+        chunks, look = self._chunks, self.config.n - 1
+        out: list[int] = []
+        extend = out.extend
         for text in texts:
-            for order in range(1, n + 1):
-                for i in range(len(text) - order + 1):
-                    gram = text[i : i + order]
-                    if gram not in codes:
+            start = 0
+            for token in text.split(" "):
+                end = start + len(token) + 1  # past the space, or the text
+                key = text[start : end + look]
+                try:
+                    extend(chunks[key])
+                except KeyError:
+                    extend(self._chunk_codes(key))
+                start = end
+        return out
+
+    def _chunk_codes(self, key: str) -> list[int]:
+        """Slot codes of the grams starting in the chunk that ``key`` opens,
+        memoised; a chunk with more codes than the cap is not kept."""
+        codes, n, seed, dim = self._codes, self.config.n, self.config.seed, self.config.dim
+        space = key.find(" ")
+        stop = space + 1 if space >= 0 else len(key)
+        found: list[int] = []
+        fresh: dict[str, int] = {}
+        for order in range(1, n + 1):
+            for i in range(min(stop, len(key) - order + 1)):
+                gram = key[i : i + order]
+                code = codes.get(gram)
+                if code is None:
+                    code = fresh.get(gram)
+                    if code is None:
                         idx, sign = _gram_slot(gram, seed, dim)
-                        codes[gram] = idx if sign > 0 else dim + idx
-        return self._slot_codes(texts)
+                        code = fresh[gram] = idx if sign > 0 else dim + idx
+                found.append(code)
+        if len(found) <= _MEMO_CAP:
+            with self._memo_lock:
+                if key not in self._chunks:
+                    if self._held + len(found) > _MEMO_CAP:
+                        self._chunks, self._codes, self._held = {}, {}, 0
+                    self._codes.update(fresh)
+                    self._chunks[key] = found
+                    self._held += len(found)
+        return found
 
     def embed(self, text: str) -> Embedding:
         return self.embed_many([text])[0]

@@ -119,6 +119,7 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestParsing:

@@ -15,12 +15,16 @@ from invlab.defenses import (
     compute_group_means,
     embed_many_with_defense,
 )
+import invlab.eaas
 from invlab.embeddings import NgramEmbedder
 from invlab.eaas import (
     EaasClient,
     EaasError,
     RemoteEmbedder,
+    _error_line,
     _parse_context,
+    _request_lines,
+    _success_line,
     eaas_embed,
     eaas_serve,
 )
@@ -125,6 +129,140 @@ class TestWireProtocol:
         with pytest.raises(EaasError) as err:
             eaas_embed(client, ["x"], defense=DefenseConfig(masking={"en": 1.0}))
         assert err.value.code == "unknown_lang"
+
+    @pytest.mark.parametrize("rows", [1, 2, 10, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 32, 192])
+    def test_success_line_equals_json_dumps(self, rows, dim):
+        rng = np.random.default_rng(rows * 1000 + dim)
+        for used in (rows, 2**40 + rows):
+            encoded = encode_rows(rng.standard_normal((rows, dim)))
+            response = {"embeddings": encoded, "dim": dim, "queries_used": used}
+            assert _success_line(encoded, dim, used) == json.dumps(response) + "\n"
+
+    @pytest.mark.parametrize("code", ["unknown_op", "bad_request", "unknown_lang"])
+    def test_error_line_equals_json_dumps(self, code):
+        assert _error_line(code) == json.dumps({"error": code}) + "\n"
+
+
+class TestRequestLineLimit:
+    LIMIT = 64
+
+    @pytest.fixture
+    def limited(self, server, monkeypatch):
+        monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", self.LIMIT)
+        return server
+
+    def request_of(self, size: int) -> bytes:
+        """A valid one-text request line of exactly ``size`` bytes."""
+        head = b'{"op": "embed", "texts": ["x"]}'
+        return head + b" " * (size - len(head) - 1) + b"\n"
+
+    def test_line_at_limit_served(self, limited):
+        line = self.request_of(self.LIMIT)
+        reply = raw_request(limited, line.decode().rstrip("\n"))
+        assert reply["queries_used"] == limited.embedder.queries_used() == 1
+
+    @pytest.mark.parametrize("size", [LIMIT + 1, 4 * LIMIT])
+    def test_over_long_line_refused_uncharged_and_closed(self, limited, size):
+        host, port = limited.address
+        with socket.create_connection((host, port), timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(self.request_of(size))
+            assert json.loads(reader.readline()) == {"error": "bad_request"}
+            try:
+                rest = reader.read()
+            except ConnectionResetError:  # the unread rest of the line was dropped
+                rest = b""
+            assert rest == b""
+            reader.close()
+        assert limited.embedder.queries_used() == 0
+
+    def sent_lines(self, client, monkeypatch) -> list[str]:
+        """Record every line the client sends."""
+        lines: list[str] = []
+        exchange_line = client._exchange
+
+        def spy(line: str) -> dict:
+            lines.append(line)
+            return exchange_line(line)
+
+        monkeypatch.setattr(client, "_exchange", spy)
+        return lines
+
+    def test_client_splits_batch_past_limit(self, limited, client, monkeypatch):
+        lines = self.sent_lines(client, monkeypatch)
+        texts = [f"text {i}" + " pad" * (i % 4) for i in range(25)] + ["é\U0001F600\t"]
+        remote, used = eaas_embed(client, texts)
+        assert len(lines) > 1
+        assert all(len(line.encode("utf-8")) <= self.LIMIT for line in lines)
+        assert used == limited.embedder.queries_used() == len(texts)
+        local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
+        assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
+
+    def test_remote_embedder_splits_batch_past_limit(self, limited, client):
+        texts = [f"sample {i}" for i in range(20)]
+        remote = RemoteEmbedder(client, dim=32).embed_many(texts)
+        local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
+        assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
+        assert limited.embedder.queries_used() == len(texts)
+
+    def test_client_split_keeps_defense_langs_and_context(self, server, client, monkeypatch):
+        limit = 1024  # room for the defense and a 32-d group mean per line
+        monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", limit)
+        lines = self.sent_lines(client, monkeypatch)
+        local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
+        texts = [f"sample number {i}" for i in range(60)]
+        langs = ["en", "fr"] * 30
+        raws = [local_embedder.embed(t).with_lang(l) for t, l in zip(texts, langs)]
+        context = DefenseContext(compute_group_means(raws))
+        defense = DefenseConfig(
+            noise_lambda=0.05, noise_seed=3, masking={"en": 1.0, "fr": 2.0},
+            language_agnostic=True,
+        )
+        remote, used = eaas_embed(client, texts, defense=defense, langs=langs, context=context)
+        assert len(lines) > 1
+        assert all(len(line.encode("utf-8")) <= limit for line in lines)
+        assert used == server.embedder.queries_used() == len(texts)
+        assert [e.lang for e in remote] == langs
+        for raw, got, text in zip(raws, remote, texts):
+            local = apply_defense_stack(raw, defense, context, key=text)
+            assert got.values.tobytes() == local.values.tobytes()
+
+    @pytest.mark.parametrize("with_langs", [False, True])
+    def test_request_lines_are_full_and_within_limit(self, monkeypatch, with_langs):
+        texts = ["a", 'quote " and \\', "line\nbreak", "é", "\U0001F600", "", "longer text here"] * 3
+        langs = (["en", None, "fr"] * 7) if with_langs else None
+        extra = {"defense": DefenseConfig(noise_lambda=0.5).to_dict()}
+
+        def line_of(part: list[int]) -> str:
+            payload = {"op": "embed", "texts": [texts[i] for i in part], **extra}
+            if langs is not None:
+                payload["langs"] = [langs[i] for i in part]
+            return json.dumps(payload) + "\n"
+
+        for limit in range(len(line_of([])), 400):
+            monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", limit)
+            alone = [len(line_of([i])) for i in range(len(texts))]
+            if max(alone) > limit:
+                with pytest.raises(ValueError, match="does not fit"):
+                    _request_lines(texts, langs, extra)
+                continue
+            lines = _request_lines(texts, langs, extra)
+            start = 0
+            for line, count in lines:
+                part = list(range(start, start + count))
+                assert line == line_of(part) and len(line.encode("utf-8")) <= limit
+                start += count
+                if start < len(texts):  # each line is as full as the limit allows
+                    assert len(line_of(part + [start])) > limit
+            assert start == len(texts)
+
+    def test_client_refuses_text_past_limit_before_sending(self, limited, client, monkeypatch):
+        lines = self.sent_lines(client, monkeypatch)
+        with pytest.raises(ValueError, match="does not fit"):
+            eaas_embed(client, ["short", "x" * self.LIMIT])
+        assert lines == []
+        assert limited.embedder.queries_used() == 0
 
 
 class TestNoChargeOnError:

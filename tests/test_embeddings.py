@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invlab.embeddings
 from invlab.embeddings import (
     ConfigError,
     Embedding,
@@ -265,20 +266,89 @@ class TestEmbedManyMatchesReference:
         assert embedder.queries_used() == 4
 
     def test_shared_slot_codes_under_thread_stress(self):
-        # Threads share one embedder, so its gram -> code dict fills from
-        # several threads at once; a lost or wrong code would change a vector.
-        config = NgramConfig(n=3, dim=32, seed=9)
+        # Threads share one embedder, so its chunk memo and gram -> code dict
+        # fill from several threads at once; a lost or wrong code would
+        # change a vector.
+        embed_under_thread_stress(NgramEmbedder(NgramConfig(n=3, dim=32, seed=9)))
+
+    def test_memo_reset_under_thread_stress(self, monkeypatch):
+        # With a small cap the memo is replaced while other threads read it.
+        monkeypatch.setattr(invlab.embeddings, "_MEMO_CAP", 64)
+        embedder = NgramEmbedder(NgramConfig(n=3, dim=32, seed=9))
+        first = embedder._chunks
+        embed_under_thread_stress(embedder)
+        assert embedder._chunks is not first
+
+
+def embed_under_thread_stress(embedder: NgramEmbedder) -> None:
+    """Eight threads embed eight batches through one embedder at a tiny
+    switch interval; every vector must equal ``embed_ngram``."""
+    batches = [[f"t{w} {i} é{w * i}" for i in range(40)] for w in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(embedder.embed_many, batches, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    assert embedder.queries_used() == 8 * 40
+    for batch, got in zip(batches, results):
+        assert [e.values.tobytes() for e in got] == [
+            embed_ngram(t, embedder.config).values.tobytes() for t in batch
+        ]
+    assert_memo_bounded(embedder)
+
+
+def assert_memo_bounded(embedder: NgramEmbedder) -> None:
+    cap = invlab.embeddings._MEMO_CAP
+    assert embedder._held == sum(map(len, embedder._chunks.values())) <= cap
+    assert len(embedder._codes) <= cap
+    assert len(embedder._chunks) <= cap + 1  # "" is the only key with no codes
+
+
+# Pieces whose joins put spaces at the start, end and in runs, next to tabs,
+# NUL and non-BMP characters, so one chunk recurs before many lookaheads.
+memo_texts = st.lists(
+    st.sampled_from([" ", "  ", "a", "ab", "ba", "\t", "\0", "é", "\U0001f600", "a b"]),
+    max_size=10,
+).map("".join)
+
+
+class TestChunkMemo:
+    """The chunk memo of ``NgramEmbedder`` against ``embed_ngram``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**64),
+        batches=st.lists(st.lists(memo_texts, max_size=8), min_size=1, max_size=8),
+    )
+    def test_reused_embedder_bytewise_equal(self, n, seed, batches):
+        config = NgramConfig(n=n, dim=16, seed=seed)
         embedder = NgramEmbedder(config)
-        batches = [[f"t{w} {i} é{w * i}" for i in range(40)] for w in range(8)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(embedder.embed_many, batches, timeout=60))
-        finally:
-            sys.setswitchinterval(old)
-        assert embedder.queries_used() == 8 * 40
-        for batch, got in zip(batches, results):
+        for texts in batches:
+            got = embedder.embed_many(texts)
             assert [e.values.tobytes() for e in got] == [
-                embed_ngram(t, config).values.tobytes() for t in batch
+                embed_ngram(t, config).values.tobytes() for t in texts
             ]
+
+    def test_bounded_by_cap_and_reset_keeps_bits(self, monkeypatch):
+        cap = 50
+        monkeypatch.setattr(invlab.embeddings, "_MEMO_CAP", cap)
+        config = NgramConfig(n=3, dim=16, seed=3)
+        embedder = NgramEmbedder(config)
+        texts = [f"w{i} x{i % 7} yz" for i in range(60)] + ["q" * 40, "", "a "]
+        memos = [embedder._chunks]
+        for _ in range(2):
+            for i in range(0, len(texts), 3):
+                batch = texts[i : i + 3]
+                got = embedder.embed_many(batch)
+                assert [e.values.tobytes() for e in got] == [
+                    embed_ngram(t, config).values.tobytes() for t in batch
+                ]
+                assert_memo_bounded(embedder)
+                if embedder._chunks is not memos[-1]:
+                    memos.append(embedder._chunks)
+        assert len(memos) > 2  # the memo was replaced more than once
+        # A chunk with more codes than the cap is served but never kept.
+        assert "q" * 40 not in embedder._chunks
