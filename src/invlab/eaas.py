@@ -2,7 +2,7 @@
 
 One JSON object per line in each direction, UTF-8. The server is the only
 component holding the embedder; a client (or an attacker who obtained API
-access) sees vectors and the cumulative query counter, nothing else.
+access) sees vectors and the service's bill, nothing else.
 
 Request:  {"op": "embed", "texts": [...], "defense": {...}?, "langs": [...]?,
            "context": {"group_means": {lang: "<rows>"}}?}
@@ -17,19 +17,20 @@ bitwise equal to local ones.
 
 ``defense`` overrides the server's default stack for that request; ``langs``
 tags each text for masking; ``context`` supplies per-language mean vectors
-when the language-agnostic stage is enabled. The whole request is validated
-before its texts are embedded in one batch, so an error response charges no
-queries, unless finite inputs overflow to a non-finite vector. A group mean
-that is not a base64 string of exactly ``dim * 8`` bytes, or is not finite,
-is a ``bad_request``. A request line longer than ``MAX_LINE_BYTES`` (1 MiB,
-newline included) is a ``bad_request`` that charges nothing, and the service
-then closes the connection without reading the rest. ``eaas_embed`` sends
-a batch that would pass the limit as several requests, in order, each within
-it, and refuses with ``ValueError``, before sending anything, a text that
-cannot fit in a request of its own. The client refuses, with ``ValueError``,
-a response whose rows are not a base64 string of exactly
-``len(texts) * dim * 8`` bytes, whose ``dim`` is below 2, or whose
-components are not all finite.
+when the language-agnostic stage is enabled. ``queries_used`` is the bill:
+the vectors returned so far, this reply's included; an error reply never
+charges. A language without a masking id or group mean is ``unknown_lang``;
+a group mean that is not a base64 string of exactly ``dim * 8`` bytes or
+not finite, a defended vector that overflows to non-finite values, and a
+request of more than ``MAX_TEXTS`` (4096) texts are each a ``bad_request``.
+A request line longer than ``MAX_LINE_BYTES`` (1 MiB, newline included) is
+a ``bad_request`` too, and the service then closes the connection without
+reading the rest. ``eaas_embed`` splits a batch that would pass either
+limit into several requests, in order, and refuses with ``ValueError``,
+before sending anything, a text that cannot fit in a request of its own.
+The client refuses, with ``ValueError``, a response whose rows are not a
+base64 string of exactly ``len(texts) * dim * 8`` bytes, whose ``dim`` is
+below 2, or whose components are not all finite.
 Any op other than "embed" is refused: the service never helps the attacker
 beyond embedding.
 """
@@ -45,7 +46,7 @@ from .defenses import (
     DefenseConfig,
     DefenseContext,
     UnknownLanguageError,
-    apply_defense_stack,
+    apply_defense_stack,  # unused here; benchmarks/tracing.py patches this name
     embed_many_with_defense,
 )
 from .embeddings import BlackBoxEmbedder, Embedding
@@ -66,6 +67,9 @@ _WIRE_DTYPE = np.dtype("<f8")
 # Longest request line the service reads, newline included: 1 MiB, far above
 # any request the drivers send.
 MAX_LINE_BYTES = 1 << 20
+
+# Most texts one request may carry, far above any batch the drivers send.
+MAX_TEXTS = 4096
 
 
 def _encode_rows(rows: np.ndarray | Sequence[np.ndarray]) -> str:
@@ -144,13 +148,13 @@ class _Handler(socketserver.StreamRequestHandler):
         if request.get("op") != "embed":
             return _error_line("unknown_op")
         texts = request.get("texts")
-        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+        if not isinstance(texts, list) or not 0 < len(texts) <= MAX_TEXTS:
             return _error_line("bad_request")
         try:
-            # JSON escapes can carry lone surrogates, which the embedder
-            # cannot hash; refuse them before the texts are charged.
+            # Every text must be a string the embedder can hash; JSON escapes
+            # can carry lone surrogates, which it cannot.
             "".join(texts).encode("utf-8")
-        except UnicodeEncodeError:
+        except (TypeError, UnicodeEncodeError):
             return _error_line("bad_request")
         langs = request.get("langs")
         if langs is not None:
@@ -170,27 +174,16 @@ class _Handler(socketserver.StreamRequestHandler):
         else:
             defense = server.defense
             context = server.context
-        if defense is not None:
-            # A dry run of the stack on a zero vector per language refuses,
-            # before anything is embedded and charged, every request on which
-            # the real run would fail: missing masking ids or group means,
-            # group means with non-finite values.
-            try:
-                for lang in dict.fromkeys(langs):
-                    apply_defense_stack(Embedding(np.zeros(dim), lang), defense, context)
-            except UnknownLanguageError:
-                return _error_line("unknown_lang")
-            except ValueError:
-                return _error_line("bad_request")
         try:
             embs = embed_many_with_defense(server.embedder, texts, langs, defense, context)
+        except UnknownLanguageError:
+            return _error_line("unknown_lang")
         except ValueError:
-            # Validated above; only arithmetic overflow to a non-finite
-            # vector lands here, after the texts were charged.
+            # No group means at all, non-finite ones, or a defended vector
+            # that overflowed to non-finite values.
             return _error_line("bad_request")
-        return _success_line(
-            _encode_rows([e.values for e in embs]), dim, server.embedder.queries_used()
-        )
+        rows = _encode_rows([e.values for e in embs])
+        return _success_line(rows, dim, server._charge(len(texts)))
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):
@@ -215,6 +208,19 @@ class EaasServer:
         self._server = _ThreadingServer((host, port), _Handler)
         self._server.eaas = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._bill_lock = threading.Lock()
+        self._bill = 0
+
+    def _charge(self, n: int) -> int:
+        """Bill ``n`` returned vectors; returns the running total."""
+        with self._bill_lock:
+            self._bill += n
+            return self._bill
+
+    def queries_used(self) -> int:
+        """The wire's bill: vectors returned, unlike ``embedder.queries_used``."""
+        with self._bill_lock:
+            return self._bill
 
     @property
     def address(self) -> tuple[str, int]:
@@ -292,8 +298,8 @@ class EaasClient:
 
 
 def _request_lines(texts: list[str], langs: list | None, extra: dict) -> list[tuple[str, int]]:
-    """Embed request lines for ``texts``, in order, each at most
-    ``MAX_LINE_BYTES`` bytes; returns (line, number of texts) pairs.
+    """Embed request lines for ``texts``, in order, each within
+    ``MAX_LINE_BYTES`` bytes and ``MAX_TEXTS`` texts; returns (line, count) pairs.
 
     Raises ValueError, before anything is sent, if one text (with its lang)
     cannot fit in a line of its own.
@@ -306,8 +312,7 @@ def _request_lines(texts: list[str], langs: list | None, extra: dict) -> list[tu
         # ensure_ascii: one byte per character.
         return json.dumps(payload) + "\n"
 
-    whole = line(0, len(texts))
-    if len(whole) <= MAX_LINE_BYTES:
+    if len(texts) <= MAX_TEXTS and len(whole := line(0, len(texts))) <= MAX_LINE_BYTES:
         return [(whole, len(texts))]
     # json.dumps joins list items with ", ", so a line is the empty request
     # plus each item's encoding and two bytes, less two bytes per list.
@@ -320,7 +325,7 @@ def _request_lines(texts: list[str], langs: list | None, extra: dict) -> list[tu
             cost += len(json.dumps(langs[i])) + 2
         if cost > room:
             raise ValueError(f"text {i} does not fit in a {MAX_LINE_BYTES}-byte request line")
-        if used + cost > room:
+        if used + cost > room or i - cuts[-1] == MAX_TEXTS:
             cuts.append(i)
             used = 0
         used += cost
@@ -338,8 +343,8 @@ def eaas_embed(
     """Embed texts through the service; returns vectors and the service's
     cumulative query counter. Raises EaasError on an error response.
 
-    A batch whose request line would pass ``MAX_LINE_BYTES`` goes out as
-    several requests, in order, each within the limit. Each is charged on
+    A batch whose request would pass ``MAX_LINE_BYTES`` or ``MAX_TEXTS`` goes
+    out as several requests, in order, each within both. Each is charged on
     its own, so an error response to a later one leaves the earlier ones
     charged.
     """
@@ -384,9 +389,6 @@ class RemoteEmbedder(BlackBoxEmbedder):
         self._dim = dim
         self._lock = threading.Lock()
         self._queries = 0
-
-    def embed(self, text: str) -> Embedding:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
         if not texts:

@@ -140,13 +140,13 @@ def embed_ngram(text: str, config: NgramConfig) -> Embedding:
 class BlackBoxEmbedder(ABC):
     """Encoder reachable only through embed queries.
 
-    Implementations must be deterministic per input and count exactly one
-    query per text, whether it arrives through ``embed`` or ``embed_many``;
-    the counter must be safe under concurrent use.
+    Implementations provide ``embed_many``, which must be deterministic per
+    text and count exactly one query per text; ``embed`` is a batch of one.
+    The counter must be safe under concurrent use.
     """
 
     @abstractmethod
-    def embed(self, text: str) -> Embedding: ...
+    def embed_many(self, texts: Sequence[str]) -> list[Embedding]: ...
 
     @abstractmethod
     def dimension(self) -> int: ...
@@ -154,8 +154,8 @@ class BlackBoxEmbedder(ABC):
     @abstractmethod
     def queries_used(self) -> int: ...
 
-    def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
-        return [self.embed(t) for t in texts]
+    def embed(self, text: str) -> Embedding:
+        return self.embed_many([text])[0]
 
 
 # Most slot codes the chunk memo of one ``NgramEmbedder`` holds; every gram
@@ -247,9 +247,6 @@ class NgramEmbedder(BlackBoxEmbedder):
                     self._chunks[key] = found
                     self._held += len(found)
         return found
-
-    def embed(self, text: str) -> Embedding:
-        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
         with self._lock:

@@ -11,11 +11,11 @@ class ConstantEmbedder(BlackBoxEmbedder):
         self._dim = dim
         self._queries = 0
 
-    def embed(self, text: str) -> Embedding:
-        self._queries += 1
-        vec = np.zeros(self._dim)
-        vec[0] = 1.0
-        return Embedding(vec)
+    def embed_many(self, texts) -> list[Embedding]:
+        self._queries += len(texts)
+        vecs = np.zeros((len(texts), self._dim))
+        vecs[:, 0] = 1.0
+        return [Embedding(row) for row in vecs]
 
     def dimension(self) -> int:
         return self._dim

@@ -1,6 +1,7 @@
 import base64
 import json
 import socket
+import sys
 import threading
 
 import numpy as np
@@ -22,7 +23,6 @@ from invlab.eaas import (
     EaasError,
     RemoteEmbedder,
     _error_line,
-    _parse_context,
     _request_lines,
     _success_line,
     eaas_embed,
@@ -160,7 +160,7 @@ class TestRequestLineLimit:
     def test_line_at_limit_served(self, limited):
         line = self.request_of(self.LIMIT)
         reply = raw_request(limited, line.decode().rstrip("\n"))
-        assert reply["queries_used"] == limited.embedder.queries_used() == 1
+        assert reply["queries_used"] == limited.queries_used() == 1
 
     @pytest.mark.parametrize("size", [LIMIT + 1, 4 * LIMIT])
     def test_over_long_line_refused_uncharged_and_closed(self, limited, size):
@@ -175,7 +175,7 @@ class TestRequestLineLimit:
                 rest = b""
             assert rest == b""
             reader.close()
-        assert limited.embedder.queries_used() == 0
+        assert limited.queries_used() == 0
 
     def sent_lines(self, client, monkeypatch) -> list[str]:
         """Record every line the client sends."""
@@ -195,7 +195,7 @@ class TestRequestLineLimit:
         remote, used = eaas_embed(client, texts)
         assert len(lines) > 1
         assert all(len(line.encode("utf-8")) <= self.LIMIT for line in lines)
-        assert used == limited.embedder.queries_used() == len(texts)
+        assert used == limited.queries_used() == len(texts)
         local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
         assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
 
@@ -204,7 +204,7 @@ class TestRequestLineLimit:
         remote = RemoteEmbedder(client, dim=32).embed_many(texts)
         local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
         assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
-        assert limited.embedder.queries_used() == len(texts)
+        assert limited.queries_used() == len(texts)
 
     def test_client_split_keeps_defense_langs_and_context(self, server, client, monkeypatch):
         limit = 1024  # room for the defense and a 32-d group mean per line
@@ -222,14 +222,19 @@ class TestRequestLineLimit:
         remote, used = eaas_embed(client, texts, defense=defense, langs=langs, context=context)
         assert len(lines) > 1
         assert all(len(line.encode("utf-8")) <= limit for line in lines)
-        assert used == server.embedder.queries_used() == len(texts)
+        assert used == server.queries_used() == len(texts)
         assert [e.lang for e in remote] == langs
         for raw, got, text in zip(raws, remote, texts):
             local = apply_defense_stack(raw, defense, context, key=text)
             assert got.values.tobytes() == local.values.tobytes()
 
-    @pytest.mark.parametrize("with_langs", [False, True])
-    def test_request_lines_are_full_and_within_limit(self, monkeypatch, with_langs):
+    @pytest.mark.parametrize(
+        "with_langs, max_texts",
+        [(False, invlab.eaas.MAX_TEXTS), (True, invlab.eaas.MAX_TEXTS), (False, 4), (True, 4)],
+        ids=["False", "True", "False-max-texts-4", "True-max-texts-4"],
+    )
+    def test_request_lines_are_full_and_within_limit(self, monkeypatch, with_langs, max_texts):
+        monkeypatch.setattr(invlab.eaas, "MAX_TEXTS", max_texts)
         texts = ["a", 'quote " and \\', "line\nbreak", "é", "\U0001F600", "", "longer text here"] * 3
         langs = (["en", None, "fr"] * 7) if with_langs else None
         extra = {"defense": DefenseConfig(noise_lambda=0.5).to_dict()}
@@ -240,7 +245,7 @@ class TestRequestLineLimit:
                 payload["langs"] = [langs[i] for i in part]
             return json.dumps(payload) + "\n"
 
-        for limit in range(len(line_of([])), 400):
+        for limit in [*range(len(line_of([])), 400), 1 << 20]:  # the last fits every text
             monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", limit)
             alone = [len(line_of([i])) for i in range(len(texts))]
             if max(alone) > limit:
@@ -252,9 +257,10 @@ class TestRequestLineLimit:
             for line, count in lines:
                 part = list(range(start, start + count))
                 assert line == line_of(part) and len(line.encode("utf-8")) <= limit
+                assert count <= max_texts
                 start += count
-                if start < len(texts):  # each line is as full as the limit allows
-                    assert len(line_of(part + [start])) > limit
+                if start < len(texts):  # each line is as full as the limits allow
+                    assert count == max_texts or len(line_of(part + [start])) > limit
             assert start == len(texts)
 
     def test_client_refuses_text_past_limit_before_sending(self, limited, client, monkeypatch):
@@ -262,21 +268,39 @@ class TestRequestLineLimit:
         with pytest.raises(ValueError, match="does not fit"):
             eaas_embed(client, ["short", "x" * self.LIMIT])
         assert lines == []
-        assert limited.embedder.queries_used() == 0
+        assert limited.queries_used() == 0
+
+
+class TestTextsPerRequestLimit:
+    def test_too_many_texts_refused_uncharged_and_still_serving(self, server, monkeypatch):
+        monkeypatch.setattr(invlab.eaas, "MAX_TEXTS", 4)
+        too_many = json.dumps({"op": "embed", "texts": ["a", "b", "c", "d", "e"]})
+        at_limit = json.dumps({"op": "embed", "texts": ["a", "b", "c", "d"]})
+        refused, served = exchange(server, [too_many, at_limit])
+        assert refused == {"error": "bad_request"}
+        assert served["queries_used"] == server.queries_used() == 4
+
+    def test_megabyte_of_empty_texts_refused_uncharged(self, server):
+        head, tail = '{"op": "embed", "texts": [""', "]}"
+        count = (invlab.eaas.MAX_LINE_BYTES - len(head) - len(tail) - 1) // 4
+        line = head + ', ""' * count + tail
+        assert count > invlab.eaas.MAX_TEXTS and len(line) < invlab.eaas.MAX_LINE_BYTES
+        assert raw_request(server, line) == {"error": "bad_request"}
+        assert server.queries_used() == 0
 
 
 class TestNoChargeOnError:
-    """An error response charges no queries: the whole request is validated
-    before any text is embedded."""
+    """An error response charges no queries: the service bills only the
+    vectors it returns."""
 
     AGNOSTIC = DefenseConfig(language_agnostic=True).to_dict()
     EN_MEAN = {"en": encode_rows([[0.0] * 32])}
 
     def refused(self, server, request: dict) -> str:
-        before = server.embedder.queries_used()
+        before = server.queries_used()
         response = raw_request(server, json.dumps({"op": "embed", **request}))
         assert set(response) == {"error"}
-        assert server.embedder.queries_used() == before
+        assert server.queries_used() == before
         return response["error"]
 
     def test_agnostic_unknown_lang(self, server):
@@ -375,7 +399,7 @@ class TestNoChargeOnError:
              "nesting"],
     )
     def test_refused_and_still_serving(self, server, line):
-        before = server.embedder.queries_used()
+        before = server.queries_used()
         refused, served = exchange(server, [line, '{"op": "embed", "texts": ["a"]}'])
         assert refused == {"error": "bad_request"}
         assert served["queries_used"] == before + 1
@@ -389,7 +413,25 @@ class TestNoChargeOnError:
         }
         response = raw_request(server, json.dumps({"op": "embed", **request}))
         assert decode_rows(response["embeddings"], 32).shape == (3, 32)
-        assert response["queries_used"] == server.embedder.queries_used() == 3
+        assert response["queries_used"] == server.queries_used() == 3
+
+    # A noise level near the float maximum overflows the vectors of some
+    # texts and not others: each text's noise stream decides.
+    OVERFLOWING = {"noise_lambda": 1e308}
+
+    def test_overflowing_noise_refused_uncharged(self, server):
+        request = {"texts": ["a"], "defense": {**self.OVERFLOWING, "noise_seed": 40}}
+        assert self.refused(server, request) == "bad_request"
+
+    def test_finite_noise_near_float_max_served_as_locally(self, server):
+        defense = DefenseConfig(**self.OVERFLOWING, noise_seed=1)
+        response = raw_request(
+            server, json.dumps({"op": "embed", "texts": ["a"], "defense": defense.to_dict()})
+        )
+        local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
+        (local,) = embed_many_with_defense(local_embedder, ["a"], [None], defense)
+        assert decode_rows(response["embeddings"], 32).tobytes() == local.values.tobytes()
+        assert response["queries_used"] == server.queries_used() == 1
 
 
 def refuse_reply(reply: str, texts: list[str]) -> None:
@@ -534,11 +576,17 @@ class TestConcurrency:
                     eaas_embed(c, [f"text {i}"])
 
         threads = [threading.Thread(target=worker, args=(20,)) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert server.embedder.queries_used() == 80
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose lost updates
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert server.queries_used() == server.embedder.queries_used() == 80
 
 
 # Literal tokens that json.dumps cannot produce from a Python value; each
@@ -626,24 +674,6 @@ def _to_line(body) -> str:
     return line
 
 
-def _overflows_after_validation(request: dict) -> bool:
-    """The one known way to be charged for an error: finite inputs (a noise
-    level near the float maximum) pass validation, and the real stack then
-    overflows to a non-finite vector after the texts were embedded."""
-    texts = request["texts"]
-    defense = DefenseConfig.from_dict(request["defense"])
-    context = _parse_context(request.get("context"), FUZZ_DIM)
-    embedder = NgramEmbedder(**FUZZ_EMBEDDER)
-    with np.errstate(all="ignore"):
-        try:
-            embed_many_with_defense(
-                embedder, texts, request.get("langs") or [None] * len(texts), defense, context
-            )
-        except ValueError as exc:
-            return "finite" in str(exc)
-    return False
-
-
 @pytest.fixture(scope="module")
 def fuzz_server():
     server = eaas_serve(NgramEmbedder(**FUZZ_EMBEDDER))
@@ -654,21 +684,19 @@ def fuzz_server():
 class TestHandlerFuzz:
     """Arbitrary JSON bodies: every one gets an embeddings response or a
     documented error code, the handler never drops the connection, and an
-    error response charges nothing outside the documented overflow case."""
+    error response charges nothing."""
 
     @settings(max_examples=150, deadline=None)
     @given(body=request_bodies)
     def test_documented_response_and_no_charge_on_error(self, fuzz_server, body):
         line = _to_line(body)
-        before = fuzz_server.embedder.queries_used()
+        before = fuzz_server.queries_used()
         (response,) = exchange(fuzz_server, [line])
-        after = fuzz_server.embedder.queries_used()
+        after = fuzz_server.queries_used()
         if "error" in response:
             assert set(response) == {"error"}
             assert response["error"] in ERROR_CODES
-            if after != before:
-                assert response["error"] == "bad_request"
-                assert _overflows_after_validation(json.loads(line))
+            assert after == before
         else:
             assert set(response) == {"embeddings", "dim", "queries_used"}
             rows = decode_rows(response["embeddings"], FUZZ_DIM)
