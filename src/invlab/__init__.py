@@ -36,6 +36,7 @@ from .inversion import (
     correction_step,
     exhaustive_oracle,
     invert,
+    invert_many,
 )
 from .metrics import (
     MetricReport,

@@ -92,12 +92,15 @@ def derive_noise_rng(noise_seed: int, key: str) -> np.random.Generator:
 
 
 def noise_insert(e: Embedding, lam: float, rng: np.random.Generator) -> Embedding:
-    """Add lam-scaled standard-normal noise; lam == 0 returns e unchanged."""
+    """Add lam-scaled standard-normal noise; lam == 0 returns e unchanged.
+    A result that overflows to non-finite values raises ValueError."""
     if lam < 0:
         raise ConfigError("noise scale must be non-negative")
     if lam == 0:
         return e
-    return e.with_values(e.values + lam * rng.standard_normal(e.dim))
+    with np.errstate(over="ignore"):  # Embedding refuses a non-finite result
+        values = e.values + lam * rng.standard_normal(e.dim)
+    return e.with_values(values)
 
 
 def assign_language_ids(langs: Iterable[str], scale: float = 1.0) -> dict[str, float]:

@@ -71,6 +71,10 @@ MAX_LINE_BYTES = 1 << 20
 # Most texts one request may carry, far above any batch the drivers send.
 MAX_TEXTS = 4096
 
+# Seconds a connection may wait between requests before the service hangs up,
+# so an idle client cannot hold a handler thread for ever.
+IDLE_TIMEOUT_S = 60.0
+
 
 def _encode_rows(rows: np.ndarray | Sequence[np.ndarray]) -> str:
     """Encode a (n, dim) float64 matrix, or a sequence of n rows, as wire
@@ -122,15 +126,22 @@ def _success_line(rows: str, dim: int, used: int) -> str:
 class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup
+        return IDLE_TIMEOUT_S
+
     def handle(self) -> None:
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw) > MAX_LINE_BYTES:
-                # Nothing more is read from this connection: refuse, hang up.
-                self._send(_error_line("bad_request"))
-                return
-            line = raw.strip()
-            if line:
-                self._send(self._respond(line))
+        try:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES:
+                    # Nothing more is read from this connection: refuse, hang up.
+                    self._send(_error_line("bad_request"))
+                    return
+                line = raw.strip()
+                if line:
+                    self._send(self._respond(line))
+        except TimeoutError:
+            pass  # idle past IDLE_TIMEOUT_S: hang up without a reply
 
     def _send(self, reply: str) -> None:
         self.wfile.write(reply.encode("utf-8"))
@@ -269,9 +280,6 @@ class EaasClient:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("rb")
         self._lock = threading.Lock()
-
-    def request(self, payload: dict) -> dict:
-        return self._exchange(json.dumps(payload) + "\n")
 
     def _exchange(self, line: str) -> dict:
         """Send one wire line and read the reply line."""

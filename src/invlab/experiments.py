@@ -26,7 +26,8 @@ from .defenses import (
 )
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
 from .embeddings import BlackBoxEmbedder, Embedding, NgramEmbedder, TextSample
-from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert
+from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert_many
+from .inversion import invert  # unused here; benchmarks/tracing.py patches this name
 from .metrics import MetricReport, aggregate, pair_report
 from .report import ExperimentReport, ReportRow
 from .retrieval import RetrievalTask, evaluate_task, load_qrels_tsv
@@ -104,10 +105,11 @@ def _attack_split(
     beam: int,
     labels: tuple[str, ...],
 ) -> tuple[list[AttackResult], int, float]:
-    """Invert each sample's target embedding with the given vocabulary.
+    """Invert every sample's target embedding with the given vocabulary, all
+    of the split's attacks in lockstep (``invert_many``).
 
     Each sample's generator is seeded from the run seed, ``labels`` and the
-    sample id. Returns the results, their summed queries and their summed
+    sample id. Returns the results, their summed queries and the split's
     attack wall time in seconds.
     """
     config = runtime.config
@@ -118,14 +120,15 @@ def _attack_split(
         max_tokens=config.attack.max_tokens,
         query_budget=config.attack.query_budget,
     )
-    results = []
-    for sample, target in zip(samples, targets):
-        gen = EditMutationGenerator(
+    gens = [
+        EditMutationGenerator(
             vocab,
             max_tokens=config.attack.max_tokens,
             seed=stable_seed(config.seed, "gen", *labels, sample.id),
         )
-        results.append(invert(target, runtime.attack_embedder, gen, attack_config))
+        for sample in samples
+    ]
+    results = invert_many(targets, runtime.attack_embedder, gens, attack_config)
     return results, sum(r.queries_used for r in results), sum(r.wall_time for r in results)
 
 

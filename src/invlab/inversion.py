@@ -13,8 +13,8 @@ vocabularies small enough to enumerate.
 import itertools
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -32,10 +32,12 @@ _ORACLE_BATCH = 4096
 
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
-    """Candidate reconstruction with its re-embedding and cosine score."""
+    """Candidate reconstruction with its cosine score. Only a kept result
+    (an attack's best, the oracle's answer) carries its re-embedding; beam
+    members carry ``embedding=None``."""
 
     text: str
-    embedding: Embedding
+    embedding: Embedding | None
     score: float
     step: int
 
@@ -174,20 +176,31 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Scorer:
-    """Embeds candidates through the black box with caching, budget
-    enforcement, and global best-so-far tracking.
+# Most texts in one embed_many call of a lockstep round. A larger cap saves
+# few calls for more peak memory; it stays below eaas.MAX_TEXTS.
+_ROUND_TEXTS = 64
 
-    Fresh texts are embedded in sorted order so results are independent of
+# An attack step: a generator that yields the fresh texts it needs embedded,
+# in sorted order, receives their embeddings in that order, and returns its
+# result.
+_Step = Generator[list[str], list[Embedding], object]
+
+
+class _Scorer:
+    """Scores candidates for one attack with caching, budget enforcement,
+    and global best-so-far tracking.
+
+    Fresh texts are requested in sorted order so results are independent of
     scheduling; ties on score break toward the lexicographically smaller text.
+    The cache keeps scores only: the best-so-far is the one hypothesis that
+    holds a vector, a copy owning its buffer.
     """
 
-    def __init__(self, target: Embedding, embedder: BlackBoxEmbedder, budget: int | None):
+    def __init__(self, target: Embedding, budget: int | None):
         self.target = target
-        self.embedder = embedder
         self.budget = budget
         self.queries = 0
-        self.cache: dict[str, tuple[Embedding, float]] = {}
+        self.cache: dict[str, float] = {}
         self.best: Hypothesis | None = None
 
     def _consider(self, text: str, emb: Embedding, score: float, step: int) -> None:
@@ -196,9 +209,9 @@ class _Scorer:
             or score > self.best.score
             or (score == self.best.score and text < self.best.text)
         ):
-            self.best = Hypothesis(text, emb, score, step)
+            self.best = _detached(Hypothesis(text, emb, score, step))
 
-    def score_batch(self, texts: Sequence[str], step: int) -> list[Hypothesis]:
+    def score_batch(self, texts: Sequence[str], step: int) -> _Step:
         fresh = sorted({t for t in texts if t not in self.cache})
         exhausted = False
         if self.budget is not None:
@@ -207,23 +220,49 @@ class _Scorer:
                 fresh = fresh[:remaining]
                 exhausted = True
         if fresh:
-            embs = self.embedder.embed_many(fresh)
+            embs = yield fresh
             self.queries += len(fresh)
             for text, emb in zip(fresh, embs):
                 score = cosine(emb, self.target)
-                self.cache[text] = (emb, score)
+                self.cache[text] = score
                 self._consider(text, emb, score, step)
         if exhausted:
             raise _BudgetExhausted
-        out = []
-        for text in dict.fromkeys(texts):
-            emb, score = self.cache[text]
-            out.append(Hypothesis(text, emb, score, step))
-        return out
+        return [Hypothesis(text, None, self.cache[text], step) for text in dict.fromkeys(texts)]
 
 
-def _empty_hypothesis(target: Embedding) -> Hypothesis:
-    return Hypothesis("", Embedding(np.zeros(target.dim)), 0.0, 0)
+def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
+    """Run attack steps in lockstep rounds; returns their results in order.
+
+    Each round joins every live step's request, in step order, into
+    ``embed_many`` calls of at most ``_ROUND_TEXTS`` texts, and hands each
+    step its own slice of the vectors as soon as the slice is complete, so
+    a round's vectors are never all alive at once. The step then makes its
+    request for the next round. Vectors do not depend on their batch, so
+    only the grouping into calls differs from running steps one at a time.
+    """
+    results: list = [None] * len(attacks)
+    requests: list[tuple[int, list[str]]] = []
+
+    def advance(i: int, embs: list[Embedding] | None) -> None:
+        try:
+            requests.append((i, attacks[i].send(embs)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(attacks)):
+        advance(i, None)
+    while requests:
+        batch, requests = requests, []
+        texts = [t for _, fresh in batch for t in fresh]
+        held: list[Embedding] = []
+        for lo in range(0, len(texts), _ROUND_TEXTS):
+            held.extend(embedder.embed_many(texts[lo : lo + _ROUND_TEXTS]))
+            while batch and len(batch[0][1]) <= len(held):
+                i, fresh = batch.pop(0)
+                advance(i, held[: len(fresh)])
+                del held[: len(fresh)]
+    return results
 
 
 def _detached(h: Hypothesis) -> Hypothesis:
@@ -239,18 +278,20 @@ def _check_dimensions(target: Embedding, embedder: BlackBoxEmbedder) -> None:
         )
 
 
-def _greedy_base(scorer: _Scorer, config: AttackConfig) -> Hypothesis:
-    current = scorer.score_batch([""], step=0)[0]
+def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
+    """Append the best-scoring token until none improves the score. The kept
+    text ends as ``scorer.best``: its score beats every earlier round's, and
+    ties in later rounds lose to it, since every later text extends it."""
+    current = (yield from scorer.score_batch([""], step=0))[0]
     tokens: list[str] = []
     while len(tokens) < config.max_tokens:
         candidates = [" ".join(tokens + [v]) for v in config.vocab]
-        scored = scorer.score_batch(candidates, step=0)
+        scored = yield from scorer.score_batch(candidates, step=0)
         nxt = min(scored, key=lambda h: (-h.score, h.text))
         if nxt.score <= current.score:
             break
         current = nxt
         tokens = nxt.text.split()
-    return current
 
 
 def base_hypothesis(
@@ -261,12 +302,8 @@ def base_hypothesis(
 
     On budget exhaustion the best hypothesis scored so far is returned.
     """
-    _check_dimensions(target, embedder)
-    scorer = _Scorer(target, embedder, config.query_budget)
-    try:
-        return _greedy_base(scorer, config)
-    except _BudgetExhausted:
-        return scorer.best if scorer.best is not None else _empty_hypothesis(target)
+    # With no correction steps the attack never calls its generator.
+    return invert(target, embedder, None, replace(config, steps=0)).best
 
 
 def _correction_step(
@@ -275,14 +312,14 @@ def _correction_step(
     scorer: _Scorer,
     b: int,
     step: int,
-) -> list[Hypothesis]:
+) -> _Step:
     proposals: list[str] = []
     for h in beam:
         proposals.extend(gen.propose(h, b))
     unique = sorted(set(proposals))
     if not unique:
         return list(beam)
-    scored = scorer.score_batch(unique, step)
+    scored = yield from scorer.score_batch(unique, step)
     scored.sort(key=lambda h: (-h.score, h.text))
     return scored[:b]
 
@@ -297,6 +334,7 @@ def correction_step(
 ) -> list[Hypothesis]:
     """One refinement round: pool up to b proposals per beam member, embed
     and score the unique texts, and keep the top b by cosine to the target.
+    The new members carry no vector (``embedding`` is None).
 
     A generator that proposes nothing for every member leaves the beam
     unchanged.
@@ -308,8 +346,54 @@ def correction_step(
     _check_dimensions(target, embedder)
     if step is None:
         step = max(h.step for h in beam) + 1
-    scorer = _Scorer(target, embedder, None)
-    return _correction_step(beam, gen, scorer, b, step)
+    scorer = _Scorer(target, None)
+    return _drive([_correction_step(beam, gen, scorer, b, step)], embedder)[0]
+
+
+def _attack(target: Embedding, gen: MutationGenerator | None, config: AttackConfig) -> _Step:
+    """One whole attack; its result's ``wall_time`` is left at 0. The first
+    query, the empty text, always fits the budget, so ``scorer.best`` is set
+    from then on."""
+    scorer = _Scorer(target, config.query_budget)
+    history: list[float] = []
+    try:
+        yield from _greedy_base(scorer, config)
+        history.append(scorer.best.score)
+        beam, step = [scorer.best], 0
+        while scorer.best.score < _CONVERGENCE and step < config.steps:
+            step += 1
+            beam = yield from _correction_step(beam, gen, scorer, config.beam_width, step)
+            history.append(scorer.best.score)
+        terminated = CONVERGED if scorer.best.score >= _CONVERGENCE else COMPLETED
+    except _BudgetExhausted:
+        terminated = BUDGET_EXHAUSTED
+        history = history or [scorer.best.score]
+    return AttackResult(scorer.best, history, scorer.queries, 0.0, terminated)
+
+
+def invert_many(
+    targets: Sequence[Embedding],
+    embedder: BlackBoxEmbedder,
+    gens: Sequence[MutationGenerator],
+    config: AttackConfig,
+) -> list[AttackResult]:
+    """Run one attack per (target, generator) pair, all in lockstep rounds.
+
+    Each attack keeps its own cache, query budget and best-so-far, so its
+    result equals ``invert`` on its pair alone; only the grouping of texts
+    into ``embed_many`` calls differs (see ``_drive``). The attacks share
+    one clock: each ``wall_time`` is the run's wall time divided by the
+    number of attacks, always positive.
+    """
+    attacks = [_attack(t, g, config) for t, g in zip(targets, gens, strict=True)]
+    for target in targets:
+        _check_dimensions(target, embedder)
+    start = time.perf_counter()
+    results = _drive(attacks, embedder)
+    wall = max(time.perf_counter() - start, 1e-9) / max(len(results), 1)
+    for result in results:
+        result.wall_time = wall
+    return results
 
 
 def invert(
@@ -324,35 +408,10 @@ def invert(
     Terminates early once the best score reaches 1 - 1e-9 (converged) or the
     query budget runs out mid-step (budget_exhausted). ``beam_history``
     records the best-so-far score after the base pass and after each
-    correction step, so it is non-decreasing by construction.
+    correction step, so it is non-decreasing by construction. ``best`` owns
+    its vector.
     """
-    _check_dimensions(target, embedder)
-    scorer = _Scorer(target, embedder, config.query_budget)
-    start = time.perf_counter()
-    terminated = COMPLETED
-    history: list[float] = []
-    try:
-        base = _greedy_base(scorer, config)
-        history.append(scorer.best.score)
-        if scorer.best.score >= _CONVERGENCE:
-            terminated = CONVERGED
-        else:
-            beam = [base]
-            for step in range(1, config.steps + 1):
-                beam = _correction_step(beam, gen, scorer, config.beam_width, step)
-                history.append(scorer.best.score)
-                if scorer.best.score >= _CONVERGENCE:
-                    terminated = CONVERGED
-                    break
-    except _BudgetExhausted:
-        terminated = BUDGET_EXHAUSTED
-        if not history and scorer.best is not None:
-            history.append(scorer.best.score)
-    best = _detached(scorer.best if scorer.best is not None else _empty_hypothesis(target))
-    if not history:
-        history.append(best.score)
-    wall = max(time.perf_counter() - start, 1e-9)
-    return AttackResult(best, history, scorer.queries, wall, terminated)
+    return invert_many([target], embedder, [gen], config)[0]
 
 
 def exhaustive_oracle(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,16 @@ class TestApplyDefenseStack:
         a = apply_defense_stack(e, config, key="s1")
         b = apply_defense_stack(e, config, key="s1")
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_overflowing_noise_raises_value_error_without_warning(self):
+        # A non-finite result is refused by Embedding's finite check alone;
+        # the overflow itself must not also print a RuntimeWarning.
+        e = emb(*[0.1] * 32)
+        config = DefenseConfig(noise_lambda=1e308, noise_seed=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                apply_defense_stack(e, config, key="a")
 
     def test_unknown_language_rejected(self):
         config = DefenseConfig(masking={"en": 1.0})

@@ -289,6 +289,19 @@ class TestTextsPerRequestLimit:
         assert server.queries_used() == 0
 
 
+class TestIdleTimeout:
+    def test_idle_connection_closed_quietly_and_service_still_serves(self, server, monkeypatch):
+        monkeypatch.setattr(invlab.eaas, "IDLE_TIMEOUT_S", 0.2)
+        errors = []
+        monkeypatch.setattr(server._server, "handle_error", lambda *args: errors.append(args))
+        host, port = server.address
+        with socket.create_connection((host, port), timeout=10) as idle:
+            assert idle.recv(1) == b""  # the service hung up on the idle client
+        assert server.queries_used() == 0
+        assert raw_request(server, json.dumps({"op": "embed", "texts": ["a"]}))["queries_used"] == 1
+        assert errors == []  # no traceback from socketserver's handle_error
+
+
 class TestNoChargeOnError:
     """An error response charges no queries: the service bills only the
     vectors it returns."""

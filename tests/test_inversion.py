@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invlab.inversion
+from invlab.eaas import MAX_TEXTS, EaasClient, RemoteEmbedder, eaas_serve
 from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
 from invlab.inversion import (
     BUDGET_EXHAUSTED,
+    COMPLETED,
     CONVERGED,
     AttackConfig,
     EditMutationGenerator,
@@ -15,6 +18,7 @@ from invlab.inversion import (
     correction_step,
     exhaustive_oracle,
     invert,
+    invert_many,
 )
 from invlab.seeding import derive_rng
 
@@ -290,6 +294,127 @@ class TestInvert:
             if result.best.score >= oracle.score - 1e-9:
                 hits += 1
         assert hits >= 19
+
+
+class CountingEmbedder(NgramEmbedder):
+    """Records the size of every embed_many call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: list[int] = []
+
+    def embed_many(self, texts):
+        self.calls.append(len(texts))
+        return super().embed_many(texts)
+
+
+def assert_same_attack(lockstep, alone):
+    assert lockstep.best.text == alone.best.text
+    assert lockstep.best.score.hex() == alone.best.score.hex()
+    assert lockstep.best.step == alone.best.step
+    assert lockstep.best.embedding.values.base is None
+    assert lockstep.best.embedding.values.tobytes() == alone.best.embedding.values.tobytes()
+    assert [x.hex() for x in lockstep.beam_history] == [x.hex() for x in alone.beam_history]
+    assert lockstep.queries_used == alone.queries_used
+    assert lockstep.terminated == alone.terminated
+
+
+LOCKSTEP_VOCAB = ("a", "b", "c", "d")
+
+
+def lockstep_generator(kind: str, seed: int) -> MutationGenerator:
+    if kind == "identity":
+        return IdentityGenerator()
+    if kind == "silent":
+        return SilentGenerator()
+    return EditMutationGenerator(LOCKSTEP_VOCAB, max_tokens=4, seed=seed)
+
+
+class TestLockstep:
+    """``invert_many`` gives every attack exactly what ``invert`` gives it alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attacks=st.lists(
+            st.tuples(
+                # Target texts over the vocabulary: short ones converge in the
+                # greedy pass while longer ones keep running.
+                st.lists(st.sampled_from(LOCKSTEP_VOCAB), max_size=4),
+                st.sampled_from(["edit", "edit", "identity", "silent"]),
+                st.integers(0, 1000),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        steps=st.integers(0, 8),
+        beam=st.integers(1, 4),
+        budget=st.one_of(st.none(), st.integers(1, 60)),
+    )
+    def test_equals_one_at_a_time(self, attacks, steps, beam, budget):
+        embedder = NgramEmbedder(n=3, dim=64, seed=11)
+        config = AttackConfig(
+            vocab=LOCKSTEP_VOCAB, steps=steps, beam_width=beam, max_tokens=4, query_budget=budget
+        )
+        targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
+        gens = [lockstep_generator(kind, seed) for _, kind, seed in attacks]
+        results = invert_many(targets, embedder, gens, config)
+        assert len(results) == len(attacks)
+        for target, gen, result in zip(targets, gens, results):
+            assert_same_attack(result, invert(target, embedder, gen, config))
+            assert result.wall_time > 0
+
+    def test_attacks_stop_in_different_rounds(self, embedder):
+        # Converged in the greedy pass, converged mid-search, out of budget
+        # mid-search, and every step run: the lockstep rounds lose attacks
+        # one at a time.
+        vocab = ("a", "b", "c")
+        texts = ["a", "b c a c", "zebra quokka", "yak"]
+        targets = [embedder.embed(t) for t in texts]
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=2) for _ in texts[:3]]
+        gens.append(SilentGenerator())
+        config = AttackConfig(vocab=vocab, steps=6, beam_width=4, max_tokens=4, query_budget=30)
+        results = invert_many(targets, embedder, gens, config)
+        assert [r.terminated for r in results] == [
+            CONVERGED, CONVERGED, BUDGET_EXHAUSTED, COMPLETED
+        ]
+        assert len(results[0].beam_history) == 1 < len(results[1].beam_history)
+        for target, gen, result in zip(targets, gens, results):
+            assert_same_attack(result, invert(target, embedder, gen, config))
+
+    def test_no_call_exceeds_round_cap(self):
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        vocab = tuple("abcdefgh")
+        targets = [embedder.embed(" ".join(vocab[i : i + 3])) for i in range(6)]
+        embedder.calls.clear()
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
+        config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
+        results = invert_many(targets, embedder, gens, config)
+        cap = invlab.inversion._ROUND_TEXTS
+        assert max(embedder.calls) == cap  # rounds were long enough to be cut
+        assert sum(embedder.calls) == sum(r.queries_used for r in results)
+
+    def test_round_cap_below_service_text_cap(self):
+        assert invlab.inversion._ROUND_TEXTS < MAX_TEXTS
+
+    def test_mismatched_generators_refused(self, embedder):
+        with pytest.raises(ValueError):
+            invert_many([embedder.embed("a")], embedder, [], AttackConfig(vocab=("a",)))
+
+    def test_remote_bill_equals_summed_queries(self):
+        local = NgramEmbedder(n=3, dim=32, seed=17)
+        vocab = ("a", "b", "c")
+        targets = [local.embed(t) for t in ("a b", "c a b", "b b c a", "c")]
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
+        config = AttackConfig(vocab=vocab, steps=5, beam_width=4, max_tokens=4)
+        server = eaas_serve(NgramEmbedder(n=3, dim=32, seed=17))
+        try:
+            with EaasClient(*server.address) as client:
+                results = invert_many(targets, RemoteEmbedder(client, dim=32), gens, config)
+            assert server.queries_used() == sum(r.queries_used for r in results)
+        finally:
+            server.stop()
+        for target, gen, result in zip(targets, gens, results):
+            assert_same_attack(result, invert(target, local, gen, config))
 
 
 class TestExhaustiveOracle:
