@@ -6,6 +6,7 @@ report. Global flags --config / --seed / --out apply to every subcommand;
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -59,19 +60,11 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         with EaasClient(*remote) as client:
             langs = [args.lang] * len(args.text) if args.lang else None
             embeddings, used = eaas_embed(client, args.text, langs=langs)
-        payload = {
-            "embeddings": [e.values.tolist() for e in embeddings],
-            "queries_used": used,
-        }
     else:
-        config = _load(args)
-        embedder = NgramEmbedder(config.embedder)
+        embedder = NgramEmbedder(_load(args).embedder)
         embeddings = embedder.embed_many(args.text)
-        payload = {
-            "embeddings": [e.values.tolist() for e in embeddings],
-            "queries_used": embedder.queries_used(),
-        }
-    print(json.dumps(payload))
+        used = embedder.queries_used()
+    print(json.dumps({"embeddings": [e.values.tolist() for e in embeddings], "queries_used": used}))
     return 0
 
 
@@ -124,15 +117,12 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    config = _load(args)
-    embedder = NgramEmbedder(config.embedder)
-    server = EaasServer(embedder, host=args.host, port=args.port)
-    host, port = server.address
-    print(f"serving on {host}:{port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.stop()
+    embedder = NgramEmbedder(_load(args).embedder)
+    with EaasServer(embedder, host=args.host, port=args.port) as server:
+        host, port = server.address
+        print(f"serving on {host}:{port}", flush=True)
+        with contextlib.suppress(KeyboardInterrupt):
+            server.serve_forever()
     return 0
 
 

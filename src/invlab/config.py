@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .embeddings import ConfigError, NgramConfig
+from .embeddings import ConfigError, NgramConfig, json_bool, json_int, require_fields
 
 
 @dataclass
@@ -26,6 +26,8 @@ class DefenseSweep:
     def __post_init__(self) -> None:
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
             raise ConfigError("noise levels must be finite and non-negative")
+        if not math.isfinite(self.mask_scale):
+            raise ConfigError("mask_scale must be finite")
 
 
 @dataclass
@@ -47,37 +49,49 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        emb = data.get("embedder", {})
-        atk = data.get("attack", {})
-        dfs = data.get("defense", {})
-        return cls(
-            corpora={str(k): str(v) for k, v in data.get("corpora", {}).items()},
-            embedder=NgramConfig(
-                n=int(emb.get("n", 3)),
-                dim=int(emb.get("dim", 256)),
-                seed=int(emb.get("seed", 0)),
-                unit_norm=bool(emb.get("unit_norm", True)),
-            ),
-            attack=AttackSweep(
-                steps=[int(s) for s in atk.get("steps", [1, 20, 50])],
-                beams=[int(b) for b in atk.get("beams", [1, 4, 8])],
-                max_tokens=int(atk.get("max_tokens", 32)),
-                query_budget=(
-                    int(atk["query_budget"]) if atk.get("query_budget") is not None else None
+        """Build a config from decoded JSON. Unknown keys (at the top level and
+        in ``embedder``, ``attack`` and ``defense``), booleans and integers
+        that are not JSON booleans and integers, and any other malformed value
+        raise ConfigError."""
+        try:
+            data = require_fields(data, cls, "config")
+            emb = require_fields(data.get("embedder", {}), NgramConfig, "embedder")
+            atk = require_fields(data.get("attack", {}), AttackSweep, "attack")
+            dfs = require_fields(data.get("defense", {}), DefenseSweep, "defense")
+            budget = atk.get("query_budget")
+            return cls(
+                corpora={str(k): str(v) for k, v in data.get("corpora", {}).items()},
+                embedder=NgramConfig(
+                    n=json_int(emb.get("n", 3), "n"),
+                    dim=json_int(emb.get("dim", 256), "dim"),
+                    seed=json_int(emb.get("seed", 0), "seed"),
+                    unit_norm=json_bool(emb.get("unit_norm", True), "unit_norm"),
                 ),
-            ),
-            defense=DefenseSweep(
-                lambdas=[float(x) for x in dfs.get("lambdas", [0.0, 1e-3, 1e-2, 1e-1, 1.0])],
-                masking=bool(dfs.get("masking", True)),
-                language_agnostic=bool(dfs.get("language_agnostic", True)),
-                mask_scale=float(dfs.get("mask_scale", 1.0)),
-            ),
-            dictionaries={str(k): str(v) for k, v in data.get("dictionaries", {}).items()},
-            retrieval_tasks=[dict(t) for t in data.get("retrieval_tasks", [])],
-            seed=int(data.get("seed", 0)),
-            out_dir=str(data.get("out_dir", "out")),
-            test_size=int(data.get("test_size", 100)),
-        )
+                attack=AttackSweep(
+                    steps=[json_int(s, "steps") for s in atk.get("steps", [1, 20, 50])],
+                    beams=[json_int(b, "beams") for b in atk.get("beams", [1, 4, 8])],
+                    max_tokens=json_int(atk.get("max_tokens", 32), "max_tokens"),
+                    query_budget=None if budget is None else json_int(budget, "query_budget"),
+                ),
+                defense=DefenseSweep(
+                    lambdas=[float(x) for x in dfs.get("lambdas", [0.0, 1e-3, 1e-2, 1e-1, 1.0])],
+                    masking=json_bool(dfs.get("masking", True), "masking"),
+                    language_agnostic=json_bool(
+                        dfs.get("language_agnostic", True), "language_agnostic"
+                    ),
+                    mask_scale=float(dfs.get("mask_scale", 1.0)),
+                ),
+                dictionaries={str(k): str(v) for k, v in data.get("dictionaries", {}).items()},
+                retrieval_tasks=[dict(t) for t in data.get("retrieval_tasks", [])],
+                seed=json_int(data.get("seed", 0), "seed"),
+                out_dir=str(data.get("out_dir", "out")),
+                test_size=json_int(data.get("test_size", 100), "test_size"),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            # Wrong container types, unparsable or out-of-range numbers.
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     def validate_files(self) -> None:
         """Check that every referenced corpus, dictionary, and task file exists."""

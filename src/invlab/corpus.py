@@ -45,8 +45,8 @@ class Corpus:
 def load_jsonl_corpus(path: str | Path) -> Corpus:
     """One TextSample per line from {"id":…,"text":…,"lang":…} objects.
 
-    Rejects malformed lines and duplicate ids, citing the line number;
-    preserves file order. Blank lines are ignored.
+    Rejects malformed lines, missing or non-string fields and duplicate ids,
+    citing the line number; preserves file order. Blank lines are ignored.
     """
     samples: list[TextSample] = []
     seen: set[str] = set()
@@ -60,12 +60,10 @@ def load_jsonl_corpus(path: str | Path) -> Corpus:
                 raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                sample = TextSample(
-                    id=str(obj["id"]), text=str(obj["text"]), lang=str(obj["lang"])
-                )
-            except KeyError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: missing field {exc}") from exc
+            for key in ("id", "text", "lang"):
+                if not isinstance(obj.get(key), str):
+                    raise CorpusFormatError(f"{path}:{lineno}: {key!r} missing or not a string")
+            sample = TextSample(id=obj["id"], text=obj["text"], lang=obj["lang"])
             if sample.id in seen:
                 raise CorpusFormatError(f"{path}:{lineno}: duplicate id {sample.id!r}")
             seen.add(sample.id)

@@ -10,11 +10,11 @@ dimension-0 value always survives composition.
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import BlackBoxEmbedder, ConfigError, Embedding
+from .embeddings import BlackBoxEmbedder, ConfigError, Embedding, json_bool, json_int, require_fields
 from .seeding import derive_rng
 
 
@@ -54,23 +54,26 @@ class DefenseConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "DefenseConfig":
+    def from_dict(cls, data: dict) -> "DefenseConfig":
         """Build a validated config from outside input (such as decoded
-        JSON); any malformed value raises ConfigError."""
+        JSON). An unknown key or any malformed value raises ConfigError;
+        ``noise_seed`` must be a JSON integer and the two switches JSON
+        booleans."""
         try:
+            data = require_fields(data, cls, "defense")
             masking = data.get("masking")
             return cls(
                 noise_lambda=float(data.get("noise_lambda", 0.0)),
-                noise_seed=int(data.get("noise_seed", 0)),
+                noise_seed=json_int(data.get("noise_seed", 0), "noise_seed"),
                 masking={str(k): float(v) for k, v in masking.items()} if masking is not None else None,
-                language_agnostic=bool(data.get("language_agnostic", False)),
-                renormalize_after=bool(data.get("renormalize_after", False)),
+                language_agnostic=json_bool(data.get("language_agnostic", False), "language_agnostic"),
+                renormalize_after=json_bool(data.get("renormalize_after", False), "renormalize_after"),
             )
         except ConfigError:
             raise
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             # Wrong container types, unparsable or out-of-range numbers
-            # (int(inf), float(10**400), digit-limit strings).
+            # (float(10**400), digit-limit strings).
             raise ConfigError(f"malformed defense config: {exc}") from exc
 
 

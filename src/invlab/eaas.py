@@ -15,14 +15,16 @@ A response carries one row per text, in request order; a group mean is one
 row. Raw bytes round-trip every float64 exactly, so remote vectors are
 bitwise equal to local ones.
 
-``defense`` overrides the server's default stack for that request; ``langs``
-tags each text for masking; ``context`` supplies per-language mean vectors
-when the language-agnostic stage is enabled. ``queries_used`` is the bill:
-the vectors returned so far, this reply's included; an error reply never
-charges. A language without a masking id or group mean is ``unknown_lang``;
-a group mean that is not a base64 string of exactly ``dim * 8`` bytes or
-not finite, a defended vector that overflows to non-finite values, and a
-request of more than ``MAX_TEXTS`` (4096) texts are each a ``bad_request``.
+``defense`` is the only stack the service applies, and none when it is
+absent or null; ``langs`` tags each text for masking; ``context`` supplies
+per-language mean vectors when the language-agnostic stage is enabled.
+``queries_used`` is the bill: the vectors returned so far, this reply's
+included; an error reply never charges. A language without a masking id or
+group mean is ``unknown_lang``; a ``defense`` that ``DefenseConfig.from_dict``
+refuses, a group mean that is not a base64 string of exactly ``dim * 8``
+bytes or not finite, a defended vector that overflows to non-finite values,
+and a request of more than ``MAX_TEXTS`` (4096) texts are each a
+``bad_request``.
 A request line longer than ``MAX_LINE_BYTES`` (1 MiB, newline included) is
 a ``bad_request`` too, and the service then closes the connection without
 reading the rest. ``eaas_embed`` splits a batch that would pass either
@@ -125,6 +127,7 @@ def _success_line(rows: str, dim: int, used: int) -> str:
 
 class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
+    server: "EaasServer"
 
     @property
     def timeout(self) -> float:  # read by StreamRequestHandler.setup
@@ -148,7 +151,6 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
     def _respond(self, line: bytes) -> str:
-        server: "EaasServer" = self.server.eaas  # type: ignore[attr-defined]
         try:
             request = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
@@ -175,52 +177,36 @@ class _Handler(socketserver.StreamRequestHandler):
                 return _error_line("bad_request")
         else:
             langs = [None] * len(texts)
-        dim = server.embedder.dimension()
-        if "defense" in request and request["defense"] is not None:
-            try:
+        dim = self.server.embedder.dimension()
+        try:
+            # The request's defense is the only stack applied.
+            defense = context = None
+            if request.get("defense") is not None:
                 defense = DefenseConfig.from_dict(request["defense"])
                 context = _parse_context(request.get("context"), dim)
-            except ValueError:
-                return _error_line("bad_request")
-        else:
-            defense = server.defense
-            context = server.context
-        try:
-            embs = embed_many_with_defense(server.embedder, texts, langs, defense, context)
+            embs = embed_many_with_defense(self.server.embedder, texts, langs, defense, context)
         except UnknownLanguageError:
             return _error_line("unknown_lang")
         except ValueError:
-            # No group means at all, non-finite ones, or a defended vector
-            # that overflowed to non-finite values.
+            # A malformed defense or context, no group means at all,
+            # non-finite ones, or a defended vector that overflowed.
             return _error_line("bad_request")
         rows = _encode_rows([e.values for e in embs])
-        return _success_line(rows, dim, server._charge(len(texts)))
+        return _success_line(rows, dim, self.server._charge(len(texts)))
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class EaasServer(socketserver.ThreadingTCPServer):
+    """Threaded line-oriented server wrapping one embedder instance."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-
-class EaasServer:
-    """Threaded line-oriented server wrapping one embedder instance."""
-
-    def __init__(
-        self,
-        embedder: BlackBoxEmbedder,
-        defense: DefenseConfig | None = None,
-        context: DefenseContext | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
+    def __init__(self, embedder: BlackBoxEmbedder, host: str = "127.0.0.1", port: int = 0):
         self.embedder = embedder
-        self.defense = defense
-        self.context = context
-        self._server = _ThreadingServer((host, port), _Handler)
-        self._server.eaas = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
+        self._serving: threading.Thread | None = None
         self._bill_lock = threading.Lock()
         self._bill = 0
+        super().__init__((host, port), _Handler)
 
     def _charge(self, n: int) -> int:
         """Bill ``n`` returned vectors; returns the running total."""
@@ -235,41 +221,31 @@ class EaasServer:
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return str(host), int(port)
 
     def start(self) -> "EaasServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        self._serving = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
-        self._thread.start()
+        self._serving.start()
         return self
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "EaasServer":
-        return self
+        """Close the socket, first shutting down the thread ``start`` started."""
+        if self._serving is not None:
+            self.shutdown()
+            self._serving.join(timeout=5)
+            self._serving = None
+        self.server_close()
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
 
-def eaas_serve(
-    embedder: BlackBoxEmbedder,
-    defense: DefenseConfig | None = None,
-    context: DefenseContext | None = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> EaasServer:
+def eaas_serve(embedder: BlackBoxEmbedder, host: str = "127.0.0.1", port: int = 0) -> EaasServer:
     """Bind and start serving in a background thread; returns the server."""
-    return EaasServer(embedder, defense, context, host=host, port=port).start()
+    return EaasServer(embedder, host=host, port=port).start()
 
 
 class EaasClient:

@@ -12,14 +12,39 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Sequence
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid configuration value."""
+
+
+def json_int(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer (so not a boolean); otherwise ConfigError."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
+def json_bool(value: Any, name: str) -> bool:
+    """``value`` if it is a JSON boolean (so not ``"false"``); otherwise ConfigError."""
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be a JSON boolean, not {type(value).__name__}")
+    return value
+
+
+def require_fields(data: Any, cls: type, name: str) -> dict:
+    """``data`` if it is a JSON object whose keys all name fields of the
+    dataclass ``cls``; otherwise ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(map(str, unknown))}")
+    return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +81,8 @@ class Embedding:
         return Embedding(values, lang=self.lang)
 
     def with_lang(self, lang: str | None) -> "Embedding":
-        return Embedding._trusted(self.values, lang)
+        """This embedding tagged ``lang``: itself when the tag is unchanged."""
+        return self if lang == self.lang else Embedding._trusted(self.values, lang)
 
 
 @dataclass(frozen=True)

@@ -278,8 +278,6 @@ def run_crosslingual(
             token_f1=0.0,
             exact_match=0.0,
             cos=0.0,
-            num_tokens_ref=0.0,
-            num_tokens_pred=0.0,
             num_pairs=len(gains) if gains else 1,
         )
         report.add(

@@ -129,8 +129,6 @@ class MetricReport:
     token_f1: float
     exact_match: float
     cos: float
-    num_tokens_ref: float
-    num_tokens_pred: float
     num_pairs: int = 1
 
 
@@ -142,8 +140,6 @@ def pair_report(pred: str, ref: str, cos: float = 0.0) -> MetricReport:
         token_f1=token_f1(pred, ref),
         exact_match=100.0 if _nfc(pred) == _nfc(ref) else 0.0,
         cos=cos,
-        num_tokens_ref=float(len(tokenize(ref))),
-        num_tokens_pred=float(len(tokenize(pred))),
     )
 
 
@@ -159,7 +155,5 @@ def aggregate(reports: Sequence[MetricReport]) -> MetricReport:
         token_f1=sum(r.token_f1 for r in reports) / n,
         exact_match=sum(r.exact_match * r.num_pairs for r in reports) / pairs,
         cos=sum(r.cos for r in reports) / n,
-        num_tokens_ref=sum(r.num_tokens_ref for r in reports) / n,
-        num_tokens_pred=sum(r.num_tokens_pred for r in reports) / n,
         num_pairs=pairs,
     )

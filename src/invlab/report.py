@@ -114,11 +114,7 @@ def render_markdown(report: ExperimentReport) -> str:
 
 
 def read_report_csv(path: str | Path) -> ExperimentReport:
-    """Parse a previously emitted CSV back into a report.
-
-    Per-token counts are not serialized; reconstructed metric rows carry
-    zeros for them.
-    """
+    """Parse a previously emitted CSV back into a report."""
     report = ExperimentReport()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -131,8 +127,6 @@ def read_report_csv(path: str | Path) -> ExperimentReport:
                 token_f1=float(rec["token_f1"]),
                 exact_match=float(rec["exact"]),
                 cos=float(rec["cos"]),
-                num_tokens_ref=0.0,
-                num_tokens_pred=0.0,
             )
             report.add(
                 ReportRow(

@@ -242,6 +242,25 @@ class TestDefenseConfig:
         assert type(config.language_agnostic) is bool and type(config.renormalize_after) is bool
         assert DefenseConfig(**config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"language_agnostic": "false"},
+            {"renormalize_after": 1},
+            {"noise_seed": 1.7},
+            {"noise_seed": True},
+            {"noise_seed": "3"},
+        ],
+    )
+    def test_non_json_boolean_or_integer_refused(self, data):
+        with pytest.raises(ConfigError):
+            DefenseConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [{"noise_lamda": 0.1}, {"masking": None, "mask": {"en": 1.0}}])
+    def test_misspelt_key_refused(self, data):
+        with pytest.raises(ConfigError, match="unknown"):
+            DefenseConfig.from_dict(data)
+
 
 class TestApplyDefenseStack:
     def test_all_disabled_is_identity(self):
@@ -364,3 +383,10 @@ class TestEmbedWithDefense:
         raw = embedder.embed("ciao")
         out = embed_many_with_defense(embedder, ["ciao"], ["it"], None)[0]
         assert np.array_equal(out.values, raw.values)
+
+    def test_untagged_rows_pass_through_unwrapped(self, monkeypatch):
+        embedder = NgramEmbedder(n=2, dim=16, seed=0)
+        rows = embedder.embed_many(["a", "b", "c"])
+        monkeypatch.setattr(embedder, "embed_many", lambda texts: rows)
+        out = embed_many_with_defense(embedder, ["a", "b", "c"], [None] * 3)
+        assert all(o is r for o, r in zip(out, rows))

@@ -21,6 +21,7 @@ from invlab.embeddings import NgramEmbedder
 from invlab.eaas import (
     EaasClient,
     EaasError,
+    EaasServer,
     RemoteEmbedder,
     _error_line,
     _request_lines,
@@ -293,13 +294,39 @@ class TestIdleTimeout:
     def test_idle_connection_closed_quietly_and_service_still_serves(self, server, monkeypatch):
         monkeypatch.setattr(invlab.eaas, "IDLE_TIMEOUT_S", 0.2)
         errors = []
-        monkeypatch.setattr(server._server, "handle_error", lambda *args: errors.append(args))
+        monkeypatch.setattr(server, "handle_error", lambda *args: errors.append(args))
         host, port = server.address
         with socket.create_connection((host, port), timeout=10) as idle:
             assert idle.recv(1) == b""  # the service hung up on the idle client
         assert server.queries_used() == 0
         assert raw_request(server, json.dumps({"op": "embed", "texts": ["a"]}))["queries_used"] == 1
         assert errors == []  # no traceback from socketserver's handle_error
+
+
+class TestLifecycle:
+    def test_unstarted_server_leaves_its_with_block(self):
+        # socketserver's shutdown() waits for a serve_forever that never ran.
+        left = threading.Event()
+
+        def use_unstarted():
+            with EaasServer(NgramEmbedder(n=3, dim=32, seed=17)):
+                pass
+            left.set()
+
+        thread = threading.Thread(target=use_unstarted, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert left.is_set()
+
+    def test_stop_joins_serving_thread_and_closes_port(self):
+        before = set(threading.enumerate())
+        server = eaas_serve(NgramEmbedder(n=3, dim=32, seed=17))
+        (serving,) = set(threading.enumerate()) - before
+        assert raw_request(server, json.dumps({"op": "embed", "texts": ["a"]}))["queries_used"] == 1
+        server.stop()
+        assert not serving.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(server.address, timeout=1).close()
 
 
 class TestNoChargeOnError:
@@ -535,20 +562,15 @@ class TestDefenseOverWire:
             local = apply_defense_stack(raw, defense, context, key=text)
             assert got.values.tobytes() == local.values.tobytes()
 
-    def test_server_side_default_defense(self):
-        embedder = NgramEmbedder(n=3, dim=32, seed=17)
-        defense = DefenseConfig(noise_lambda=0.01, noise_seed=5)
-        server = eaas_serve(embedder, defense=defense)
-        try:
-            host, port = server.address
-            with EaasClient(host, port) as client:
-                remote, _ = eaas_embed(client, ["text"])
-            local = apply_defense_stack(
-                NgramEmbedder(n=3, dim=32, seed=17).embed("text"), defense, key="text"
-            )
-            assert remote[0].values.tobytes() == local.values.tobytes()
-        finally:
-            server.stop()
+    @pytest.mark.parametrize(
+        "defense", [{}, None, {"noise_lambda": 0.0, "masking": None}], ids=["empty", "null", "off"]
+    )
+    def test_request_names_the_only_stack(self, server, defense):
+        # The request's defense is the only stack: all-off or null gives raw vectors.
+        request = {"op": "embed", "texts": ["secret text"], "defense": defense}
+        reply = raw_request(server, json.dumps(request))
+        local = NgramEmbedder(n=3, dim=32, seed=17).embed("secret text")
+        assert decode_rows(reply["embeddings"], 32).tobytes() == local.values.tobytes()
 
 
 class TestRemoteEmbedder:

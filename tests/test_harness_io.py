@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig, load_config, save_config
 from invlab.corpus import Corpus, CorpusFormatError, load_jsonl_corpus, save_jsonl_corpus
@@ -16,6 +18,19 @@ from invlab.report import (
     read_report_csv,
     render_markdown,
 )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def section(*keys):
+    """A config section: known keys (and one misspelt) with arbitrary JSON values."""
+    names = st.sampled_from([*keys, keys[0] + "s"])
+    return st.dictionaries(names, json_values, max_size=3) | json_values
 
 
 class TestLoadJsonlCorpus:
@@ -49,6 +64,21 @@ class TestLoadJsonlCorpus:
         path = tmp_path / "mf.jsonl"
         path.write_text('{"id":"1","text":"a"}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=":1:"):
+            load_jsonl_corpus(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": 1, "text": "a", "lang": "en"},
+            {"id": "1", "text": None, "lang": "en"},
+            {"id": "1", "text": ["a", "b"], "lang": "en"},
+            {"id": "1", "text": "a", "lang": False},
+        ],
+    )
+    def test_non_string_field_cites_line(self, tmp_path, record):
+        path = tmp_path / "ns.jsonl"
+        path.write_text('{"id":"0","text":"a","lang":"en"}\n' + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError, match=":2:"):
             load_jsonl_corpus(path)
 
     def test_order_preserved(self, tmp_path):
@@ -143,12 +173,83 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"defense": {"lambdas": [lam]}})
 
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"atack": {"steps": [5]}},
+            {"embedder": {"dims": 64}},
+            {"attack": {"step": [5]}},
+            {"defense": {"lambda": [0.1]}},
+        ],
+    )
+    def test_misspelt_key_refused(self, data):
+        with pytest.raises(ConfigError, match="unknown"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"embedder": {"unit_norm": "false"}},
+            {"defense": {"masking": 0}},
+            {"defense": {"language_agnostic": "true"}},
+            {"seed": 1.7},
+            {"seed": True},
+            {"test_size": "10"},
+            {"attack": {"steps": 5}},
+            {"attack": {"beams": [1.5]}},
+            {"attack": {"query_budget": 2.0}},
+            {"attack": []},
+            {"embedder": None},
+            {"defense": {"mask_scale": float("nan")}},
+            [],
+        ],
+    )
+    def test_malformed_value_refused(self, data):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "embedder": section("n", "dim", "seed", "unit_norm"),
+                "attack": section("steps", "beams", "max_tokens", "query_budget"),
+                "defense": section("lambdas", "masking", "language_agnostic", "mask_scale"),
+                "corpora": json_values,
+                "dictionaries": json_values,
+                "retrieval_tasks": json_values,
+                "seed": json_values,
+                "out_dir": json_values,
+                "test_size": json_values,
+                "atack": json_values,
+            },
+        )
+        | json_values
+    )
+    @example({"embedder": {"n": 2, "dim": 8, "unit_norm": False}, "attack": {"steps": [0, 2]}})
+    @example({"attack": {"query_budget": None}, "defense": {"lambdas": [0, 0.5]}, "seed": 4})
+    def test_from_dict_validates_or_raises_config_error(self, data):
+        try:
+            config = ExperimentConfig.from_dict(data)
+        except ConfigError:
+            return
+        emb, atk, dfs = config.embedder, config.attack, config.defense
+        ints = [emb.n, emb.dim, emb.seed, *atk.steps, *atk.beams, atk.max_tokens, config.seed]
+        assert all(type(i) is int for i in ints + [config.test_size])
+        assert atk.query_budget is None or type(atk.query_budget) is int
+        assert type(emb.unit_norm) is bool and type(dfs.masking) is bool
+        assert type(dfs.language_agnostic) is bool
+        assert all(type(x) is float for x in [*dfs.lambdas, dfs.mask_scale])
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
 def make_report():
     report = ExperimentReport()
     report.add(
         ReportRow(
             "recon_mono", "en", 10, 4, "none",
-            MetricReport(50.123456789, 0.5, 0.5, 25.0, 0.987654321, 4, 4),
+            MetricReport(50.123456789, 0.5, 0.5, 25.0, 0.987654321),
             queries=1234,
             wall_ms=56.789,
             ndcg=None,
@@ -157,7 +258,7 @@ def make_report():
     report.add(
         ReportRow(
             "defense", "fr", 10, 4, "noise:0.01",
-            MetricReport(10.0, 0.2, 0.3, 0.0, 0.5, 4, 4),
+            MetricReport(10.0, 0.2, 0.3, 0.0, 0.5),
             queries=99,
             wall_ms=1.5,
             ndcg=0.654321987,

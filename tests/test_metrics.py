@@ -216,16 +216,16 @@ class TestReports:
         assert agg == report
 
     def test_aggregate_means(self):
-        a = MetricReport(0.0, 0.0, 0.0, 0.0, 0.9, 2, 2)
-        b = MetricReport(100.0, 1.0, 1.0, 100.0, 0.95, 4, 4)
+        a = MetricReport(0.0, 0.0, 0.0, 0.0, 0.9)
+        b = MetricReport(100.0, 1.0, 1.0, 100.0, 0.95)
         agg = aggregate([a, b])
         assert agg.bleu == 50.0
         assert agg.cos == pytest.approx(0.925)
         assert agg.num_pairs == 2
 
     def test_aggregate_exact_match_pooled_by_pairs(self):
-        a = MetricReport(0, 0, 0, 100.0, 0, 0, 0, num_pairs=1)
-        b = MetricReport(0, 0, 0, 0.0, 0, 0, 0, num_pairs=3)
+        a = MetricReport(0, 0, 0, 100.0, 0, num_pairs=1)
+        b = MetricReport(0, 0, 0, 0.0, 0, num_pairs=3)
         assert aggregate([a, b]).exact_match == 25.0
 
     def test_aggregate_empty_rejected(self):
