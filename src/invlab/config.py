@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .embeddings import ConfigError, NgramConfig, json_bool, json_int, require_fields
+from .embeddings import ConfigError, NgramConfig, json_bool, json_float, json_int, json_str, require_fields
 
 
 @dataclass
@@ -30,6 +30,13 @@ class DefenseSweep:
             raise ConfigError("mask_scale must be finite")
 
 
+def _str_map(data: object, name: str) -> dict[str, str]:
+    """``data`` if it is a JSON object of strings; otherwise ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return {json_str(k, f"{name} key"): json_str(v, f"{name} value") for k, v in data.items()}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything an experiment run needs, mirroring the JSON config file."""
@@ -50,9 +57,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build a config from decoded JSON. Unknown keys (at the top level and
-        in ``embedder``, ``attack`` and ``defense``), booleans and integers
-        that are not JSON booleans and integers, and any other malformed value
-        raise ConfigError."""
+        in ``embedder``, ``attack`` and ``defense``), booleans, integers,
+        numbers and strings that are not JSON booleans, integers, numbers and
+        strings, and any other malformed value raise ConfigError."""
         try:
             data = require_fields(data, cls, "config")
             emb = require_fields(data.get("embedder", {}), NgramConfig, "embedder")
@@ -60,7 +67,7 @@ class ExperimentConfig:
             dfs = require_fields(data.get("defense", {}), DefenseSweep, "defense")
             budget = atk.get("query_budget")
             return cls(
-                corpora={str(k): str(v) for k, v in data.get("corpora", {}).items()},
+                corpora=_str_map(data.get("corpora", {}), "corpora"),
                 embedder=NgramConfig(
                     n=json_int(emb.get("n", 3), "n"),
                     dim=json_int(emb.get("dim", 256), "dim"),
@@ -74,17 +81,19 @@ class ExperimentConfig:
                     query_budget=None if budget is None else json_int(budget, "query_budget"),
                 ),
                 defense=DefenseSweep(
-                    lambdas=[float(x) for x in dfs.get("lambdas", [0.0, 1e-3, 1e-2, 1e-1, 1.0])],
+                    lambdas=[json_float(x, "lambdas") for x in dfs.get("lambdas", [0.0, 1e-3, 1e-2, 1e-1, 1.0])],
                     masking=json_bool(dfs.get("masking", True), "masking"),
                     language_agnostic=json_bool(
                         dfs.get("language_agnostic", True), "language_agnostic"
                     ),
-                    mask_scale=float(dfs.get("mask_scale", 1.0)),
+                    mask_scale=json_float(dfs.get("mask_scale", 1.0), "mask_scale"),
                 ),
-                dictionaries={str(k): str(v) for k, v in data.get("dictionaries", {}).items()},
-                retrieval_tasks=[dict(t) for t in data.get("retrieval_tasks", [])],
+                dictionaries=_str_map(data.get("dictionaries", {}), "dictionaries"),
+                retrieval_tasks=[
+                    _str_map(t, "retrieval_tasks entry") for t in data.get("retrieval_tasks", [])
+                ],
                 seed=json_int(data.get("seed", 0), "seed"),
-                out_dir=str(data.get("out_dir", "out")),
+                out_dir=json_str(data.get("out_dir", "out"), "out_dir"),
                 test_size=json_int(data.get("test_size", 100), "test_size"),
             )
         except ConfigError:

@@ -14,7 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import BlackBoxEmbedder, ConfigError, Embedding, json_bool, json_int, require_fields
+from .embeddings import (
+    BlackBoxEmbedder, ConfigError, Embedding, json_bool, json_float, json_int, json_str, require_fields,
+)
 from .seeding import derive_rng
 
 
@@ -57,15 +59,17 @@ class DefenseConfig:
     def from_dict(cls, data: dict) -> "DefenseConfig":
         """Build a validated config from outside input (such as decoded
         JSON). An unknown key or any malformed value raises ConfigError;
-        ``noise_seed`` must be a JSON integer and the two switches JSON
-        booleans."""
+        ``noise_seed`` must be a JSON integer, ``noise_lambda`` and the
+        language ids JSON numbers, and the two switches JSON booleans."""
         try:
             data = require_fields(data, cls, "defense")
             masking = data.get("masking")
             return cls(
-                noise_lambda=float(data.get("noise_lambda", 0.0)),
+                noise_lambda=json_float(data.get("noise_lambda", 0.0), "noise_lambda"),
                 noise_seed=json_int(data.get("noise_seed", 0), "noise_seed"),
-                masking={str(k): float(v) for k, v in masking.items()} if masking is not None else None,
+                masking=None if masking is None else {
+                    json_str(k, "language"): json_float(v, "language id") for k, v in masking.items()
+                },
                 language_agnostic=json_bool(data.get("language_agnostic", False), "language_agnostic"),
                 renormalize_after=json_bool(data.get("renormalize_after", False), "renormalize_after"),
             )

@@ -29,6 +29,22 @@ def json_int(value: Any, name: str) -> int:
     return value
 
 
+def json_float(value: Any, name: str) -> float:
+    """``value`` as a float if it is a JSON number (so not a boolean or a
+    string); otherwise ConfigError. An integer past the float range raises
+    OverflowError."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a JSON number, not {type(value).__name__}")
+    return float(value)
+
+
+def json_str(value: Any, name: str) -> str:
+    """``value`` if it is a JSON string; otherwise ConfigError."""
+    if type(value) is not str:
+        raise ConfigError(f"{name} must be a JSON string, not {type(value).__name__}")
+    return value
+
+
 def json_bool(value: Any, name: str) -> bool:
     """``value`` if it is a JSON boolean (so not ``"false"``); otherwise ConfigError."""
     if type(value) is not bool:

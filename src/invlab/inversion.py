@@ -13,6 +13,7 @@ vocabularies small enough to enumerate.
 import itertools
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Generator, Sequence
 
@@ -42,6 +43,18 @@ class Hypothesis:
     step: int
 
 
+def check_vocab(vocab: Sequence[str]) -> None:
+    """Raise ConfigError unless ``vocab`` holds at least one token and its
+    tokens are distinct, non-empty and whitespace-free."""
+    if not vocab:
+        raise ConfigError("vocabulary must be non-empty")
+    if len(set(vocab)) != len(vocab):
+        raise ConfigError("vocabulary must be duplicate-free")
+    for tok in vocab:
+        if not tok or any(ch.isspace() for ch in tok):
+            raise ConfigError(f"vocabulary token {tok!r} must be non-empty and whitespace-free")
+
+
 @dataclass(frozen=True)
 class AttackConfig:
     vocab: tuple[str, ...]
@@ -57,13 +70,7 @@ class AttackConfig:
             raise ConfigError("beam width must be >= 1")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if not self.vocab:
-            raise ConfigError("vocabulary must be non-empty")
-        if len(set(self.vocab)) != len(self.vocab):
-            raise ConfigError("vocabulary must be duplicate-free")
-        for tok in self.vocab:
-            if not tok or any(ch.isspace() for ch in tok):
-                raise ConfigError(f"vocabulary token {tok!r} must be non-empty and whitespace-free")
+        check_vocab(self.vocab)
         if self.query_budget is not None and self.query_budget < 1:
             raise ConfigError("query budget must be positive when set")
 
@@ -90,12 +97,6 @@ class MutationGenerator(ABC):
         """Up to k candidate texts."""
 
 
-def _sorted_unique(edits: list[str], text: str) -> list[str]:
-    """Sorted distinct edits other than ``text``; sorts in place."""
-    edits.sort()
-    return [e for e, prev in zip(edits, [None] + edits) if e != prev and e != text]
-
-
 class EditMutationGenerator(MutationGenerator):
     """Token-level edits over a fixed vocabulary: swaps of two positions,
     insertions, substitutions, and deletions.
@@ -103,73 +104,91 @@ class EditMutationGenerator(MutationGenerator):
     Proposals interleave the four edit families round-robin so a small k
     still covers every repair mode (a transposition is two coordinated
     substitutions and would almost never be sampled from the flat
-    neighborhood). Order within each family is a seeded permutation keyed
-    on (seed, text, step); k only truncates, so narrower requests are
-    prefixes of wider ones, and revisiting a text at a later step explores
-    a different slice of its neighborhood.
+    neighborhood). Order within each family is a seeded permutation, keyed
+    on (seed, text, step), of its distinct members in string order; k only
+    truncates, so narrower requests are prefixes of wider ones, and
+    revisiting a text at a later step explores a different slice of its
+    neighborhood. The families are disjoint, and only returned members are
+    built: insertions and substitutions are counted, and a drawn rank is
+    turned into its edit by walking the positions. At position i of tokens
+    t, the family sorts as the edits there whose token v has key(v) <
+    key(t[i]), then every edit at a later position, then those with
+    key(v) > key(t[i]). key(v) is ``v + " "`` when a space follows v
+    (whitespace-free tokens make these keys prefix-free, so they order the
+    strings) and plain ``v`` for a text's last token. Inserting t[i] before
+    position i equals inserting it after, so only the latter is a member.
     """
 
     def __init__(self, vocab: Sequence[str], max_tokens: int = 32, seed: int = 0):
-        if not vocab:
-            raise ConfigError("vocabulary must be non-empty")
+        check_vocab(vocab)
         self.vocab = tuple(vocab)
         self.max_tokens = max_tokens
         self.seed = seed
+        self._spaced = sorted(self.vocab, key=lambda v: v + " ")
+        self._keys = [v + " " for v in self._spaced]
+        self._plain = sorted(self.vocab)
 
-    def _families(self, text: str) -> list[list[str]]:
-        tokens = text.split()
-        n = len(tokens)
-        # Edits are spliced from precomputed joins: head[i] is tokens[:i]
-        # joined with its trailing separator and tail[i] is tokens[i:] with
-        # its leading one, so no candidate re-joins a token list.
-        head = [""] + [" ".join(tokens[:i]) + " " for i in range(1, n + 1)]
-        tail = [" " + " ".join(tokens[i:]) for i in range(n)] + [""]
-        swaps = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if tokens[i] != tokens[j]:
-                    middle = " ".join([""] + tokens[i + 1 : j] + [""])
-                    swaps.append(f"{head[i]}{tokens[j]}{middle}{tokens[i]}{tail[j + 1]}")
-        inserts = (
-            [f"{h}{v}{t}" for h, t in zip(head, tail) for v in self.vocab]
-            if n < self.max_tokens
-            else []
-        )
-        substitutions = [
-            f"{head[i]}{v}{tail[i + 1]}"
-            for i, tok in enumerate(tokens)
-            for v in self.vocab
-            if v != tok
-        ]
-        deletions = [
-            f"{head[i]}{tail[i + 1][1:]}" if i + 1 < n else head[i][:-1] for i in range(n)
-        ]
-        return [
-            _sorted_unique(family, text)
-            for family in (swaps, inserts, substitutions, deletions)
-        ]
+    def _edit(
+        self, tokens: list[str], below: list[int], hits: list[bool], rank: int, insert: bool
+    ) -> str:
+        """The insertion (``insert``) or substitution of ``tokens`` at
+        ``rank`` in string order; ``below[i]`` counts the vocabulary tokens
+        keyed before tokens[i], and ``hits[i]`` is tokens[i] in the vocabulary."""
+        last = len(tokens) if insert else len(tokens) - 1
+        size = len(self._spaced) * (last + 1) - sum(hits)
+        for i in range(last):
+            if rank < below[i]:
+                token = self._spaced[rank]
+                break
+            rank -= below[i]
+            size -= len(self._spaced) - hits[i]  # now the edits after position i
+            if rank >= size:
+                token = self._spaced[below[i] + hits[i] + rank - size]
+                break
+        else:
+            i = last
+            if not insert and hits[i] and self._plain[rank] >= tokens[i]:
+                rank += 1  # step over tokens[i], which is no substitution
+            token = self._plain[rank]
+        return " ".join(tokens[:i] + [token] + tokens[i + (not insert) :])
 
     def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
         rng = derive_rng("mutate", self.seed, hypothesis.text, hypothesis.step)
-        families = self._families(hypothesis.text)
-        # Every family draws its permutation, in order, so the stream matches
-        # the full shuffle; members are looked up only to the depth reached.
-        orders = [rng.permutation(len(f)).tolist() if f else [] for f in families]
-        deepest = max(len(f) for f in families)
-        out: list[str] = []
-        seen: set[str] = set()
-        depth = 0
-        while len(out) < k and depth < deepest:
-            for family, order in zip(families, orders):
-                if depth < len(family):
-                    candidate = family[order[depth]]
-                    if candidate not in seen:
-                        seen.add(candidate)
-                        out.append(candidate)
-                        if len(out) == k:
-                            break
-            depth += 1
-        return out
+        tokens = hypothesis.text.split()
+        n = len(tokens)
+        # A swap changes exactly positions i and j, so swaps are distinct;
+        # deleting any token of a run of equal tokens gives the same text.
+        swaps = []
+        for i, j in itertools.combinations(range(n), 2):
+            if tokens[i] != tokens[j]:
+                swapped = tokens.copy()
+                swapped[i], swapped[j] = tokens[j], tokens[i]
+                swaps.append(" ".join(swapped))
+        swaps.sort()
+        deletions = sorted({" ".join(tokens[:i] + tokens[i + 1 :]) for i in range(n)})
+        below = [bisect_left(self._keys, t + " ") for t in tokens]
+        hits = [b < len(self._keys) and self._keys[b] == t + " " for b, t in zip(below, tokens)]
+        n_subs = n * len(self.vocab) - sum(hits)
+        n_ins = n_subs + len(self.vocab) if n < self.max_tokens else 0
+        build = (
+            swaps.__getitem__,
+            lambda rank: self._edit(tokens, below, hits, rank, True),
+            lambda rank: self._edit(tokens, below, hits, rank, False),
+            deletions.__getitem__,
+        )
+        # Every family draws its whole permutation, in order, so the random
+        # stream is that of shuffling every family; only k ranks of each are read.
+        orders = [
+            rng.permutation(size)[:k].tolist() if size else []
+            for size in (len(swaps), n_ins, n_subs, len(deletions))
+        ]
+        picks = (
+            (family, rank)
+            for row in itertools.zip_longest(*orders)
+            for family, rank in enumerate(row)
+            if rank is not None
+        )
+        return [build[family](rank) for family, rank in itertools.islice(picks, max(k, 0))]
 
 
 class _BudgetExhausted(Exception):

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from invlab.embeddings import BlackBoxEmbedder, Embedding
+
+# Child Python processes (the CLI server, the cross-process determinism
+# check) import the package from the same tree as the tests, with or
+# without PYTHONPATH set by the caller.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 class ConstantEmbedder(BlackBoxEmbedder):

@@ -256,6 +256,26 @@ class TestDefenseConfig:
         with pytest.raises(ConfigError):
             DefenseConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"noise_lambda": "0.5"},
+            {"noise_lambda": True},
+            {"masking": {"en": "1.0"}},
+            {"masking": {"en": False}},
+            {"masking": {1: 1.0}},
+        ],
+    )
+    def test_non_json_number_or_string_refused(self, data):
+        with pytest.raises(ConfigError, match="must be a JSON"):
+            DefenseConfig.from_dict(data)
+
+    def test_json_integers_read_as_floats(self):
+        config = DefenseConfig.from_dict({"noise_lambda": 1, "masking": {"en": 2, "fr": -1}})
+        assert type(config.noise_lambda) is float and config.noise_lambda == 1.0
+        assert config.masking == {"en": 2.0, "fr": -1.0}
+        assert all(type(v) is float for v in config.masking.values())
+
     @pytest.mark.parametrize("data", [{"noise_lamda": 0.1}, {"masking": None, "mask": {"en": 1.0}}])
     def test_misspelt_key_refused(self, data):
         with pytest.raises(ConfigError, match="unknown"):

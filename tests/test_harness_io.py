@@ -27,6 +27,10 @@ json_values = st.recursive(
 )
 
 
+# Objects of strings, mostly valid and sometimes holding one non-string.
+str_maps = st.dictionaries(st.text(max_size=6), st.text(max_size=6) | json_values, max_size=3)
+
+
 def section(*keys):
     """A config section: known keys (and one misspelt) with arbitrary JSON values."""
     names = st.sampled_from([*keys, keys[0] + "s"])
@@ -202,6 +206,17 @@ class TestExperimentConfig:
             {"embedder": None},
             {"defense": {"mask_scale": float("nan")}},
             [],
+            {"out_dir": None},
+            {"out_dir": 5},
+            {"corpora": {"en": 5}},
+            {"corpora": ["en.jsonl"]},
+            {"dictionaries": {"en-fr": None}},
+            {"retrieval_tasks": [[["queries", "q"]]]},
+            {"retrieval_tasks": [{"queries": "q", "k": 10}]},
+            {"defense": {"lambdas": ["0.5"]}},
+            {"defense": {"lambdas": [True]}},
+            {"defense": {"mask_scale": "2"}},
+            {"defense": {"mask_scale": 10**400}},
         ],
     )
     def test_malformed_value_refused(self, data):
@@ -216,11 +231,11 @@ class TestExperimentConfig:
                 "embedder": section("n", "dim", "seed", "unit_norm"),
                 "attack": section("steps", "beams", "max_tokens", "query_budget"),
                 "defense": section("lambdas", "masking", "language_agnostic", "mask_scale"),
-                "corpora": json_values,
-                "dictionaries": json_values,
-                "retrieval_tasks": json_values,
+                "corpora": str_maps | json_values,
+                "dictionaries": str_maps | json_values,
+                "retrieval_tasks": st.lists(str_maps | json_values, max_size=2) | json_values,
                 "seed": json_values,
-                "out_dir": json_values,
+                "out_dir": st.text(max_size=6) | json_values,
                 "test_size": json_values,
                 "atack": json_values,
             },
@@ -229,6 +244,7 @@ class TestExperimentConfig:
     )
     @example({"embedder": {"n": 2, "dim": 8, "unit_norm": False}, "attack": {"steps": [0, 2]}})
     @example({"attack": {"query_budget": None}, "defense": {"lambdas": [0, 0.5]}, "seed": 4})
+    @example({"corpora": {"en": "en.jsonl"}, "retrieval_tasks": [{"queries": "q"}], "out_dir": "o"})
     def test_from_dict_validates_or_raises_config_error(self, data):
         try:
             config = ExperimentConfig.from_dict(data)
@@ -241,6 +257,9 @@ class TestExperimentConfig:
         assert type(emb.unit_norm) is bool and type(dfs.masking) is bool
         assert type(dfs.language_agnostic) is bool
         assert all(type(x) is float for x in [*dfs.lambdas, dfs.mask_scale])
+        maps = [config.corpora, config.dictionaries, *config.retrieval_tasks]
+        assert all(type(m) is dict for m in maps) and type(config.out_dir) is str
+        assert all(type(s) is str for m in maps for item in m.items() for s in item)
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 

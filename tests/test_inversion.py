@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invlab.inversion
@@ -497,6 +497,23 @@ class TestEditMutationGenerator:
         hyp = Hypothesis("", Embedding(np.zeros(2)), 0.0, 0)
         assert set(gen.propose(hyp, 10)) == {"a", "b"}
 
+    @pytest.mark.parametrize(
+        "vocab, message",
+        [
+            ((), "non-empty"),
+            (("a", "a", "b"), "duplicate-free"),
+            (("a b", "c"), "whitespace-free"),
+            (("", "c"), "whitespace-free"),
+            (("c", "a\tb"), "whitespace-free"),
+        ],
+    )
+    def test_vocabulary_refused_like_attack_config(self, vocab, message):
+        with pytest.raises(ConfigError, match=message) as from_config:
+            AttackConfig(vocab=vocab)
+        with pytest.raises(ConfigError, match=message) as from_generator:
+            EditMutationGenerator(vocab)
+        assert str(from_generator.value) == str(from_config.value)
+
 
 def reference_propose(gen: EditMutationGenerator, hypothesis: Hypothesis, k: int) -> list[str]:
     """The plain formulation of ``EditMutationGenerator.propose``: every
@@ -538,20 +555,54 @@ def reference_propose(gen: EditMutationGenerator, hypothesis: Hypothesis, k: int
     return out
 
 
+# Tokens for the reference property: prefix chains ("a", "a!", "a\x01",
+# "ab") and characters below the space make "v" and "v " sort differently.
+PROPOSE_POOL = [
+    "a", "b", "ab", "ba", "c", "aena", "\u00e9t\u00e9", "a\x01", "\x02", "a!",
+    "a\x01b", "b!", "aa", "z", "~", "A", "0", "ab!", "b\x01", "\x7f", "\u00e9",
+]
+# Text tokens that may fall outside the vocabulary.
+FOREIGN = ["x", "a\x01", "q!", "\x02\x02", "ab\x01", "\u00e9"]
+
+
 class TestProposeMatchesReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(
-        vocab=st.lists(st.sampled_from(["a", "b", "ab", "ba", "c", "aena", "\u00e9t\u00e9"]),
-                       min_size=1, max_size=6, unique=True),
-        picks=st.lists(st.integers(0, 5), max_size=7),
+        vocab=st.lists(st.sampled_from(PROPOSE_POOL), min_size=1, max_size=20, unique=True),
+        runs=st.lists(
+            st.tuples(st.integers(0, 19) | st.sampled_from(FOREIGN), st.integers(1, 3)),
+            max_size=5,
+        ),
         spacing=st.sampled_from([" ", "  ", "\t"]),
-        max_tokens=st.integers(1, 7),
+        max_tokens=st.none() | st.integers(1, 8),
         seed=st.integers(0, 1000),
         step=st.integers(0, 60),
         k=st.sampled_from([0, 1, 3, 8, 1000]),
     )
-    def test_equal_output(self, vocab, picks, spacing, max_tokens, seed, step, k):
-        text = spacing.join(vocab[p % len(vocab)] for p in picks)
-        gen = EditMutationGenerator(vocab, max_tokens=max_tokens, seed=seed)
+    @example(
+        vocab=PROPOSE_POOL[:20],
+        runs=[(0, 1), (3, 1), (7, 1), (9, 1), (12, 1), (19, 1)],
+        spacing=" ",
+        max_tokens=32,
+        seed=19,
+        step=4,
+        k=8,
+    )
+    @example(
+        vocab=["a", "a!", "a\x01"], runs=[(0, 3), ("x", 1)], spacing=" ",
+        max_tokens=None, seed=0, step=0, k=1000,
+    )
+    def test_equal_output(self, vocab, runs, spacing, max_tokens, seed, step, k):
+        """``runs`` repeats each token (an index into ``vocab`` or a foreign
+        token) up to three times; ``max_tokens=None`` puts the text at its
+        token limit, where no insertion is allowed."""
+        tokens = [
+            tok if isinstance(tok, str) else vocab[tok % len(vocab)]
+            for tok, count in runs
+            for _ in range(count)
+        ]
+        text = spacing.join(tokens)
+        limit = max_tokens if max_tokens is not None else max(len(tokens), 1)
+        gen = EditMutationGenerator(vocab, max_tokens=limit, seed=seed)
         hyp = Hypothesis(text, Embedding(np.ones(2)), 0.0, step)
         assert gen.propose(hyp, k) == reference_propose(gen, hyp, k)
