@@ -49,12 +49,27 @@ def _corpus_vocab(corpus: Corpus) -> list[str]:
     return sorted({tok for sample in corpus for tok in sample.text.split()})
 
 
-def _test_split(corpus: Corpus, size: int) -> list[TextSample]:
-    return list(corpus.samples[: max(size, 0)])
+def _test_splits(
+    config: ExperimentConfig, corpora: dict[str, Corpus]
+) -> dict[str, list[TextSample]]:
+    """The first ``test_size`` samples of each corpus, in the corpora's order;
+    raises ValueError for a language whose split is empty."""
+    splits = {}
+    for lang, corpus in corpora.items():
+        splits[lang] = list(corpus.samples[: max(config.test_size, 0)])
+        if not splits[lang]:
+            raise ValueError(f"no test samples for language {lang!r}")
+    return splits
+
+
+def _ms(seconds: float) -> float:
+    """A row's wall time in milliseconds, floored so it is always positive."""
+    return max(seconds * 1000.0, 1e-6)
 
 
 class _Runtime:
-    """Shared embedder handles for one experiment run, local or remote."""
+    """Shared embedder handles for one experiment run, local or remote; a
+    ``with`` block closes the service connection."""
 
     def __init__(self, config: ExperimentConfig, remote: tuple[str, int] | None):
         self.config = config
@@ -65,71 +80,74 @@ class _Runtime:
             self.client = EaasClient(*remote)
             self.attack_embedder = RemoteEmbedder(self.client, dim=config.embedder.dim)
 
-    def defended_targets(
-        self,
-        samples: list[TextSample],
-        defense: DefenseConfig | None,
-        context: DefenseContext | None,
-    ) -> list[Embedding]:
-        """Language-tagged embeddings of the samples, defended when
-        ``defense`` is set, from one batch request."""
-        if not samples:
-            return []
-        texts = [s.text for s in samples]
-        langs = [s.lang for s in samples]
-        if self.client is not None:
-            embs, _ = eaas_embed(self.client, texts, defense=defense, langs=langs, context=context)
-            return embs
-        return embed_many_with_defense(self.attack_embedder, texts, langs, defense, context)
+    def __enter__(self) -> "_Runtime":
+        return self
 
-    def close(self) -> None:
+    def __exit__(self, *exc) -> None:
         if self.client is not None:
             self.client.close()
 
+    def targets(
+        self, splits: dict[str, list[TextSample]], defense: DefenseConfig | None
+    ) -> dict[str, list[Embedding]]:
+        """Language-tagged embeddings of every split, defended when ``defense``
+        is set, from one batch request per split in the order of ``splits``.
 
-def _agnostic_context(
-    runtime: _Runtime, samples_by_lang: dict[str, list[TextSample]]
-) -> DefenseContext:
-    pool = []
-    for lang in sorted(samples_by_lang):
-        pool.extend(runtime.defended_targets(samples_by_lang[lang], None, None))
-    return DefenseContext(compute_group_means(pool))
+        The language-agnostic stage subtracts group means taken over all the
+        undefended splits, so those are embedded first when it is on.
+        """
+        context = None
+        if defense is not None and defense.language_agnostic:
+            undefended = self.targets(splits, None).values()
+            context = DefenseContext(compute_group_means([e for embs in undefended for e in embs]))
+        targets = {}
+        for lang, samples in splits.items():
+            texts = [s.text for s in samples]
+            langs = [s.lang for s in samples]
+            if self.client is not None:
+                targets[lang], _ = eaas_embed(
+                    self.client, texts, defense=defense, langs=langs, context=context
+                )
+            else:
+                targets[lang] = embed_many_with_defense(
+                    self.attack_embedder, texts, langs, defense, context
+                )
+        return targets
 
+    def attack(
+        self,
+        samples: list[TextSample],
+        targets: list[Embedding],
+        vocab: list[str],
+        steps: int,
+        beam: int,
+        labels: tuple[str, ...],
+    ) -> tuple[list[AttackResult], int, float]:
+        """Invert every sample's target embedding with the given vocabulary,
+        all of the split's attacks in lockstep (``invert_many``).
 
-def _attack_split(
-    runtime: _Runtime,
-    samples: list[TextSample],
-    targets: list[Embedding],
-    vocab: list[str],
-    steps: int,
-    beam: int,
-    labels: tuple[str, ...],
-) -> tuple[list[AttackResult], int, float]:
-    """Invert every sample's target embedding with the given vocabulary, all
-    of the split's attacks in lockstep (``invert_many``).
-
-    Each sample's generator is seeded from the run seed, ``labels`` and the
-    sample id. Returns the results, their summed queries and the split's
-    attack wall time in seconds.
-    """
-    config = runtime.config
-    attack_config = AttackConfig(
-        vocab=tuple(vocab),
-        steps=steps,
-        beam_width=beam,
-        max_tokens=config.attack.max_tokens,
-        query_budget=config.attack.query_budget,
-    )
-    gens = [
-        EditMutationGenerator(
-            vocab,
+        Each sample's generator is seeded from the run seed, ``labels`` and
+        the sample id. Returns the results, their summed queries and the
+        split's attack wall time in seconds.
+        """
+        config = self.config
+        attack_config = AttackConfig(
+            vocab=tuple(vocab),
+            steps=steps,
+            beam_width=beam,
             max_tokens=config.attack.max_tokens,
-            seed=stable_seed(config.seed, "gen", *labels, sample.id),
+            query_budget=config.attack.query_budget,
         )
-        for sample in samples
-    ]
-    results = invert_many(targets, runtime.attack_embedder, gens, attack_config)
-    return results, sum(r.queries_used for r in results), sum(r.wall_time for r in results)
+        gens = [
+            EditMutationGenerator(
+                vocab,
+                max_tokens=config.attack.max_tokens,
+                seed=stable_seed(config.seed, "gen", *labels, sample.id),
+            )
+            for sample in samples
+        ]
+        results = invert_many(targets, self.attack_embedder, gens, attack_config)
+        return results, sum(r.queries_used for r in results), sum(r.wall_time for r in results)
 
 
 def _pair_reports(results: list[AttackResult], samples: list[TextSample]) -> list[MetricReport]:
@@ -149,42 +167,28 @@ def run_reconstruction(
     """
     languages = sorted(languages if languages is not None else config.corpora)
     corpora = _load_corpora(config, languages)
-    runtime = _Runtime(config, remote)
-    try:
-        vocabs = {lang: _corpus_vocab(corpora[lang]) for lang in languages}
-        union_vocab = sorted({tok for vocab in vocabs.values() for tok in vocab})
-        splits = {lang: _test_split(corpora[lang], config.test_size) for lang in languages}
-        context = None
-        if defense is not None and defense.language_agnostic:
-            context = _agnostic_context(runtime, splits)
-        defense_label = _defense_label(defense)
-        report = ExperimentReport()
-        for lang in languages:
-            samples = splits[lang]
-            if not samples:
-                raise ValueError(f"no test samples for language {lang!r}")
-            targets = runtime.defended_targets(samples, defense, context)
+    vocabs = {lang: _corpus_vocab(corpora[lang]) for lang in languages}
+    union_vocab = sorted({tok for vocab in vocabs.values() for tok in vocab})
+    splits = _test_splits(config, corpora)
+    defense_label = _defense_label(defense)
+    report = ExperimentReport()
+    with _Runtime(config, remote) as runtime:
+        targets = runtime.targets(splits, defense)
+        for lang, samples in splits.items():
             for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
                 for steps in config.attack.steps:
                     for beam in config.attack.beams:
-                        results, queries, wall = _attack_split(
-                            runtime, samples, targets, vocab, steps, beam, (condition, lang)
+                        results, queries, wall = runtime.attack(
+                            samples, targets[lang], vocab, steps, beam, (condition, lang)
                         )
+                        metrics = aggregate(_pair_reports(results, samples))
                         report.add(
                             ReportRow(
-                                experiment_id=f"recon_{condition}",
-                                lang=lang,
-                                steps=steps,
-                                beam=beam,
-                                defense=defense_label,
-                                metrics=aggregate(_pair_reports(results, samples)),
-                                queries=queries,
-                                wall_ms=max(wall * 1000.0, 1e-6),
+                                f"recon_{condition}", lang, steps, beam, defense_label,
+                                metrics, queries, _ms(wall),
                             )
                         )
-        return report
-    finally:
-        runtime.close()
+    return report
 
 
 def _defense_label(defense: DefenseConfig | None) -> str:
@@ -200,19 +204,6 @@ def _defense_label(defense: DefenseConfig | None) -> str:
     if defense.renormalize_after:
         parts.append("renorm")
     return "+".join(parts)
-
-
-def load_translator(config: ExperimentConfig, pairs: list[tuple[str, str]]) -> DictionaryTranslator:
-    """Build a translator from the configured dictionary files."""
-    translator = DictionaryTranslator()
-    for src, tgt in pairs:
-        if src == tgt:
-            continue
-        key = f"{src}-{tgt}"
-        if key not in config.dictionaries:
-            raise ValueError(f"no dictionary configured for pair {key}")
-        translator.add_pair(src, tgt, load_dictionary_tsv(config.dictionaries[key]))
-    return translator
 
 
 def run_crosslingual(
@@ -231,64 +222,49 @@ def run_crosslingual(
     """
     corpora = _load_corpora(config, sorted({src, tgt}))
     if translator is None:
-        translator = load_translator(config, [(src, tgt)])
+        translator = DictionaryTranslator()
+        if src != tgt:
+            key = f"{src}-{tgt}"
+            if key not in config.dictionaries:
+                raise ValueError(f"no dictionary configured for pair {key}")
+            translator.add_pair(src, tgt, load_dictionary_tsv(config.dictionaries[key]))
     vocab = _corpus_vocab(corpora[src])
-    samples = _test_split(corpora[tgt], config.test_size)
-    if not samples:
-        raise ValueError(f"no test samples for language {tgt!r}")
+    samples = _test_splits(config, {tgt: corpora[tgt]})[tgt]
     steps = max(config.attack.steps)
     beam = max(config.attack.beams)
-    runtime = _Runtime(config, remote)
-    try:
-        targets = runtime.defended_targets(samples, None, None)
-        results, queries, attack_wall = _attack_split(
-            runtime, samples, targets, vocab, steps, beam, ("xling", src, tgt)
+    with _Runtime(config, remote) as runtime:
+        targets = runtime.targets({tgt: samples}, None)[tgt]
+        results, queries, attack_wall = runtime.attack(
+            samples, targets, vocab, steps, beam, ("xling", src, tgt)
         )
-        pre_reports: list[MetricReport] = []
-        post_reports: list[MetricReport] = []
-        gains: list[float] = []
         rescore_start = time.perf_counter()
-        for sample, result in zip(samples, results):
-            gain = translated_metrics(
+        rescored = [
+            translated_metrics(
                 result.best.text, src, sample.text, tgt, translator, runtime.attack_embedder
             )
-            pre_reports.append(gain.pre)
-            post_reports.append(gain.post)
-            if gain.gain_pct is not None:
-                gains.append(gain.gain_pct)
-        rescore_wall = max(time.perf_counter() - rescore_start, 1e-9)
-        pair_label = f"{src}->{tgt}"
-        report = ExperimentReport()
-        report.add(
-            ReportRow(
-                "xling_pre", pair_label, steps, beam, "none",
-                aggregate(pre_reports), queries, max(attack_wall * 1000.0, 1e-6),
-            )
-        )
-        report.add(
-            ReportRow(
-                "xling_post", pair_label, steps, beam, "none",
-                aggregate(post_reports), 0, max(rescore_wall * 1000.0, 1e-6),
-            )
-        )
-        mean_gain = sum(gains) / len(gains) if gains else 0.0
-        gain_metrics = MetricReport(
-            bleu=mean_gain,
-            rouge1_recall=0.0,
-            token_f1=0.0,
-            exact_match=0.0,
-            cos=0.0,
-            num_pairs=len(gains) if gains else 1,
-        )
-        report.add(
-            ReportRow(
-                "xling_gain", pair_label, steps, beam, "none",
-                gain_metrics, 0, 1e-6,
-            )
-        )
-        return report
-    finally:
-        runtime.close()
+            for sample, result in zip(samples, results)
+        ]
+        rescore_wall = time.perf_counter() - rescore_start
+    gains = [g.gain_pct for g in rescored if g.gain_pct is not None]
+    gain_metrics = MetricReport(
+        bleu=sum(gains) / len(gains) if gains else 0.0,
+        rouge1_recall=0.0,
+        token_f1=0.0,
+        exact_match=0.0,
+        cos=0.0,
+        num_pairs=len(gains) if gains else 1,
+    )
+    rows = (
+        ("xling_pre", aggregate([g.pre for g in rescored]), queries, attack_wall),
+        ("xling_post", aggregate([g.post for g in rescored]), 0, rescore_wall),
+        ("xling_gain", gain_metrics, 0, 0.0),
+    )
+    return ExperimentReport(
+        [
+            ReportRow(experiment_id, f"{src}->{tgt}", steps, beam, "none", metrics, used, _ms(wall))
+            for experiment_id, metrics, used, wall in rows
+        ]
+    )
 
 
 def _sweep_cells(config: ExperimentConfig, langs: list[str]) -> list[tuple[str, DefenseConfig]]:
@@ -307,39 +283,29 @@ def _sweep_cells(config: ExperimentConfig, langs: list[str]) -> list[tuple[str, 
 def build_retrieval_tasks(config: ExperimentConfig) -> list[RetrievalTask]:
     """File-backed tasks when configured, synthetic ones otherwise."""
     if config.retrieval_tasks:
-        tasks = []
-        for spec in config.retrieval_tasks:
-            queries = load_jsonl_corpus(spec["queries"])
-            docs = load_jsonl_corpus(spec["docs"])
-            tasks.append(
-                RetrievalTask(
-                    name=spec.get("name", "task"),
-                    queries=list(queries),
-                    docs=list(docs),
-                    qrels=load_qrels_tsv(spec["qrels"]),
-                )
+        return [
+            RetrievalTask(
+                name=spec.get("name", "task"),
+                queries=list(load_jsonl_corpus(spec["queries"])),
+                docs=list(load_jsonl_corpus(spec["docs"])),
+                qrels=load_qrels_tsv(spec["qrels"]),
             )
-        return tasks
+            for spec in config.retrieval_tasks
+        ]
     langs = sorted(config.corpora)
-    tasks = [
-        synthetic_retrieval_task(
-            f"mono-{lang}", lang, lang, seed=stable_seed(config.seed, "task", lang)
-        )
-        for lang in langs
-    ]
+    pairs = [(lang, lang) for lang in langs]
     if len(langs) >= 2:
-        a, b = langs[0], langs[1]
-        tasks.append(
-            synthetic_retrieval_task(
-                f"xling-{a}-{b}", a, b, seed=stable_seed(config.seed, "task", a, b)
-            )
+        pairs += [(langs[0], langs[1]), (langs[1], langs[0])]
+    # A monolingual task is named and seeded by its one language.
+    return [
+        synthetic_retrieval_task(
+            f"mono-{q}" if q == d else f"xling-{q}-{d}",
+            q,
+            d,
+            seed=stable_seed(config.seed, "task", *((q,) if q == d else (q, d))),
         )
-        tasks.append(
-            synthetic_retrieval_task(
-                f"xling-{b}-{a}", b, a, seed=stable_seed(config.seed, "task", b, a)
-            )
-        )
-    return tasks
+        for q, d in pairs
+    ]
 
 
 def run_defense_sweep(
@@ -357,27 +323,21 @@ def run_defense_sweep(
     if not langs:
         raise ValueError("defense sweep needs at least one corpus")
     corpora = _load_corpora(config, langs)
-    splits = {lang: _test_split(corpora[lang], config.test_size) for lang in langs}
+    splits = _test_splits(config, corpora)
     vocabs = {lang: _corpus_vocab(corpora[lang]) for lang in langs}
     tasks = build_retrieval_tasks(config)
-    runtime = _Runtime(config, remote)
-    try:
-        report = ExperimentReport()
-        plot_rows = []
+    report = ExperimentReport()
+    plot_rows = []
+    with _Runtime(config, remote) as runtime:
         for label, defense in _sweep_cells(config, langs):
-            context = None
-            if defense.language_agnostic:
-                context = _agnostic_context(runtime, splits)
+            targets = runtime.targets(splits, defense)
             reports = []
             queries = 0
             wall = 0.0
-            for lang in langs:
-                samples = splits[lang]
-                targets = runtime.defended_targets(samples, defense, context)
-                results, used, spent = _attack_split(
-                    runtime,
+            for lang, samples in splits.items():
+                results, used, spent = runtime.attack(
                     samples,
-                    targets,
+                    targets[lang],
                     vocabs[lang],
                     DEFENSE_SWEEP_STEPS,
                     DEFENSE_SWEEP_BEAM,
@@ -392,25 +352,16 @@ def run_defense_sweep(
             metrics = aggregate(reports)
             report.add(
                 ReportRow(
-                    experiment_id="defense",
-                    lang="all",
-                    steps=DEFENSE_SWEEP_STEPS,
-                    beam=DEFENSE_SWEEP_BEAM,
-                    defense=label,
-                    metrics=metrics,
-                    queries=queries,
-                    wall_ms=max(wall * 1000.0, 1e-6),
-                    ndcg=ndcg,
+                    "defense", "all", DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM, label,
+                    metrics, queries, _ms(wall), ndcg,
                 )
             )
             level = f"{defense.noise_lambda:g}" if label.startswith("noise") or label == "none" else ""
             plot_rows.append([label, level, f"{ndcg:.6f}", f"{metrics.bleu:.6f}"])
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "defense_sweep_plot.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["defense", "level", "ndcg", "bleu"])
-            writer.writerows(plot_rows)
-        return report
-    finally:
-        runtime.close()
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "defense_sweep_plot.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["defense", "level", "ndcg", "bleu"])
+        writer.writerows(plot_rows)
+    return report

@@ -44,15 +44,19 @@ class Hypothesis:
 
 
 def check_vocab(vocab: Sequence[str]) -> None:
-    """Raise ConfigError unless ``vocab`` holds at least one token and its
-    tokens are distinct, non-empty and whitespace-free."""
+    """Raise ConfigError unless ``vocab`` is a sequence of at least one token
+    and its tokens are distinct, non-empty, whitespace-free strings."""
+    if isinstance(vocab, str):
+        raise ConfigError("vocabulary must be a sequence of tokens, not a string")
     if not vocab:
         raise ConfigError("vocabulary must be non-empty")
-    if len(set(vocab)) != len(vocab):
-        raise ConfigError("vocabulary must be duplicate-free")
     for tok in vocab:
+        if not isinstance(tok, str):
+            raise ConfigError(f"vocabulary token {tok!r} must be a string")
         if not tok or any(ch.isspace() for ch in tok):
             raise ConfigError(f"vocabulary token {tok!r} must be non-empty and whitespace-free")
+    if len(set(vocab)) != len(vocab):
+        raise ConfigError("vocabulary must be duplicate-free")
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,8 @@ class EditMutationGenerator(MutationGenerator):
     """
 
     def __init__(self, vocab: Sequence[str], max_tokens: int = 32, seed: int = 0):
+        if max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
         check_vocab(vocab)
         self.vocab = tuple(vocab)
         self.max_tokens = max_tokens

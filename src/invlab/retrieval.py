@@ -107,12 +107,11 @@ def evaluate_task(
     embedder: BlackBoxEmbedder,
     defense: DefenseConfig | None = None,
     k: int = 10,
-    query_mask_lang: str | None = None,
 ) -> float:
     """Mean NDCG@k over the task's queries with a shared defense stack.
 
-    Queries are masked with their own language id unless ``query_mask_lang``
-    overrides it. Queries without judgments score 0 and are logged.
+    Queries are masked with their own language id. Queries without
+    judgments score 0 and are logged.
     """
     samples = task.docs + task.queries
     n_docs = len(task.docs)
@@ -121,8 +120,6 @@ def evaluate_task(
     context = None
     if defense is not None and defense.language_agnostic:
         context = DefenseContext(compute_group_means(embs))
-    if query_mask_lang is not None:
-        embs[n_docs:] = [e.with_lang(query_mask_lang) for e in embs[n_docs:]]
     defended = [apply_defense_stack(e, defense, context, key=s.text) for e, s in zip(embs, samples)]
     index = Index([d.id for d in task.docs], np.stack([e.values for e in defended[:n_docs]]))
     total = 0.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -12,8 +13,10 @@ from invlab.datagen import (
     parallel_corpora,
     synthetic_corpus,
 )
+from invlab.eaas import eaas_serve
 from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
+from invlab.report import csv_rows_without_wall, emit_report
 from invlab.translate import DictionaryTranslator, save_dictionary_tsv
 
 
@@ -305,3 +308,67 @@ class TestRunDefenseSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["defense", "level", "ndcg", "bleu"]
         assert len(rows) == 6
+
+
+class TestDriverContracts:
+    @pytest.fixture
+    def xling_config(self, tmp_path):
+        paths, _ = write_corpora(tmp_path, ["en", "fr"], 4, 8, 3, 3, seed=10)
+        dictionaries = {}
+        for src, tgt in (("en", "fr"), ("fr", "en")):
+            dictionaries[f"{src}-{tgt}"] = str(tmp_path / f"{src}-{tgt}.tsv")
+            save_dictionary_tsv(bijective_dictionary(src, tgt, 8), dictionaries[f"{src}-{tgt}"])
+        return ExperimentConfig(
+            corpora=paths,
+            embedder=NgramConfig(n=3, dim=64, seed=5),
+            attack=AttackSweep(steps=[3], beams=[2], max_tokens=3),
+            defense=DefenseSweep(lambdas=[0.5], masking=True, language_agnostic=True),
+            dictionaries=dictionaries,
+            seed=17,
+            out_dir=str(tmp_path / "out"),
+            test_size=4,
+        )
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            run_reconstruction,
+            lambda config: run_crosslingual(config, "fr", "en"),
+            run_defense_sweep,
+        ],
+        ids=["reconstruction", "crosslingual", "defense_sweep"],
+    )
+    @pytest.mark.parametrize("empty", ["test_size_0", "empty_corpus"])
+    def test_empty_split_refused(self, xling_config, tmp_path, driver, empty):
+        if empty == "test_size_0":
+            config = dataclasses.replace(xling_config, test_size=0)
+        else:
+            # An empty corpus yields an empty vocabulary as well; the split
+            # is refused before any attack could trip over that.
+            (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+            corpora = dict(xling_config.corpora, en=str(tmp_path / "empty.jsonl"))
+            config = dataclasses.replace(xling_config, corpora=corpora)
+        with pytest.raises(ValueError, match="no test samples for language 'en'"):
+            driver(config)
+
+    def test_sweep_and_crosslingual_remote_match_local(self, xling_config, tmp_path):
+        def outputs(remote, name):
+            config = dataclasses.replace(xling_config, out_dir=str(tmp_path / name))
+            reports = [
+                run_defense_sweep(config, remote=remote),
+                run_crosslingual(config, "en", "fr", remote=remote),
+                run_crosslingual(config, "fr", "en", remote=remote),
+            ]
+            rows = [
+                csv_rows_without_wall(emit_report(report, tmp_path / name / f"{i}.csv"))
+                for i, report in enumerate(reports)
+            ]
+            plot = (tmp_path / name / "defense_sweep_plot.csv").read_text(encoding="utf-8")
+            return rows, plot
+
+        local = outputs(None, "local")
+        with eaas_serve(NgramEmbedder(xling_config.embedder)) as server:
+            remote = outputs(server.address, "remote")
+        assert remote == local
+        # Every defense cell ran, the agnostic one with group means on the wire.
+        assert [row[4] for row in local[0][0][1:]] == ["none", "noise:0.5", "mask", "agnostic"]

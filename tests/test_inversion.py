@@ -498,20 +498,25 @@ class TestEditMutationGenerator:
         assert set(gen.propose(hyp, 10)) == {"a", "b"}
 
     @pytest.mark.parametrize(
-        "vocab, message",
+        "vocab, message, max_tokens",
         [
-            ((), "non-empty"),
-            (("a", "a", "b"), "duplicate-free"),
-            (("a b", "c"), "whitespace-free"),
-            (("", "c"), "whitespace-free"),
-            (("c", "a\tb"), "whitespace-free"),
+            ((), "non-empty", 32),
+            (("a", "a", "b"), "duplicate-free", 32),
+            (("a b", "c"), "whitespace-free", 32),
+            (("", "c"), "whitespace-free", 32),
+            (("c", "a\tb"), "whitespace-free", 32),
+            ((1,), "must be a string", 32),
+            (("a", ["b"]), "must be a string", 32),
+            ("ab", "not a string", 32),
+            (("a", "b"), "max_tokens", 0),
+            (("a", "b"), "max_tokens", -3),
         ],
     )
-    def test_vocabulary_refused_like_attack_config(self, vocab, message):
+    def test_vocabulary_refused_like_attack_config(self, vocab, message, max_tokens):
         with pytest.raises(ConfigError, match=message) as from_config:
-            AttackConfig(vocab=vocab)
+            AttackConfig(vocab=vocab, max_tokens=max_tokens)
         with pytest.raises(ConfigError, match=message) as from_generator:
-            EditMutationGenerator(vocab)
+            EditMutationGenerator(vocab, max_tokens=max_tokens)
         assert str(from_generator.value) == str(from_config.value)
 
 

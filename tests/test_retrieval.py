@@ -169,15 +169,6 @@ class TestEvaluateTask:
         masked = evaluate_task(task, embedder, DefenseConfig(masking=ids))
         assert abs(masked - raw) < 0.01
 
-    def test_query_mask_lang_override(self, embedder):
-        ids = assign_language_ids({"en", "fr"})
-        task = synthetic_retrieval_task("ovr", "en", "fr", n_docs=10, seed=4)
-        own = evaluate_task(task, embedder, DefenseConfig(masking=ids))
-        doc_side = evaluate_task(
-            task, embedder, DefenseConfig(masking=ids), query_mask_lang="fr"
-        )
-        assert isinstance(own, float) and isinstance(doc_side, float)
-
 
 class TestQrelsIO:
     def test_round_trip(self, tmp_path):
