@@ -64,7 +64,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
         embedder = NgramEmbedder(_load(args).embedder)
         embeddings = embedder.embed_many(args.text)
         used = embedder.queries_used()
-    print(json.dumps({"embeddings": [e.values.tolist() for e in embeddings], "queries_used": used}))
+    print(json.dumps({"embeddings": embeddings.tolist(), "queries_used": used}))
     return 0
 
 

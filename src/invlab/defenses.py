@@ -194,10 +194,15 @@ def embed_many_with_defense(
     langs: Sequence[str | None],
     config: DefenseConfig | None = None,
     context: DefenseContext | None = None,
-) -> list[Embedding]:
-    """Embed texts in one batch, tag each with its language, and pass each
-    through the defense stack keyed by its text."""
-    tagged = [e.with_lang(lang) for e, lang in zip(embedder.embed_many(texts), langs)]
+) -> np.ndarray:
+    """Embed texts in one batch and return the ``(len(texts), dim)`` matrix:
+    the embedder's own when ``config`` is None, else one row per text passed
+    through the defense stack, tagged with its language and keyed by its text."""
+    rows = embedder.embed_many(texts)
     if config is None:
-        return tagged
-    return [apply_defense_stack(e, config, context, key=t) for e, t in zip(tagged, texts)]
+        return rows
+    defended = [
+        apply_defense_stack(Embedding._trusted(row, lang), config, context, key=text).values
+        for row, lang, text in zip(rows, langs, texts)
+    ]
+    return np.array(defended, dtype=np.float64).reshape(rows.shape)

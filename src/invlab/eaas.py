@@ -32,7 +32,10 @@ limit into several requests, in order, and refuses with ``ValueError``,
 before sending anything, a text that cannot fit in a request of its own.
 The client refuses, with ``ValueError``, a response whose rows are not a
 base64 string of exactly ``len(texts) * dim * 8`` bytes, whose ``dim`` is
-below 2, or whose components are not all finite.
+below 2, or whose components are not all finite; ``RemoteEmbedder`` also
+refuses a ``dim`` other than its own. A batch stays one ``(n, dim)`` matrix:
+the server encodes the one its embedder or defense stack returns, and
+``eaas_embed`` returns the decoded one, rows unwrapped.
 Any op other than "embed" is refused: the service never helps the attacker
 beyond embedding.
 """
@@ -51,7 +54,7 @@ from .defenses import (
     apply_defense_stack,  # unused here; benchmarks/tracing.py patches this name
     embed_many_with_defense,
 )
-from .embeddings import BlackBoxEmbedder, Embedding
+from .embeddings import BlackBoxEmbedder
 
 import numpy as np
 
@@ -78,9 +81,9 @@ MAX_TEXTS = 4096
 IDLE_TIMEOUT_S = 60.0
 
 
-def _encode_rows(rows: np.ndarray | Sequence[np.ndarray]) -> str:
-    """Encode a (n, dim) float64 matrix, or a sequence of n rows, as wire
-    ``<rows>``: base64 of its row-major little-endian bytes."""
+def _encode_rows(rows: np.ndarray) -> str:
+    """Encode a (n, dim) float64 matrix, or one row, as wire ``<rows>``:
+    base64 of its row-major little-endian bytes."""
     return base64.b64encode(np.asarray(rows, dtype=_WIRE_DTYPE).tobytes()).decode("ascii")
 
 
@@ -184,15 +187,14 @@ class _Handler(socketserver.StreamRequestHandler):
             if request.get("defense") is not None:
                 defense = DefenseConfig.from_dict(request["defense"])
                 context = _parse_context(request.get("context"), dim)
-            embs = embed_many_with_defense(self.server.embedder, texts, langs, defense, context)
+            rows = embed_many_with_defense(self.server.embedder, texts, langs, defense, context)
         except UnknownLanguageError:
             return _error_line("unknown_lang")
         except ValueError:
             # A malformed defense or context, no group means at all,
             # non-finite ones, or a defended vector that overflowed.
             return _error_line("bad_request")
-        rows = _encode_rows([e.values for e in embs])
-        return _success_line(rows, dim, self.server._charge(len(texts)))
+        return _success_line(_encode_rows(rows), dim, self.server._charge(len(texts)))
 
 
 class EaasServer(socketserver.ThreadingTCPServer):
@@ -323,9 +325,10 @@ def eaas_embed(
     defense: DefenseConfig | None = None,
     langs: Sequence[str | None] | None = None,
     context: DefenseContext | None = None,
-) -> tuple[list[Embedding], int]:
-    """Embed texts through the service; returns vectors and the service's
-    cumulative query counter. Raises EaasError on an error response.
+) -> tuple[np.ndarray, int]:
+    """Embed texts through the service; returns the read-only
+    ``(len(texts), dim)`` matrix of their vectors, in order, and the
+    service's cumulative query counter. Raises EaasError on an error response.
 
     A batch whose request would pass ``MAX_LINE_BYTES`` or ``MAX_TEXTS`` goes
     out as several requests, in order, each within both. Each is charged on
@@ -338,7 +341,7 @@ def eaas_embed(
         if context is not None and context.group_means:
             extra["context"] = {
                 "group_means": {
-                    lang: _encode_rows([vec]) for lang, vec in context.group_means.items()
+                    lang: _encode_rows(vec) for lang, vec in context.group_means.items()
                 }
             }
     langs = list(langs) if langs is not None else None
@@ -355,17 +358,15 @@ def eaas_embed(
         if not np.isfinite(vectors).all():
             raise ValueError("service returned non-finite embeddings")
         parts.append(vectors)
-    vectors = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    tags = langs if langs is not None else [None] * len(vectors)
-    out = [Embedding._trusted(vec, lang) for vec, lang in zip(vectors, tags)]
-    return out, used
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)), used
 
 
 class RemoteEmbedder(BlackBoxEmbedder):
     """Client-side embedder: every embed call crosses the wire.
 
     ``queries_used`` counts this client's own requests so attack-side query
-    accounting matches local runs.
+    accounting matches local runs. ``embed_many`` raises ValueError for a
+    reply whose ``dim`` is not ``dim``, uncounted.
     """
 
     def __init__(self, client: EaasClient, dim: int):
@@ -374,13 +375,15 @@ class RemoteEmbedder(BlackBoxEmbedder):
         self._lock = threading.Lock()
         self._queries = 0
 
-    def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
-            return []
-        embeddings, _ = eaas_embed(self._client, texts)
+            return np.zeros((0, self._dim))
+        rows, _ = eaas_embed(self._client, texts)
+        if rows.shape[1] != self._dim:
+            raise ValueError(f"service returned dimension {rows.shape[1]}, expected {self._dim}")
         with self._lock:
             self._queries += len(texts)
-        return embeddings
+        return rows
 
     def dimension(self) -> int:
         return self._dim

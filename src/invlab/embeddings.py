@@ -82,8 +82,8 @@ class Embedding:
 
     @classmethod
     def _trusted(cls, values: np.ndarray, lang: str | None = None) -> "Embedding":
-        """Wrap values already known to pass the checks above, without
-        repeating them (a hot path: one call per embedded text)."""
+        """Wrap values already known to pass the checks above, such as a row
+        of an embedder's matrix, without repeating them."""
         e = object.__new__(cls)
         object.__setattr__(e, "values", values)
         object.__setattr__(e, "lang", lang)
@@ -110,23 +110,28 @@ class TextSample:
     lang: str
 
 
-def cosine(a: "Embedding | np.ndarray", b: "Embedding | np.ndarray") -> float:
-    """Cosine similarity in [-1, 1].
+def cosine(a: "Embedding | np.ndarray", b: "Embedding | np.ndarray") -> "float | list[float]":
+    """Cosine similarity in [-1, 1] of ``a`` and the vector ``b``; a 2-D
+    ``a`` is a block of rows and gives one float per row, each bitwise equal
+    to ``cosine(row, b)``.
 
-    Dimension mismatch raises; an all-zero vector on either side yields 0.0
-    by convention so metric aggregation never aborts on degenerate inputs.
+    Dimension mismatch raises ValueError; an all-zero vector on either side
+    (or norms whose product underflows to 0) yields 0.0 by convention so
+    metric aggregation never aborts on degenerate inputs.
     """
     va = a.values if isinstance(a, Embedding) else np.asarray(a, dtype=np.float64)
     vb = b.values if isinstance(b, Embedding) else np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
+    if vb.ndim != 1 or va.ndim not in (1, 2) or va.shape[-1] != vb.shape[0]:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    # Bitwise equal to the np.linalg.norm / np.clip formulation, which
-    # computes the same dot products, at a quarter of the per-call cost.
-    na = math.sqrt(va.dot(va))
-    nb = math.sqrt(vb.dot(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(min(max(va.dot(vb) / (na * nb), -1.0), 1.0))
+    # np.vecdot takes each row's dot product with the BLAS call ndarray.dot
+    # makes for that row alone, so every score is bitwise equal to the
+    # np.linalg.norm / np.clip formulation; a matrix product (rows @ vb) or
+    # einsum would sum in another order.
+    rows = va if va.ndim == 2 else va[None]
+    den = np.sqrt(np.vecdot(rows, rows)) * math.sqrt(vb.dot(vb))
+    cos = np.divide(np.vecdot(rows, vb), den, out=np.zeros(len(rows)), where=den != 0.0)
+    out = np.minimum(np.maximum(cos, -1.0), 1.0).tolist()
+    return out if va.ndim == 2 else out[0]
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,15 @@ def embed_ngram(text: str, config: NgramConfig) -> Embedding:
 class BlackBoxEmbedder(ABC):
     """Encoder reachable only through embed queries.
 
-    Implementations provide ``embed_many``, which must be deterministic per
-    text and count exactly one query per text; ``embed`` is a batch of one.
-    The counter must be safe under concurrent use.
+    Implementations provide ``embed_many``, which returns one finite row per
+    text as a ``(len(texts), dimension())`` float64 matrix, must be deterministic
+    per text and counts exactly one query per text; ``embed`` is a batch of
+    one, wrapped as an ``Embedding``. The counter must be safe under
+    concurrent use.
     """
 
     @abstractmethod
-    def embed_many(self, texts: Sequence[str]) -> list[Embedding]: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
     @abstractmethod
     def dimension(self) -> int: ...
@@ -197,7 +204,7 @@ class BlackBoxEmbedder(ABC):
     def queries_used(self) -> int: ...
 
     def embed(self, text: str) -> Embedding:
-        return self.embed_many([text])[0]
+        return Embedding(self.embed_many([text])[0])
 
 
 # Most slot codes the chunk memo of one ``NgramEmbedder`` holds; every gram
@@ -213,9 +220,10 @@ class NgramEmbedder(BlackBoxEmbedder):
 
     ``embed_many`` is the kernel: grams of every text map to signed slot
     codes, one ``bincount`` scatters the whole batch, and the rows are
-    normalised together. Before normalisation every component is a sum of
-    +-1, an exact integer in float64, and so is its sum of squares; any
-    summation order therefore gives the bits of ``embed_ngram``.
+    normalised together and returned as one matrix. Before normalisation
+    every component is a sum of +-1, an exact integer in float64, and so is
+    its sum of squares; any summation order therefore gives the bits of
+    ``embed_ngram``.
 
     Slot codes come from a per-chunk memo. A text splits into chunks that
     each run from a token start through the space after it, or to the end
@@ -290,11 +298,9 @@ class NgramEmbedder(BlackBoxEmbedder):
                     self._held += len(found)
         return found
 
-    def embed_many(self, texts: Sequence[str]) -> list[Embedding]:
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         with self._lock:
             self._queries += len(texts)
-        if not texts:
-            return []
         n, dim = self.config.n, self.config.dim
         # A text of length m has k * m - k * (k - 1) / 2 grams, k = min(n, m).
         sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
@@ -310,8 +316,7 @@ class NgramEmbedder(BlackBoxEmbedder):
             norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
             norms[norms == 0.0] = 1.0  # zero rows stay zero
             vecs /= norms[:, None]
-        # Rows are finite float64 vectors of length dim >= 2 by construction.
-        return [Embedding._trusted(row) for row in vecs]
+        return vecs
 
     def dimension(self) -> int:
         return self.config.dim

@@ -91,7 +91,8 @@ class _Runtime:
         self, splits: dict[str, list[TextSample]], defense: DefenseConfig | None
     ) -> dict[str, list[Embedding]]:
         """Language-tagged embeddings of every split, defended when ``defense``
-        is set, from one batch request per split in the order of ``splits``.
+        is set, from one batch request per split in the order of ``splits``;
+        the only place the drivers wrap rows as ``Embedding``s.
 
         The language-agnostic stage subtracts group means taken over all the
         undefended splits, so those are embedded first when it is on.
@@ -105,13 +106,12 @@ class _Runtime:
             texts = [s.text for s in samples]
             langs = [s.lang for s in samples]
             if self.client is not None:
-                targets[lang], _ = eaas_embed(
+                rows, _ = eaas_embed(
                     self.client, texts, defense=defense, langs=langs, context=context
                 )
             else:
-                targets[lang] = embed_many_with_defense(
-                    self.attack_embedder, texts, langs, defense, context
-                )
+                rows = embed_many_with_defense(self.attack_embedder, texts, langs, defense, context)
+            targets[lang] = [Embedding._trusted(row, tag) for row, tag in zip(rows, langs)]
         return targets
 
     def attack(

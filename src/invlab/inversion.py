@@ -33,12 +33,9 @@ _ORACLE_BATCH = 4096
 
 @dataclass(frozen=True, eq=False)
 class Hypothesis:
-    """Candidate reconstruction with its cosine score. Only a kept result
-    (an attack's best, the oracle's answer) carries its re-embedding; beam
-    members carry ``embedding=None``."""
+    """Candidate reconstruction with its cosine score to the target."""
 
     text: str
-    embedding: Embedding | None
     score: float
     step: int
 
@@ -206,9 +203,9 @@ class _BudgetExhausted(Exception):
 _ROUND_TEXTS = 64
 
 # An attack step: a generator that yields the fresh texts it needs embedded,
-# in sorted order, receives their embeddings in that order, and returns its
-# result.
-_Step = Generator[list[str], list[Embedding], object]
+# in sorted order, receives their rows as one (len(texts), dim) matrix in
+# that order, and returns its result.
+_Step = Generator[list[str], np.ndarray, object]
 
 
 class _Scorer:
@@ -217,24 +214,15 @@ class _Scorer:
 
     Fresh texts are requested in sorted order so results are independent of
     scheduling; ties on score break toward the lexicographically smaller text.
-    The cache keeps scores only: the best-so-far is the one hypothesis that
-    holds a vector, a copy owning its buffer.
+    The cache keeps scores only, so no vector outlives its scoring.
     """
 
     def __init__(self, target: Embedding, budget: int | None):
-        self.target = target
+        self.target = target.values
         self.budget = budget
         self.queries = 0
         self.cache: dict[str, float] = {}
         self.best: Hypothesis | None = None
-
-    def _consider(self, text: str, emb: Embedding, score: float, step: int) -> None:
-        if (
-            self.best is None
-            or score > self.best.score
-            or (score == self.best.score and text < self.best.text)
-        ):
-            self.best = _detached(Hypothesis(text, emb, score, step))
 
     def score_batch(self, texts: Sequence[str], step: int) -> _Step:
         fresh = sorted({t for t in texts if t not in self.cache})
@@ -245,15 +233,16 @@ class _Scorer:
                 fresh = fresh[:remaining]
                 exhausted = True
         if fresh:
-            embs = yield fresh
+            rows = yield fresh
             self.queries += len(fresh)
-            for text, emb in zip(fresh, embs):
-                score = cosine(emb, self.target)
+            for text, score in zip(fresh, cosine(rows, self.target)):
                 self.cache[text] = score
-                self._consider(text, emb, score, step)
+                best = self.best
+                if best is None or score > best.score or (score == best.score and text < best.text):
+                    self.best = Hypothesis(text, score, step)
         if exhausted:
             raise _BudgetExhausted
-        return [Hypothesis(text, None, self.cache[text], step) for text in dict.fromkeys(texts)]
+        return [Hypothesis(text, self.cache[text], step) for text in dict.fromkeys(texts)]
 
 
 def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
@@ -261,17 +250,17 @@ def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
 
     Each round joins every live step's request, in step order, into
     ``embed_many`` calls of at most ``_ROUND_TEXTS`` texts, and hands each
-    step its own slice of the vectors as soon as the slice is complete, so
-    a round's vectors are never all alive at once. The step then makes its
+    step its own block of rows as soon as the block is complete, so a
+    round's vectors are never all alive at once. The step then makes its
     request for the next round. Vectors do not depend on their batch, so
     only the grouping into calls differs from running steps one at a time.
     """
     results: list = [None] * len(attacks)
     requests: list[tuple[int, list[str]]] = []
 
-    def advance(i: int, embs: list[Embedding] | None) -> None:
+    def advance(i: int, rows: np.ndarray | None) -> None:
         try:
-            requests.append((i, attacks[i].send(embs)))
+            requests.append((i, attacks[i].send(rows)))
         except StopIteration as stop:
             results[i] = stop.value
 
@@ -280,20 +269,17 @@ def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
     while requests:
         batch, requests = requests, []
         texts = [t for _, fresh in batch for t in fresh]
-        held: list[Embedding] = []
+        held: list[np.ndarray] = []  # embedded rows not yet handed out
+        count = 0
         for lo in range(0, len(texts), _ROUND_TEXTS):
-            held.extend(embedder.embed_many(texts[lo : lo + _ROUND_TEXTS]))
-            while batch and len(batch[0][1]) <= len(held):
+            held.append(embedder.embed_many(texts[lo : lo + _ROUND_TEXTS]))
+            count += len(held[-1])
+            while batch and len(batch[0][1]) <= count:
                 i, fresh = batch.pop(0)
-                advance(i, held[: len(fresh)])
-                del held[: len(fresh)]
+                rows = held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [rows[len(fresh) :]], count - len(fresh)
+                advance(i, rows[: len(fresh)])
     return results
-
-
-def _detached(h: Hypothesis) -> Hypothesis:
-    """Copy of ``h`` owning its vector. An embedded row is a view of its whole
-    batch, so a kept result would otherwise keep that batch alive."""
-    return Hypothesis(h.text, h.embedding.with_values(h.embedding.values.copy()), h.score, h.step)
 
 
 def _check_dimensions(target: Embedding, embedder: BlackBoxEmbedder) -> None:
@@ -359,7 +345,6 @@ def correction_step(
 ) -> list[Hypothesis]:
     """One refinement round: pool up to b proposals per beam member, embed
     and score the unique texts, and keep the top b by cosine to the target.
-    The new members carry no vector (``embedding`` is None).
 
     A generator that proposes nothing for every member leaves the beam
     unchanged.
@@ -433,8 +418,7 @@ def invert(
     Terminates early once the best score reaches 1 - 1e-9 (converged) or the
     query budget runs out mid-step (budget_exhausted). ``beam_history``
     records the best-so-far score after the base pass and after each
-    correction step, so it is non-decreasing by construction. ``best`` owns
-    its vector.
+    correction step, so it is non-decreasing by construction.
     """
     return invert_many([target], embedder, [gen], config)[0]
 
@@ -448,11 +432,14 @@ def exhaustive_oracle(
 ) -> Hypothesis:
     """Global cosine argmax over every token sequence of length 0..max_len.
 
-    Independent of the search path: enumerates, embeds, and ranks everything,
-    refusing when the candidate count exceeds ``guard``.
+    Independent of the search path: enumerates, embeds, and ranks everything.
+    Raises ValueError, before any query, for an empty vocabulary, a negative
+    ``max_len`` or a candidate count above ``guard``.
     """
     if not vocab:
         raise ValueError("vocabulary must be non-empty")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     _check_dimensions(target, embedder)
     total = sum(len(vocab) ** length for length in range(max_len + 1))
     if total > guard:
@@ -462,13 +449,11 @@ def exhaustive_oracle(
         combos = itertools.product(vocab, repeat=length)
         # Batches of bounded size keep memory flat up to the guard.
         while texts := [" ".join(c) for c in itertools.islice(combos, _ORACLE_BATCH)]:
-            for text, emb in zip(texts, embedder.embed_many(texts)):
-                score = cosine(emb, target)
+            for text, score in zip(texts, cosine(embedder.embed_many(texts), target)):
                 if (
                     best is None
                     or score > best.score
                     or (score == best.score and text < best.text)
                 ):
-                    best = Hypothesis(text, emb, score, 0)
-    assert best is not None
-    return _detached(best)
+                    best = Hypothesis(text, score, 0)
+    return best

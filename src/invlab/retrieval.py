@@ -74,10 +74,10 @@ def build_index(
     """Embed every document, apply the defense stack, and stack the vectors."""
     if not docs:
         raise ValueError("cannot index an empty document list")
-    embs = embed_many_with_defense(
+    vectors = embed_many_with_defense(
         embedder, [d.text for d in docs], [d.lang for d in docs], defense, context
     )
-    return Index([d.id for d in docs], np.stack([e.values for e in embs]))
+    return Index([d.id for d in docs], vectors)
 
 
 def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -116,7 +116,8 @@ def evaluate_task(
     samples = task.docs + task.queries
     n_docs = len(task.docs)
     # Undefended first: the language-agnostic stage needs the raw group means.
-    embs = embed_many_with_defense(embedder, [s.text for s in samples], [s.lang for s in samples])
+    rows = embedder.embed_many([s.text for s in samples])
+    embs = [Embedding._trusted(row, s.lang) for row, s in zip(rows, samples)]
     context = None
     if defense is not None and defense.language_agnostic:
         context = DefenseContext(compute_group_means(embs))

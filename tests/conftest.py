@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invlab.embeddings import BlackBoxEmbedder, Embedding
+from invlab.embeddings import BlackBoxEmbedder
 
 # Child Python processes (the CLI server, the cross-process determinism
 # check) import the package from the same tree as the tests, with or
@@ -20,11 +20,11 @@ class ConstantEmbedder(BlackBoxEmbedder):
         self._dim = dim
         self._queries = 0
 
-    def embed_many(self, texts) -> list[Embedding]:
+    def embed_many(self, texts) -> np.ndarray:
         self._queries += len(texts)
         vecs = np.zeros((len(texts), self._dim))
         vecs[:, 0] = 1.0
-        return [Embedding(row) for row in vecs]
+        return vecs
 
     def dimension(self) -> int:
         return self._dim

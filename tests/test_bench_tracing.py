@@ -4,7 +4,9 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import invlab.eaas
 import invlab.experiments
+import invlab.inversion
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig
 from invlab.corpus import save_jsonl_corpus
 from invlab.datagen import parallel_corpora
@@ -14,9 +16,18 @@ from invlab.translate import DictionaryTranslator
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
-# Functions the drivers must look up as invlab.experiments globals at call
-# time, so the shims the traced benchmark installs there see every call.
-DRIVER_GLOBALS = ("evaluate_task", "pair_report", "translated_metrics", "eaas_embed")
+# Functions the drivers must look up as module globals at call time, so the
+# shims the traced benchmark installs there see every call: the attack's
+# remote embedder goes through invlab.eaas.eaas_embed, and its scorer through
+# invlab.inversion.cosine.
+DRIVER_GLOBALS = (
+    (invlab.experiments, "evaluate_task"),
+    (invlab.experiments, "pair_report"),
+    (invlab.experiments, "translated_metrics"),
+    (invlab.experiments, "eaas_embed"),
+    (invlab.eaas, "eaas_embed"),
+    (invlab.inversion, "cosine"),
+)
 
 
 def test_every_shim_target_resolves(monkeypatch):
@@ -36,14 +47,15 @@ def test_drivers_call_through_patched_globals(monkeypatch, tmp_path):
     # A driver that bound one of these names some other way would still run,
     # but its traced metrics would silently read 0.
     calls = Counter()
-    for name in DRIVER_GLOBALS:
-        original = getattr(invlab.experiments, name)
+    for module, name in DRIVER_GLOBALS:
+        original = getattr(module, name)
+        key = f"{module.__name__}.{name}"
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(invlab.experiments, name, counted)
+        monkeypatch.setattr(module, name, counted)
     paths = {}
     for lang, corpus in parallel_corpora(["en"], 2, 6, 2, 3, seed=3).items():
         paths[lang] = str(tmp_path / f"{lang}.jsonl")
@@ -58,5 +70,7 @@ def test_drivers_call_through_patched_globals(monkeypatch, tmp_path):
     )
     with eaas_serve(NgramEmbedder(config.embedder)) as server:
         invlab.experiments.run_defense_sweep(config, remote=server.address)
+        invlab.experiments.run_reconstruction(config, remote=server.address)
     invlab.experiments.run_crosslingual(config, "en", "en", translator=DictionaryTranslator())
-    assert {name: calls[name] > 0 for name in DRIVER_GLOBALS} == dict.fromkeys(DRIVER_GLOBALS, True)
+    keys = [f"{module.__name__}.{name}" for module, name in DRIVER_GLOBALS]
+    assert {key: calls[key] > 0 for key in keys} == dict.fromkeys(keys, True)

@@ -77,8 +77,7 @@ def decode_rows(data: str, dim: int) -> np.ndarray:
 class TestWireProtocol:
     def test_embed_increments_counter(self, server, client):
         embeddings, used = eaas_embed(client, ["hello"])
-        assert len(embeddings) == 1
-        assert embeddings[0].dim == 32
+        assert embeddings.shape == (1, 32) and embeddings.dtype == np.float64
         assert used == 1
         _, used2 = eaas_embed(client, ["hello again"])
         assert used2 == 2
@@ -86,7 +85,7 @@ class TestWireProtocol:
     def test_same_text_bitwise_identical_across_responses(self, client):
         first, _ = eaas_embed(client, ["stable"])
         second, _ = eaas_embed(client, ["stable"])
-        assert first[0].values.tobytes() == second[0].values.tobytes()
+        assert first.tobytes() == second.tobytes()
 
     def test_unknown_op_refused(self, server):
         # the service never helps the attacker beyond embedding
@@ -198,13 +197,13 @@ class TestRequestLineLimit:
         assert all(len(line.encode("utf-8")) <= self.LIMIT for line in lines)
         assert used == limited.queries_used() == len(texts)
         local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
-        assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
+        assert remote.tobytes() == local.tobytes()
 
     def test_remote_embedder_splits_batch_past_limit(self, limited, client):
         texts = [f"sample {i}" for i in range(20)]
         remote = RemoteEmbedder(client, dim=32).embed_many(texts)
         local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
-        assert [e.values.tobytes() for e in remote] == [e.values.tobytes() for e in local]
+        assert remote.tobytes() == local.tobytes()
         assert limited.queries_used() == len(texts)
 
     def test_client_split_keeps_defense_langs_and_context(self, server, client, monkeypatch):
@@ -224,10 +223,10 @@ class TestRequestLineLimit:
         assert len(lines) > 1
         assert all(len(line.encode("utf-8")) <= limit for line in lines)
         assert used == server.queries_used() == len(texts)
-        assert [e.lang for e in remote] == langs
+        # Each row is masked with its own language's id, so langs kept their order.
         for raw, got, text in zip(raws, remote, texts):
             local = apply_defense_stack(raw, defense, context, key=text)
-            assert got.values.tobytes() == local.values.tobytes()
+            assert got.tobytes() == local.values.tobytes()
 
     @pytest.mark.parametrize(
         "with_langs, max_texts",
@@ -469,8 +468,8 @@ class TestNoChargeOnError:
             server, json.dumps({"op": "embed", "texts": ["a"], "defense": defense.to_dict()})
         )
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
-        (local,) = embed_many_with_defense(local_embedder, ["a"], [None], defense)
-        assert decode_rows(response["embeddings"], 32).tobytes() == local.values.tobytes()
+        local = embed_many_with_defense(local_embedder, ["a"], [None], defense)
+        assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
         assert response["queries_used"] == server.queries_used() == 1
 
 
@@ -538,7 +537,7 @@ class TestDefenseOverWire:
         local = apply_defense_stack(
             local_embedder.embed("secret text"), defense, key="secret text"
         )
-        assert remote[0].values.tobytes() == local.values.tobytes()
+        assert remote[0].tobytes() == local.values.tobytes()
 
     def test_masking_defense_matches_local_stack(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
@@ -547,7 +546,7 @@ class TestDefenseOverWire:
         local = apply_defense_stack(
             local_embedder.embed("bonjour").with_lang("fr"), defense, key="bonjour"
         )
-        assert remote[0].values.tobytes() == local.values.tobytes()
+        assert remote[0].tobytes() == local.values.tobytes()
 
     def test_agnostic_defense_with_context_matches_local(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
@@ -560,7 +559,7 @@ class TestDefenseOverWire:
         )
         for raw, got, text in zip(raws, remote, texts):
             local = apply_defense_stack(raw, defense, context, key=text)
-            assert got.values.tobytes() == local.values.tobytes()
+            assert got.tobytes() == local.values.tobytes()
 
     @pytest.mark.parametrize(
         "defense", [{}, None, {"noise_lambda": 0.0, "masking": None}], ids=["empty", "null", "off"]
@@ -585,6 +584,15 @@ class TestRemoteEmbedder:
         remote.embed("one")
         remote.embed_many(["two", "three"])
         assert remote.queries_used() == 3
+
+    def test_refuses_reply_of_another_dimension(self, server, client):
+        # The service embeds in 32 dimensions; a client built for 16 must not
+        # hand 32-d rows to an attack on 16-d targets.
+        remote = RemoteEmbedder(client, dim=16)
+        with pytest.raises(ValueError, match="dimension 32, expected 16"):
+            remote.embed_many(["a"])
+        assert remote.queries_used() == 0
+        assert RemoteEmbedder(client, dim=32).embed_many([]).shape == (0, 32)
 
     def test_attack_through_wire_matches_local(self, client):
         local = NgramEmbedder(n=3, dim=32, seed=17)

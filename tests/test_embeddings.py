@@ -74,6 +74,12 @@ class TestCosine:
         assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
         assert cosine(np.zeros(3), np.zeros(3)) == 0.0
 
+    def test_underflowing_norms_score_zero(self):
+        # Each norm is positive, but their product underflows to 0.
+        tiny = np.array([1e-170, 0.0, 1e-170])
+        assert cosine(tiny, tiny) == 0.0
+        assert cosine(np.stack([tiny, np.ones(3)]), tiny) == [0.0, 0.0]
+
     def test_accepts_embedding_objects(self):
         a = Embedding(np.array([1.0, 1.0]))
         assert cosine(a, a) == pytest.approx(1.0, abs=1e-9)
@@ -216,10 +222,67 @@ class TestCosineMatchesReference:
         for a, b in rng.standard_normal((2000, 2, 64)):
             assert cosine(a, b) == reference_cosine(a, b)
         embedder = NgramEmbedder(n=3, dim=64, seed=2)
-        embs = embedder.embed_many(["abc", "abd", "a b c", "", "xyz xyz"])
-        for x in embs:
-            for y in embs:
-                assert cosine(x, y) == reference_cosine(x.values, y.values)
+        rows = embedder.embed_many(["abc", "abd", "a b c", "", "xyz xyz"])
+        for x in rows:
+            for y in rows:
+                assert cosine(x, y) == reference_cosine(x, y)
+
+
+# Rows of a block: Gaussian, embedder-like rows with small noise, and zeros.
+block_rows = st.sampled_from(["random", "noisy", "zero"])
+
+
+class TestBlockCosine:
+    """``cosine(block, target)`` scores every row of a block at once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 64),
+        kinds=st.lists(block_rows, min_size=1, max_size=12),
+        target_kind=block_rows,
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0]),
+    )
+    def test_rows_bitwise_equal_to_pairs(self, dim, kinds, target_kind, seed, scale):
+        rng = np.random.default_rng(seed)
+        embedder = NgramEmbedder(n=3, dim=dim, seed=seed)
+
+        def row(kind: str) -> np.ndarray:
+            if kind == "random":
+                return rng.standard_normal(dim)
+            if kind == "zero":
+                return np.zeros(dim)
+            text = "".join(rng.choice(list("ab c"), size=int(rng.integers(0, 9))))
+            return embedder.embed(text).values + scale * rng.standard_normal(dim)
+
+        block = np.stack([row(k) for k in kinds])
+        target = row(target_kind)
+        got = cosine(block, target)
+        assert [x.hex() for x in got] == [cosine(r, target).hex() for r in block]
+        assert got == [reference_cosine(r, target) for r in block]
+        assert got == cosine(block, Embedding._trusted(target))
+
+    def test_embedded_block_equals_pairs(self):
+        embedder = NgramEmbedder(n=3, dim=64, seed=2)
+        rows = embedder.embed_many(["abc", "abd", "a b c", "", "xyz xyz"])
+        for target in rows:
+            assert cosine(rows, target) == [reference_cosine(r, target) for r in rows]
+
+    @pytest.mark.parametrize(
+        "block, target",
+        [
+            (np.zeros((3, 4)), np.zeros(5)),
+            (np.zeros((3, 4)), np.zeros((1, 4))),
+            (np.zeros((2, 3, 4)), np.zeros(4)),
+            (np.zeros((0, 4)), np.zeros(3)),
+        ],
+    )
+    def test_dimension_mismatch(self, block, target):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cosine(block, target)
+
+    def test_empty_block(self):
+        assert cosine(np.zeros((0, 4)), np.ones(4)) == []
 
 
 # Empty, whitespace-only, ASCII and non-ASCII texts, mixed in one batch.
@@ -252,21 +315,22 @@ class TestEmbedManyMatchesReference:
         before = embedder.queries_used()
         got = embedder.embed_many(texts)
         assert embedder.queries_used() == before + len(texts)
-        assert [e.values.tobytes() for e in got] == [
+        assert got.shape == (len(texts), config.dim) and got.dtype == np.float64
+        assert [row.tobytes() for row in got] == [
             embed_ngram(t, config).values.tobytes() for t in texts
         ]
-        assert all(e.values.dtype == np.float64 and e.lang is None for e in got)
 
     @pytest.mark.parametrize("unit_norm", [True, False])
     def test_all_empty_batch_is_float_zero(self, unit_norm):
         embedder = NgramEmbedder(n=2, dim=2, seed=1, unit_norm=unit_norm)
         got = embedder.embed_many(["", ""])
-        assert [e.values.dtype for e in got] == [np.float64, np.float64]
-        assert not any(e.values.any() for e in got)
+        assert got.shape == (2, 2) and got.dtype == np.float64
+        assert not got.any()
 
     def test_empty_batch_charges_nothing(self):
         embedder = NgramEmbedder(n=2, dim=8, seed=1)
-        assert embedder.embed_many([]) == []
+        got = embedder.embed_many([])
+        assert got.shape == (0, 8) and got.dtype == np.float64
         assert embedder.queries_used() == 0
 
     def test_embed_is_a_batch_of_one(self):
@@ -304,7 +368,7 @@ def embed_under_thread_stress(embedder: NgramEmbedder) -> None:
         sys.setswitchinterval(old)
     assert embedder.queries_used() == 8 * 40
     for batch, got in zip(batches, results):
-        assert [e.values.tobytes() for e in got] == [
+        assert [row.tobytes() for row in got] == [
             embed_ngram(t, embedder.config).values.tobytes() for t in batch
         ]
     assert_memo_bounded(embedder)
@@ -339,7 +403,7 @@ class TestChunkMemo:
         embedder = NgramEmbedder(config)
         for texts in batches:
             got = embedder.embed_many(texts)
-            assert [e.values.tobytes() for e in got] == [
+            assert [row.tobytes() for row in got] == [
                 embed_ngram(t, config).values.tobytes() for t in texts
             ]
 
@@ -354,7 +418,7 @@ class TestChunkMemo:
             for i in range(0, len(texts), 3):
                 batch = texts[i : i + 3]
                 got = embedder.embed_many(batch)
-                assert [e.values.tobytes() for e in got] == [
+                assert [row.tobytes() for row in got] == [
                     embed_ngram(t, config).values.tobytes() for t in batch
                 ]
                 assert_memo_bounded(embedder)

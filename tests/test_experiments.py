@@ -108,13 +108,13 @@ class TestReconstructionQuality:
             texts = [" ".join(combo) for combo in itertools.product(vocab, repeat=length)]
             for start in range(0, len(texts), 1024):
                 batch = embedder.embed_many(texts[start : start + 1024])
-                census.update(e.values.tobytes() for e in batch)
+                census.update(row.tobytes() for row in batch)
 
         corpus = synthetic_corpus(
             "en", 100, vocab_size=vocab_size, min_len=text_len, max_len=text_len, seed=31
         )
         targets = embedder.embed_many([s.text for s in corpus])
-        unique_targets = sum(1 for e in targets if census[e.values.tobytes()] == 1)
+        unique_targets = sum(1 for row in targets if census[row.tobytes()] == 1)
         assert unique_targets >= 95
 
         path = tmp_path / "en.jsonl"

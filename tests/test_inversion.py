@@ -126,7 +126,7 @@ class TestCorrectionStep:
 
     def test_silent_generator_returns_beam_unchanged(self, embedder):
         target = embedder.embed("a b")
-        hyp = Hypothesis("b b", embedder.embed("b b"), 0.0, 0)
+        hyp = Hypothesis("b b", 0.0, 0)
         beam = correction_step([hyp], target, SilentGenerator(), embedder, b=4)
         assert beam == [hyp]
 
@@ -139,7 +139,7 @@ class TestCorrectionStep:
         )
         assert ranked[0] == "a b"
 
-        start = Hypothesis("b b", embedder.embed("b b"), cosine(embedder.embed("b b"), target), 0)
+        start = Hypothesis("b b", cosine(embedder.embed("b b"), target), 0)
         beam = correction_step(
             [start], target, SubstitutionGenerator(("a", "b")), embedder, b=4
         )
@@ -151,7 +151,7 @@ class TestCorrectionStep:
     def test_lexicographic_tie_break(self, constant_embedder):
         # every candidate scores identically, so order must be lexicographic
         target = constant_embedder.embed("anything")
-        start = Hypothesis("seed", constant_embedder.embed("seed"), 1.0, 0)
+        start = Hypothesis("seed", 1.0, 0)
         beam = correction_step(
             [start], target, ListGenerator(["delta", "alpha", "casa"]),
             constant_embedder, b=3,
@@ -160,7 +160,7 @@ class TestCorrectionStep:
 
     def test_no_duplicate_texts_in_beam(self, embedder):
         target = embedder.embed("a b")
-        start = Hypothesis("b b", embedder.embed("b b"), 0.0, 0)
+        start = Hypothesis("b b", 0.0, 0)
         beam = correction_step(
             [start, start], target, SubstitutionGenerator(("a", "b")), embedder, b=8
         )
@@ -170,7 +170,7 @@ class TestCorrectionStep:
     def test_scheduling_independence(self, embedder):
         # same candidate set in different proposal orders yields identical beams
         target = embedder.embed("c a")
-        start = Hypothesis("", embedder.embed(""), 0.0, 0)
+        start = Hypothesis("", 0.0, 0)
         forward = correction_step(
             [start], target, ListGenerator(["a", "b", "c", "c a"]), embedder, b=4
         )
@@ -259,15 +259,14 @@ class TestInvert:
         assert result.queries_used == 2
         assert result.beam_history  # whatever was scored is reported
 
-    def test_best_embedding_owns_its_values(self, embedder):
-        # a view into a scored batch would keep the whole batch alive
-        target = embedder.embed("c a b")
+    @pytest.mark.parametrize("text", ["c a b", "cab ba c"])
+    def test_best_text_re_embeds_to_its_score(self, embedder, text):
+        # The best keeps no vector: its score must be its text's, bit for bit.
+        target = embedder.embed(text)
         vocab = ("a", "b", "c")
         config = AttackConfig(vocab=vocab, steps=3, beam_width=4, max_tokens=3)
         result = invert(target, embedder, EditMutationGenerator(vocab, 3, seed=5), config)
-        assert result.best.embedding.values.base is None
-        rescored = embedder.embed(result.best.text).values
-        assert result.best.embedding.values.tobytes() == rescored.tobytes()
+        assert_re_embeds(result.best, target, embedder)
 
     def test_wall_time_positive(self, embedder):
         target = embedder.embed("a")
@@ -308,12 +307,15 @@ class CountingEmbedder(NgramEmbedder):
         return super().embed_many(texts)
 
 
-def assert_same_attack(lockstep, alone):
+def assert_re_embeds(best: Hypothesis, target: Embedding, embedder) -> None:
+    assert best.score.hex() == cosine(embedder.embed(best.text), target).hex()
+
+
+def assert_same_attack(lockstep, alone, target, embedder):
     assert lockstep.best.text == alone.best.text
     assert lockstep.best.score.hex() == alone.best.score.hex()
     assert lockstep.best.step == alone.best.step
-    assert lockstep.best.embedding.values.base is None
-    assert lockstep.best.embedding.values.tobytes() == alone.best.embedding.values.tobytes()
+    assert_re_embeds(lockstep.best, target, embedder)
     assert [x.hex() for x in lockstep.beam_history] == [x.hex() for x in alone.beam_history]
     assert lockstep.queries_used == alone.queries_used
     assert lockstep.terminated == alone.terminated
@@ -360,7 +362,7 @@ class TestLockstep:
         results = invert_many(targets, embedder, gens, config)
         assert len(results) == len(attacks)
         for target, gen, result in zip(targets, gens, results):
-            assert_same_attack(result, invert(target, embedder, gen, config))
+            assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
             assert result.wall_time > 0
 
     def test_attacks_stop_in_different_rounds(self, embedder):
@@ -379,7 +381,7 @@ class TestLockstep:
         ]
         assert len(results[0].beam_history) == 1 < len(results[1].beam_history)
         for target, gen, result in zip(targets, gens, results):
-            assert_same_attack(result, invert(target, embedder, gen, config))
+            assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
 
     def test_no_call_exceeds_round_cap(self):
         embedder = CountingEmbedder(n=3, dim=64, seed=11)
@@ -414,7 +416,7 @@ class TestLockstep:
         finally:
             server.stop()
         for target, gen, result in zip(targets, gens, results):
-            assert_same_attack(result, invert(target, local, gen, config))
+            assert_same_attack(result, invert(target, local, gen, config), target, local)
 
 
 class TestExhaustiveOracle:
@@ -436,13 +438,18 @@ class TestExhaustiveOracle:
         oracle = exhaustive_oracle(embedder.embed("a"), embedder, ("a", "b"), max_len=0)
         assert oracle.text == ""
 
-    def test_best_embedding_owns_its_values(self, embedder):
-        # a view into an embedded chunk would keep the whole chunk alive
-        target = embedder.embed("b a")
+    @pytest.mark.parametrize("text", ["b a", "ba cc"])
+    def test_best_text_re_embeds_to_its_score(self, embedder, text):
+        target = embedder.embed(text)
         oracle = exhaustive_oracle(target, embedder, ("a", "b", "c"), max_len=3)
-        assert oracle.embedding.values.base is None
-        rescored = embedder.embed(oracle.text).values
-        assert oracle.embedding.values.tobytes() == rescored.tobytes()
+        assert_re_embeds(oracle, target, embedder)
+
+    def test_negative_max_len_refused_before_any_query(self, embedder):
+        target = embedder.embed("a")
+        before = embedder.queries_used()
+        with pytest.raises(ValueError, match="max_len"):
+            exhaustive_oracle(target, embedder, ("a", "b"), max_len=-1)
+        assert embedder.queries_used() == before
 
     def test_guard_refuses_large_enumerations(self, embedder):
         with pytest.raises(ValueError, match="guard"):
@@ -462,7 +469,7 @@ class TestExhaustiveOracle:
 class TestEditMutationGenerator:
     def test_respects_vocab_and_max_tokens(self):
         gen = EditMutationGenerator(("a", "b"), max_tokens=2, seed=0)
-        hyp = Hypothesis("a b", Embedding(np.zeros(2)), 0.0, 1)
+        hyp = Hypothesis("a b", 0.0, 1)
         for text in gen.propose(hyp, 50):
             tokens = text.split()
             assert len(tokens) <= 2
@@ -470,7 +477,7 @@ class TestEditMutationGenerator:
 
     def test_deterministic_and_nested(self):
         gen = EditMutationGenerator(("a", "b", "c"), max_tokens=4, seed=3)
-        hyp = Hypothesis("a c", Embedding(np.zeros(2)), 0.0, 2)
+        hyp = Hypothesis("a c", 0.0, 2)
         four = gen.propose(hyp, 4)
         eight = gen.propose(hyp, 8)
         assert four == gen.propose(hyp, 4)
@@ -478,23 +485,23 @@ class TestEditMutationGenerator:
 
     def test_never_proposes_input(self):
         gen = EditMutationGenerator(("a", "b"), max_tokens=3, seed=1)
-        hyp = Hypothesis("a b", Embedding(np.zeros(2)), 0.0, 0)
+        hyp = Hypothesis("a b", 0.0, 0)
         assert "a b" not in gen.propose(hyp, 100)
 
     def test_step_varies_proposals(self):
         gen = EditMutationGenerator(tuple("abcdef"), max_tokens=6, seed=1)
-        h1 = Hypothesis("a b c", Embedding(np.zeros(2)), 0.0, 1)
-        h2 = Hypothesis("a b c", Embedding(np.zeros(2)), 0.0, 2)
+        h1 = Hypothesis("a b c", 0.0, 1)
+        h2 = Hypothesis("a b c", 0.0, 2)
         assert gen.propose(h1, 4) != gen.propose(h2, 4)
 
     def test_includes_swaps(self):
         gen = EditMutationGenerator(("a", "b"), max_tokens=2, seed=0)
-        hyp = Hypothesis("a b", Embedding(np.zeros(2)), 0.0, 0)
+        hyp = Hypothesis("a b", 0.0, 0)
         assert "b a" in gen.propose(hyp, 100)
 
     def test_empty_text_proposes_insertions(self):
         gen = EditMutationGenerator(("a", "b"), max_tokens=2, seed=0)
-        hyp = Hypothesis("", Embedding(np.zeros(2)), 0.0, 0)
+        hyp = Hypothesis("", 0.0, 0)
         assert set(gen.propose(hyp, 10)) == {"a", "b"}
 
     @pytest.mark.parametrize(
@@ -609,5 +616,5 @@ class TestProposeMatchesReference:
         text = spacing.join(tokens)
         limit = max_tokens if max_tokens is not None else max(len(tokens), 1)
         gen = EditMutationGenerator(vocab, max_tokens=limit, seed=seed)
-        hyp = Hypothesis(text, Embedding(np.ones(2)), 0.0, step)
+        hyp = Hypothesis(text, 0.0, step)
         assert gen.propose(hyp, k) == reference_propose(gen, hyp, k)
