@@ -23,8 +23,6 @@ from .defenses import (
     apply_defense_stack,
     assign_language_ids,
     language_agnostic,
-    mask_language,
-    noise_insert,
 )
 from .inversion import (
     AttackConfig,

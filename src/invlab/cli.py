@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import ExperimentConfig, load_config
 from .defenses import DefenseConfig, assign_language_ids
 from .eaas import EaasClient, EaasServer, eaas_embed
-from .embeddings import NgramEmbedder
+from .embeddings import ConfigError, NgramEmbedder
 from .experiments import (
     build_retrieval_tasks,
     run_crosslingual,
@@ -91,20 +91,22 @@ def _cmd_crosslingual(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise SystemExit(f"--k must be at least 1, got {args.k}")
     config = _load(args)
-    defense = None
-    if args.noise_lambda > 0 or args.mask or args.agnostic:
-        masking = (
-            assign_language_ids(sorted(config.corpora), scale=config.defense.mask_scale)
-            if args.mask
-            else None
-        )
+    masking = None
+    if args.mask:
+        masking = assign_language_ids(sorted(config.corpora), scale=config.defense.mask_scale)
+    try:
+        # All stages off is the identity, so the default run is undefended.
         defense = DefenseConfig(
             noise_lambda=args.noise_lambda,
             noise_seed=config.seed,
             masking=masking,
             language_agnostic=args.agnostic,
         )
+    except ConfigError as exc:
+        raise SystemExit(f"invalid defense: {exc}") from None
     embedder = NgramEmbedder(config.embedder)
     tasks = build_retrieval_tasks(config)
     total = 0.0

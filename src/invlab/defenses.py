@@ -3,9 +3,9 @@
 Three transforms a provider can apply before releasing vectors: additive
 seeded Gaussian noise, overwriting dimension 0 with a per-language
 identifier, and subtracting the per-language mean so only the
-language-agnostic component survives. The stack applies them in the fixed
-order agnostic -> noise -> mask (-> optional renormalize) so the masked
-dimension-0 value always survives composition.
+language-agnostic component survives. The stack applies them to a whole
+``(n, dim)`` batch in the fixed order agnostic -> noise -> mask (-> optional
+renormalize) so the masked dimension-0 value always survives composition.
 """
 
 import math
@@ -50,7 +50,8 @@ class DefenseConfig:
                 raise ConfigError("language ids must be pairwise distinct")
 
     def enabled(self) -> bool:
-        return bool(self.noise_lambda > 0 or self.masking is not None or self.language_agnostic)
+        on = self.masking is not None or self.language_agnostic or self.renormalize_after
+        return bool(on or self.noise_lambda > 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -98,18 +99,6 @@ def derive_noise_rng(noise_seed: int, key: str) -> np.random.Generator:
     return derive_rng("noise", noise_seed, key)
 
 
-def noise_insert(e: Embedding, lam: float, rng: np.random.Generator) -> Embedding:
-    """Add lam-scaled standard-normal noise; lam == 0 returns e unchanged.
-    A result that overflows to non-finite values raises ValueError."""
-    if lam < 0:
-        raise ConfigError("noise scale must be non-negative")
-    if lam == 0:
-        return e
-    with np.errstate(over="ignore"):  # Embedding refuses a non-finite result
-        values = e.values + lam * rng.standard_normal(e.dim)
-    return e.with_values(values)
-
-
 def assign_language_ids(langs: Iterable[str], scale: float = 1.0) -> dict[str, float]:
     """Assign 1.0, 2.0, ... to language codes in sorted order.
 
@@ -122,26 +111,20 @@ def assign_language_ids(langs: Iterable[str], scale: float = 1.0) -> dict[str, f
     return {code: scale * float(i + 1) for i, code in enumerate(ordered)}
 
 
-def mask_language(e: Embedding, lang_id: float) -> Embedding:
-    """Overwrite dimension 0 with the language identifier."""
-    if e.dim < 2:
-        raise ValueError("masking needs dimension >= 2")
-    out = e.values.copy()
-    out[0] = lang_id
-    return e.with_values(out)
+def _group_means(rows: np.ndarray, langs: Sequence[str | None]) -> dict[str | None, np.ndarray]:
+    """Component-wise mean of the rows of each language group."""
+    groups: dict[str | None, list[int]] = {}
+    for i, lang in enumerate(langs):
+        groups.setdefault(lang, []).append(i)
+    return {lang: np.mean(rows[idx], axis=0) for lang, idx in groups.items()}
 
 
 def compute_group_means(batch: Sequence[Embedding]) -> dict[str | None, np.ndarray]:
     """Component-wise mean embedding per language group."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    dim = batch[0].dim
-    groups: dict[str | None, list[np.ndarray]] = {}
-    for e in batch:
-        if e.dim != dim:
-            raise ValueError("mixed embedding dimensions in batch")
-        groups.setdefault(e.lang, []).append(e.values)
-    return {lang: np.mean(vecs, axis=0) for lang, vecs in groups.items()}
+    # np.stack refuses mixed dimensions with ValueError.
+    return _group_means(np.stack([e.values for e in batch]), [e.lang for e in batch])
 
 
 def language_agnostic(batch: Sequence[Embedding]) -> list[Embedding]:
@@ -151,40 +134,53 @@ def language_agnostic(batch: Sequence[Embedding]) -> list[Embedding]:
 
 
 def apply_defense_stack(
-    e: Embedding,
+    rows: np.ndarray,
+    langs: Sequence[str | None],
+    keys: Sequence[str],
     config: DefenseConfig | None,
     context: DefenseContext | None = None,
-    key: str = "",
-) -> Embedding:
-    """Apply the configured stages in fixed order; disabled stages are skipped.
+) -> np.ndarray:
+    """Apply the configured stages in fixed order to an ``(n, dim)`` batch;
+    returns ``rows`` itself when no stage is on or the batch is empty, and
+    never writes it. Row ``i`` is centred and masked by ``langs[i]``; its
+    noise stream is keyed by ``keys[i]`` (conventionally the embedded text).
 
-    ``key`` seeds the per-embedding noise stream (conventionally the embedded
-    text). Masking and mean subtraction read the embedding's own ``lang`` tag.
+    Every row's language is checked before any arithmetic: no group mean or
+    masking id raises UnknownLanguageError, a mean of the wrong shape
+    ValueError. A row the agnostic or noise stage leaves non-finite then
+    raises ValueError.
     """
-    if config is None:
-        return e
-    out = e
-    if config.language_agnostic:
-        means = context.group_means if context is not None else None
-        if not means:
-            raise ConfigError("language-agnostic stage needs group means in context")
-        if out.lang not in means:
-            raise UnknownLanguageError(f"no group mean for language {out.lang!r}")
-        mean = means[out.lang]
-        if np.shape(mean) != out.values.shape:
-            raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.values.shape}")
-        out = out.with_values(out.values - mean)
-    if config.noise_lambda > 0:
-        rng = derive_noise_rng(config.noise_seed, key)
-        out = noise_insert(out, config.noise_lambda, rng)
+    if config is None or not config.enabled() or not len(rows):
+        return rows
+    dim = rows.shape[1]
+    means = context.group_means if context is not None else None
+    if config.language_agnostic and not means:
+        raise ConfigError("language-agnostic stage needs group means in context")
+    for lang in dict.fromkeys(langs):
+        if config.language_agnostic:
+            if lang not in means:
+                raise UnknownLanguageError(f"no group mean for language {lang!r}")
+            if np.shape(means[lang]) != (dim,):
+                raise ValueError(f"group mean shape {np.shape(means[lang])} != row shape {(dim,)}")
+        if config.masking is not None and lang not in config.masking:
+            raise UnknownLanguageError(f"language {lang!r} has no masking id")
+    out = rows
+    with np.errstate(over="ignore"):  # the finite check below refuses overflow
+        if config.language_agnostic:
+            out = out - np.stack([means[lang] for lang in langs])
+        if config.noise_lambda > 0:
+            rngs = [derive_noise_rng(config.noise_seed, key) for key in keys]
+            out = out + config.noise_lambda * np.stack([rng.standard_normal(dim) for rng in rngs])
+    if not np.isfinite(out).all():
+        raise ValueError("defended embedding components must be finite")
     if config.masking is not None:
-        if out.lang is None or out.lang not in config.masking:
-            raise UnknownLanguageError(f"language {out.lang!r} has no masking id")
-        out = mask_language(out, config.masking[out.lang])
+        out = out.copy() if out is rows else out
+        out[:, 0] = [config.masking[lang] for lang in langs]
     if config.renormalize_after:
-        norm = float(np.linalg.norm(out.values))
-        if norm > 0.0:
-            out = out.with_values(out.values / norm)
+        # np.vecdot runs the per-row BLAS dot that np.linalg.norm of one row
+        # runs, so each row is scaled bitwise as it would be alone.
+        norms = np.sqrt(np.vecdot(out, out))
+        out = out / np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 
 
@@ -195,14 +191,7 @@ def embed_many_with_defense(
     config: DefenseConfig | None = None,
     context: DefenseContext | None = None,
 ) -> np.ndarray:
-    """Embed texts in one batch and return the ``(len(texts), dim)`` matrix:
-    the embedder's own when ``config`` is None, else one row per text passed
-    through the defense stack, tagged with its language and keyed by its text."""
-    rows = embedder.embed_many(texts)
-    if config is None:
-        return rows
-    defended = [
-        apply_defense_stack(Embedding._trusted(row, lang), config, context, key=text).values
-        for row, lang, text in zip(rows, langs, texts)
-    ]
-    return np.array(defended, dtype=np.float64).reshape(rows.shape)
+    """Embed texts in one batch and return the ``(len(texts), dim)`` matrix,
+    passed through the defense stack with each row tagged by its language
+    and keyed by its text."""
+    return apply_defense_stack(embedder.embed_many(texts), langs, texts, config, context)

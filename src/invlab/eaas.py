@@ -24,7 +24,9 @@ group mean is ``unknown_lang``; a ``defense`` that ``DefenseConfig.from_dict``
 refuses, a group mean that is not a base64 string of exactly ``dim * 8``
 bytes or not finite, a defended vector that overflows to non-finite values,
 and a request of more than ``MAX_TEXTS`` (4096) texts are each a
-``bad_request``.
+``bad_request``. A malformed request, ``defense`` or ``context`` is
+refused first, then an unknown language on any row, then non-finite
+defended vectors: ``unknown_lang`` wins over an overflow.
 A request line longer than ``MAX_LINE_BYTES`` (1 MiB, newline included) is
 a ``bad_request`` too, and the service then closes the connection without
 reading the rest. ``eaas_embed`` splits a batch that would pass either
@@ -366,7 +368,8 @@ class RemoteEmbedder(BlackBoxEmbedder):
 
     ``queries_used`` counts this client's own requests so attack-side query
     accounting matches local runs. ``embed_many`` raises ValueError for a
-    reply whose ``dim`` is not ``dim``, uncounted.
+    reply whose ``dim`` is not ``dim``, after counting its texts: the
+    service billed them, so both counters agree.
     """
 
     def __init__(self, client: EaasClient, dim: int):
@@ -379,10 +382,10 @@ class RemoteEmbedder(BlackBoxEmbedder):
         if not texts:
             return np.zeros((0, self._dim))
         rows, _ = eaas_embed(self._client, texts)
-        if rows.shape[1] != self._dim:
-            raise ValueError(f"service returned dimension {rows.shape[1]}, expected {self._dim}")
         with self._lock:
             self._queries += len(texts)
+        if rows.shape[1] != self._dim:
+            raise ValueError(f"service returned dimension {rows.shape[1]}, expected {self._dim}")
         return rows
 
     def dimension(self) -> int:

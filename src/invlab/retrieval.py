@@ -15,8 +15,8 @@ import numpy as np
 from .defenses import (
     DefenseConfig,
     DefenseContext,
+    _group_means,
     apply_defense_stack,
-    compute_group_means,
     embed_many_with_defense,
 )
 from .embeddings import BlackBoxEmbedder, Embedding, TextSample
@@ -111,18 +111,21 @@ def evaluate_task(
     """Mean NDCG@k over the task's queries with a shared defense stack.
 
     Queries are masked with their own language id. Queries without
-    judgments score 0 and are logged.
+    judgments score 0 and are logged; a task without documents raises
+    ValueError.
     """
+    if not task.docs:
+        raise ValueError("cannot index an empty document list")
     samples = task.docs + task.queries
     n_docs = len(task.docs)
     # Undefended first: the language-agnostic stage needs the raw group means.
     rows = embedder.embed_many([s.text for s in samples])
-    embs = [Embedding._trusted(row, s.lang) for row, s in zip(rows, samples)]
+    langs = [s.lang for s in samples]
     context = None
     if defense is not None and defense.language_agnostic:
-        context = DefenseContext(compute_group_means(embs))
-    defended = [apply_defense_stack(e, defense, context, key=s.text) for e, s in zip(embs, samples)]
-    index = Index([d.id for d in task.docs], np.stack([e.values for e in defended[:n_docs]]))
+        context = DefenseContext(_group_means(rows, langs))
+    defended = apply_defense_stack(rows, langs, [s.text for s in samples], defense, context)
+    index = Index([d.id for d in task.docs], defended[:n_docs])
     total = 0.0
     for query, qvec in zip(task.queries, defended[n_docs:]):
         ranking = [doc_id for doc_id, _ in search(index, qvec, k)]

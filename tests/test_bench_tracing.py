@@ -4,9 +4,11 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import invlab.defenses
 import invlab.eaas
 import invlab.experiments
 import invlab.inversion
+import invlab.retrieval
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig
 from invlab.corpus import save_jsonl_corpus
 from invlab.datagen import parallel_corpora
@@ -18,9 +20,12 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 # Functions the drivers must look up as module globals at call time, so the
 # shims the traced benchmark installs there see every call: the attack's
-# remote embedder goes through invlab.eaas.eaas_embed, and its scorer through
-# invlab.inversion.cosine.
+# remote embedder goes through invlab.eaas.eaas_embed, its scorer through
+# invlab.inversion.cosine, and every defended or raw batch, on either side of
+# the wire, through apply_defense_stack.
 DRIVER_GLOBALS = (
+    (invlab.defenses, "apply_defense_stack"),
+    (invlab.retrieval, "apply_defense_stack"),
     (invlab.experiments, "evaluate_task"),
     (invlab.experiments, "pair_report"),
     (invlab.experiments, "translated_metrics"),

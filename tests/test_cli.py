@@ -6,11 +6,13 @@ import sys
 import pytest
 
 from invlab.cli import main
-from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig, save_config
+from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig, load_config, save_config
 from invlab.corpus import save_jsonl_corpus
 from invlab.datagen import bijective_dictionary, parallel_corpora
-from invlab.embeddings import NgramConfig
+from invlab.embeddings import NgramConfig, NgramEmbedder
+from invlab.experiments import build_retrieval_tasks
 from invlab.report import read_report_csv
+from invlab.retrieval import evaluate_task
 from invlab.translate import save_dictionary_tsv
 
 
@@ -89,6 +91,29 @@ class TestRetrieveCommand:
     def test_defended_retrieval(self, config_path, capsys):
         assert main(["--config", str(config_path), "retrieve", "--mask", "--k", "5"]) == 0
         assert "ndcg@5=" in capsys.readouterr().out
+
+    def test_default_output_is_undefended(self, config_path, capsys):
+        # The default flags build an all-off defense, which is the identity.
+        config = load_config(config_path)
+        embedder = NgramEmbedder(config.embedder)
+        scores = {t.name: evaluate_task(t, embedder, None) for t in build_retrieval_tasks(config)}
+        lines = [f"{name}\tndcg@10={score:.6f}" for name, score in scores.items()]
+        lines.append(f"mean\tndcg@10={sum(scores.values()) / len(scores):.6f}")
+        assert main(["--config", str(config_path), "retrieve"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("flags", [[], ["--mask"]], ids=["plain", "mask"])
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_bad_noise_lambda_refused(self, config_path, capsys, flags, lam):
+        with pytest.raises(SystemExit, match="noise_lambda must be finite and non-negative"):
+            main(["--config", str(config_path), "retrieve", "--noise-lambda", lam, *flags])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_refused(self, config_path, capsys, k):
+        with pytest.raises(SystemExit, match="--k must be at least 1"):
+            main(["--config", str(config_path), "retrieve", "--k", k])
+        assert capsys.readouterr().out == ""
 
 
 class TestReportCommand:

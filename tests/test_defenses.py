@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import warnings
 
@@ -17,8 +18,6 @@ from invlab.defenses import (
     derive_noise_rng,
     embed_many_with_defense,
     language_agnostic,
-    mask_language,
-    noise_insert,
 )
 from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
 
@@ -42,17 +41,92 @@ def emb(*values, lang=None):
     return Embedding(np.array(values, dtype=float), lang=lang)
 
 
+def row(*values):
+    """A one-row batch, read-only like a matrix decoded from the wire."""
+    rows = np.array([values], dtype=float)
+    rows.flags.writeable = False
+    return rows
+
+
+def stack(rows, config, context=None, lang=None, key=""):
+    """The stack on a batch whose rows all share ``lang`` and ``key``."""
+    return apply_defense_stack(rows, [lang] * len(rows), [key] * len(rows), config, context)
+
+
+def mask(values, lang_id):
+    """``values`` masked with ``lang_id`` by a masking-only stack."""
+    return stack(row(*values), DefenseConfig(masking={"xx": lang_id}), lang="xx")[0]
+
+
+# The per-embedding stack the batch stack replaced, kept as the reference
+# every batch must match bit for bit.
+
+
+def reference_noise_insert(e, lam, rng):
+    if lam < 0:
+        raise ConfigError("noise scale must be non-negative")
+    if lam == 0:
+        return e
+    with np.errstate(over="ignore"):  # Embedding refuses a non-finite result
+        values = e.values + lam * rng.standard_normal(e.dim)
+    return e.with_values(values)
+
+
+def reference_mask_language(e, lang_id):
+    if e.dim < 2:
+        raise ValueError("masking needs dimension >= 2")
+    out = e.values.copy()
+    out[0] = lang_id
+    return e.with_values(out)
+
+
+def reference_stack_one(e, config, context=None, key=""):
+    if config is None:
+        return e
+    out = e
+    if config.language_agnostic:
+        means = context.group_means if context is not None else None
+        if not means:
+            raise ConfigError("language-agnostic stage needs group means in context")
+        if out.lang not in means:
+            raise UnknownLanguageError(f"no group mean for language {out.lang!r}")
+        mean = means[out.lang]
+        if np.shape(mean) != out.values.shape:
+            raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.values.shape}")
+        out = out.with_values(out.values - mean)
+    if config.noise_lambda > 0:
+        rng = derive_noise_rng(config.noise_seed, key)
+        out = reference_noise_insert(out, config.noise_lambda, rng)
+    if config.masking is not None:
+        if out.lang is None or out.lang not in config.masking:
+            raise UnknownLanguageError(f"language {out.lang!r} has no masking id")
+        out = reference_mask_language(out, config.masking[out.lang])
+    if config.renormalize_after:
+        norm = float(np.linalg.norm(out.values))
+        if norm > 0.0:
+            out = out.with_values(out.values / norm)
+    return out
+
+
+def reference_stack(rows, langs, keys, config, context=None):
+    defended = [
+        reference_stack_one(Embedding(r, lang), config, context, key=key).values
+        for r, lang, key in zip(rows, langs, keys)
+    ]
+    return np.array(defended, dtype=np.float64).reshape(rows.shape)
+
+
 class TestNoiseInsert:
     def test_zero_lambda_is_identity(self):
-        e = emb(0.3, -0.7, 2.0)
-        assert noise_insert(e, 0.0, np.random.default_rng(0)) is e
+        rows = row(0.3, -0.7, 2.0)
+        assert stack(rows, DefenseConfig(noise_lambda=0.0, noise_seed=3), key="k") is rows
 
     @settings(max_examples=40, deadline=None)
     @given(vectors)
     def test_zero_lambda_identity_property(self, values):
-        e = Embedding(np.asarray(values))
-        out = noise_insert(e, 0.0, np.random.default_rng(1))
-        assert np.array_equal(out.values, e.values)
+        rows = row(*values)
+        out = stack(rows, DefenseConfig(noise_lambda=0.0, noise_seed=1), key="k")
+        assert np.array_equal(out, rows)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -73,31 +147,31 @@ class TestNoiseInsert:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            noise_insert(emb(1.0, 1.0), -0.1, np.random.default_rng(0))
+            DefenseConfig(noise_lambda=-0.1)
 
     def test_draws_reproducible_from_seed(self):
         # regenerate the stream independently with the same derivation
-        e = Embedding(np.zeros(8))
-        out = noise_insert(e, 1.0, derive_noise_rng(42, "sample-1"))
+        out = stack(row(*[0.0] * 8), DefenseConfig(noise_lambda=1.0, noise_seed=42), key="sample-1")
         digest = hashlib.blake2b(
             "\x1f".join(["noise", "42", "sample-1"]).encode(), digest_size=8
         ).digest()
         independent = np.random.default_rng(int.from_bytes(digest, "little"))
-        assert np.array_equal(out.values, independent.standard_normal(8))
+        assert np.array_equal(out[0], independent.standard_normal(8))
 
     def test_noise_is_unit_variance(self):
         # Monte Carlo: 10_000 draws, sample std close to 1
-        dim = 10_000
-        e = Embedding(np.zeros(dim))
+        rows = row(*[0.0] * 10_000)
         lam = 0.5
-        out = noise_insert(e, lam, np.random.default_rng(7))
-        assert np.std((out.values - e.values) / lam) == pytest.approx(1.0, abs=0.05)
+        out = stack(rows, DefenseConfig(noise_lambda=lam, noise_seed=7), key="k")
+        assert np.std((out - rows) / lam) == pytest.approx(1.0, abs=0.05)
 
     def test_lang_and_dim_preserved(self):
-        e = emb(1.0, 2.0, lang="de")
-        out = noise_insert(e, 0.1, np.random.default_rng(3))
-        assert out.lang == "de"
-        assert out.dim == 2
+        # Each row keeps its own language through the noise stage: masking
+        # after it still finds the row's id.
+        config = DefenseConfig(noise_lambda=0.1, noise_seed=3, masking={"de": 5.0, "en": 6.0})
+        out = apply_defense_stack(np.ones((2, 2)), ["de", "en"], ["a", "b"], config)
+        assert out.shape == (2, 2)
+        assert out[:, 0].tolist() == [5.0, 6.0]
 
 
 class TestAssignLanguageIds:
@@ -126,30 +200,24 @@ class TestAssignLanguageIds:
 
 class TestMaskLanguage:
     def test_substitutes_first_dimension(self):
-        out = mask_language(emb(0.9, 0.2, 0.4), 2.0)
-        assert np.array_equal(out.values, [2.0, 0.2, 0.4])
+        assert np.array_equal(mask([0.9, 0.2, 0.4], 2.0), [2.0, 0.2, 0.4])
 
     def test_fixed_point(self):
-        e = emb(2.0, 0.2, 0.4)
-        assert np.array_equal(mask_language(e, 2.0).values, e.values)
+        assert np.array_equal(mask([2.0, 0.2, 0.4], 2.0), [2.0, 0.2, 0.4])
 
     def test_idempotent(self):
-        e = emb(0.1, 0.2, 0.3)
-        once = mask_language(e, 5.0)
-        twice = mask_language(once, 5.0)
-        assert np.array_equal(once.values, twice.values)
+        once = mask([0.1, 0.2, 0.3], 5.0)
+        assert np.array_equal(mask(once, 5.0), once)
 
     def test_changes_exactly_one_component(self):
-        e = emb(0.5, 0.6, 0.7)
-        out = mask_language(e, 3.0)
-        assert int(np.sum(out.values != e.values)) == 1
-        unchanged = mask_language(e, 0.5)
-        assert int(np.sum(unchanged.values != e.values)) == 0
+        values = [0.5, 0.6, 0.7]
+        assert int(np.sum(mask(values, 3.0) != values)) == 1
+        assert int(np.sum(mask(values, 0.5) != values)) == 0
 
     def test_input_not_mutated(self):
-        e = emb(0.1, 0.2)
-        mask_language(e, 9.0)
-        assert e.values[0] == 0.1
+        rows = np.array([[0.1, 0.2]])
+        stack(rows, DefenseConfig(masking={"xx": 9.0}), lang="xx")
+        assert rows[0, 0] == 0.1
 
 
 class TestLanguageAgnostic:
@@ -205,6 +273,9 @@ class TestDefenseConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             DefenseConfig(noise_lambda=-1.0)
+
+    def test_renormalize_alone_is_enabled(self):
+        assert DefenseConfig(renormalize_after=True).enabled()
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
@@ -284,84 +355,151 @@ class TestDefenseConfig:
 
 class TestApplyDefenseStack:
     def test_all_disabled_is_identity(self):
-        e = emb(0.4, 0.5, lang="en")
-        assert apply_defense_stack(e, DefenseConfig(), key="k") is e
+        rows = row(0.4, 0.5)
+        assert stack(rows, DefenseConfig(), lang="en", key="k") is rows
 
     def test_masking_only_equals_mask_language(self):
         e = emb(0.9, 0.1, lang="en")
         config = DefenseConfig(masking={"en": 2.0})
-        out = apply_defense_stack(e, config)
-        assert np.array_equal(out.values, mask_language(e, 2.0).values)
+        out = stack(row(0.9, 0.1), config, lang="en")
+        assert out.tobytes() == reference_mask_language(e, 2.0).values.tobytes()
 
     def test_masking_overwrites_noised_dimension(self):
-        e = emb(0.9, 0.1, lang="en")
         config = DefenseConfig(noise_lambda=1e-3, noise_seed=4, masking={"en": 2.0})
-        out = apply_defense_stack(e, config, key="sample")
-        assert out.values[0] == 2.0
+        out = stack(row(0.9, 0.1), config, lang="en", key="sample")
+        assert out[0, 0] == 2.0
 
     def test_deterministic_given_seeds(self):
-        e = emb(0.3, 0.4, 0.5, lang="fr")
         config = DefenseConfig(noise_lambda=0.2, noise_seed=11, masking={"fr": 1.0})
-        a = apply_defense_stack(e, config, key="s1")
-        b = apply_defense_stack(e, config, key="s1")
-        assert a.values.tobytes() == b.values.tobytes()
+        a = stack(row(0.3, 0.4, 0.5), config, lang="fr", key="s1")
+        b = stack(row(0.3, 0.4, 0.5), config, lang="fr", key="s1")
+        assert a.tobytes() == b.tobytes()
 
     def test_overflowing_noise_raises_value_error_without_warning(self):
-        # A non-finite result is refused by Embedding's finite check alone;
+        # A non-finite result is refused by the stack's finite check alone;
         # the overflow itself must not also print a RuntimeWarning.
-        e = emb(*[0.1] * 32)
         config = DefenseConfig(noise_lambda=1e308, noise_seed=40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                apply_defense_stack(e, config, key="a")
+                stack(row(*[0.1] * 32), config, key="a")
 
     def test_unknown_language_rejected(self):
         config = DefenseConfig(masking={"en": 1.0})
         with pytest.raises(UnknownLanguageError):
-            apply_defense_stack(emb(1.0, 2.0, lang="fr"), config)
+            stack(row(1.0, 2.0), config, lang="fr")
         with pytest.raises(UnknownLanguageError):
-            apply_defense_stack(emb(1.0, 2.0), config)
+            stack(row(1.0, 2.0), config)
+
+    def test_unknown_language_on_later_row_refused_before_overflow(self):
+        # Every language is checked before any arithmetic: row 0's noise
+        # overflows, but row 1's missing masking id is what is reported.
+        config = DefenseConfig(noise_lambda=1e308, noise_seed=40, masking={"en": 1.0})
+        rows = np.full((2, 32), 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            apply_defense_stack(rows, ["en", "en"], ["a", "a"], config)
+        with pytest.raises(UnknownLanguageError):
+            apply_defense_stack(rows, ["en", "fr"], ["a", "a"], config)
 
     def test_agnostic_requires_context_means(self):
         config = DefenseConfig(language_agnostic=True)
         with pytest.raises(ConfigError):
-            apply_defense_stack(emb(1.0, 2.0, lang="en"), config)
+            stack(row(1.0, 2.0), config, lang="en")
         with pytest.raises(UnknownLanguageError):
-            apply_defense_stack(
-                emb(1.0, 2.0, lang="en"),
-                config,
-                DefenseContext({"fr": np.zeros(2)}),
-            )
+            stack(row(1.0, 2.0), config, DefenseContext({"fr": np.zeros(2)}), lang="en")
 
     def test_agnostic_wrong_length_mean_rejected(self):
         config = DefenseConfig(language_agnostic=True)
         context = DefenseContext({"en": np.array([0.5])})
         with pytest.raises(ValueError, match="shape"):
-            apply_defense_stack(emb(1.0, 2.0, 3.0, lang="en"), config, context)
+            stack(row(1.0, 2.0, 3.0), config, context, lang="en")
 
     def test_stage_order_agnostic_then_noise_then_mask(self):
-        e = emb(1.0, 1.0, lang="en")
         context = DefenseContext({"en": np.array([0.5, 0.5])})
         config = DefenseConfig(
             noise_lambda=0.1, noise_seed=3, masking={"en": 7.0}, language_agnostic=True
         )
-        out = apply_defense_stack(e, config, context, key="t")
+        out = stack(row(1.0, 1.0), config, context, lang="en", key="t")
         # dimension 0 is the mask id; dimension 1 is centered then noised
         rng = derive_noise_rng(3, "t")
         expected_1 = 0.5 + 0.1 * rng.standard_normal(2)[1]
-        assert out.values[0] == 7.0
-        assert out.values[1] == pytest.approx(expected_1, abs=1e-12)
+        assert out[0, 0] == 7.0
+        assert out[0, 1] == pytest.approx(expected_1, abs=1e-12)
 
     def test_renormalize_after(self):
-        e = emb(3.0, 4.0, lang="en")
         config = DefenseConfig(masking={"en": 0.0}, renormalize_after=True)
-        out = apply_defense_stack(e, config)
-        assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
+        out = stack(row(3.0, 4.0), config, lang="en")
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_renormalize_keeps_zero_rows(self):
+        out = stack(np.array([[0.0, 0.0], [3.0, 4.0]]), DefenseConfig(renormalize_after=True))
+        assert out.tolist() == [[0.0, 0.0], [0.6, 0.8]]
 
     def test_none_config_is_identity(self):
-        e = emb(1.0, 2.0)
-        assert apply_defense_stack(e, None) is e
+        rows = row(1.0, 2.0)
+        assert stack(rows, None) is rows
+
+
+# Every subset of the four stages, each a config with only those stages on.
+STAGE_SUBSETS = list(itertools.product([False, True], repeat=4))
+LANG_POOLS = [["en"], ["en", "fr"], ["en", "fr", "de"], ["en", None]]
+
+
+@st.composite
+def defended_batches(draw, agnostic, noise, masking, renormalize):
+    """A random batch of mixed-language rows with a config whose stages are
+    the given subset. Now and then a language the batch uses has no group
+    mean or masking id, or the group means have the wrong shape."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 6))
+    values = st.floats(-5, 5, allow_subnormal=False)
+    rows = np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n)))
+    langs = draw(st.lists(st.sampled_from(draw(st.sampled_from(LANG_POOLS))), min_size=n, max_size=n))
+    keys = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    known = list(dict.fromkeys(langs))
+    if draw(st.integers(0, 3)) == 0:
+        known.remove(draw(st.sampled_from(known)))
+    config = DefenseConfig(
+        noise_lambda=draw(st.floats(1e-6, 100)) if noise else 0.0,
+        noise_seed=draw(st.integers(0, 2**32)),
+        masking={lang: float(i + 1) for i, lang in enumerate(known) if lang} if masking else None,
+        language_agnostic=agnostic,
+        renormalize_after=renormalize,
+    )
+    context = None
+    if draw(st.booleans()):
+        shape = dim if draw(st.integers(0, 9)) else dim + 1
+        mean = st.lists(values, min_size=shape, max_size=shape).map(np.array)
+        context = DefenseContext({lang: draw(mean) for lang in known})
+    elif draw(st.integers(0, 9)):
+        means = compute_group_means([Embedding(r, l) for r, l in zip(rows, langs)])
+        context = DefenseContext({lang: means[lang] for lang in known})
+    return rows, langs, keys, config, context
+
+
+class TestStackMatchesReference:
+    @pytest.mark.parametrize(
+        "stages", STAGE_SUBSETS, ids=lambda s: "-".join(str(int(on)) for on in s)
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_bits_as_per_row_reference(self, stages, data):
+        """Stages are (agnostic, noise, mask, renormalize). The batch stack
+        gives every row the reference's bits, refuses exactly the batches
+        the reference refuses, and never writes its read-only input."""
+        rows, langs, keys, config, context = data.draw(defended_batches(*stages))
+        rows.flags.writeable = False
+        before = rows.tobytes()
+        try:
+            expected = reference_stack(rows, langs, keys, config, context)
+        except ValueError:
+            with pytest.raises(ValueError):
+                apply_defense_stack(rows, langs, keys, config, context)
+        else:
+            got = apply_defense_stack(rows, langs, keys, config, context)
+            assert got.shape == rows.shape and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+        assert rows.tobytes() == before
 
 
 class TestMaskedNearestNeighborInvariance:
@@ -370,22 +508,21 @@ class TestMaskedNearestNeighborInvariance:
         # top-1/top-2 margin exceeds 2|id| + id^2 must keep its top-1
         embedder = NgramEmbedder(n=3, dim=64, seed=21)
         docs = [f"w{i} v{i * 7 % 13} u{i * 3 % 11}" for i in range(40)]
-        doc_vecs = [embedder.embed(t) for t in docs]
+        doc_vecs = embedder.embed_many(docs)
         lang_id = 0.05
+        masking = DefenseConfig(masking={"xx": lang_id})
+        masked_docs = stack(doc_vecs, masking, lang="xx")
         bound = 2 * abs(lang_id) + lang_id**2
         checked = 0
         for qi in range(0, 40, 3):
-            query = embedder.embed(docs[qi] + " extra")
-            scores = sorted((cosine(query, d), i) for i, d in enumerate(doc_vecs))
+            query = embedder.embed_many([docs[qi] + " extra"])
+            scores = sorted(zip(cosine(doc_vecs, query[0]), range(40)))
             (s2, _), (s1, top1) = scores[-2], scores[-1]
             if s1 - s2 <= bound:
                 continue
             checked += 1
-            masked_query = mask_language(query, lang_id)
-            masked_scores = [
-                (cosine(masked_query, mask_language(d, lang_id)), i)
-                for i, d in enumerate(doc_vecs)
-            ]
+            masked_query = stack(query, masking, lang="xx")[0]
+            masked_scores = list(zip(cosine(masked_docs, masked_query), range(40)))
             assert max(masked_scores)[1] == top1
         assert checked >= 5
 

@@ -224,9 +224,8 @@ class TestRequestLineLimit:
         assert all(len(line.encode("utf-8")) <= limit for line in lines)
         assert used == server.queries_used() == len(texts)
         # Each row is masked with its own language's id, so langs kept their order.
-        for raw, got, text in zip(raws, remote, texts):
-            local = apply_defense_stack(raw, defense, context, key=text)
-            assert got.tobytes() == local.values.tobytes()
+        local = apply_defense_stack(local_embedder.embed_many(texts), langs, texts, defense, context)
+        assert remote.tobytes() == local.tobytes()
 
     @pytest.mark.parametrize(
         "with_langs, max_texts",
@@ -462,6 +461,13 @@ class TestNoChargeOnError:
         request = {"texts": ["a"], "defense": {**self.OVERFLOWING, "noise_seed": 40}}
         assert self.refused(server, request) == "bad_request"
 
+    def test_unknown_lang_on_later_row_reported_before_overflow(self, server):
+        # Row 0's noise overflows as above, but every row's language is
+        # checked before any arithmetic: row 1 has no masking id.
+        defense = {**self.OVERFLOWING, "noise_seed": 40, "masking": {"en": 1.0}}
+        request = {"texts": ["a", "b"], "langs": ["en", "de"], "defense": defense}
+        assert self.refused(server, request) == "unknown_lang"
+
     def test_finite_noise_near_float_max_served_as_locally(self, server):
         defense = DefenseConfig(**self.OVERFLOWING, noise_seed=1)
         response = raw_request(
@@ -535,18 +541,18 @@ class TestDefenseOverWire:
         defense = DefenseConfig(noise_lambda=0.05, noise_seed=123)
         remote, _ = eaas_embed(client, ["secret text"], defense=defense)
         local = apply_defense_stack(
-            local_embedder.embed("secret text"), defense, key="secret text"
+            local_embedder.embed_many(["secret text"]), [None], ["secret text"], defense
         )
-        assert remote[0].tobytes() == local.values.tobytes()
+        assert remote.tobytes() == local.tobytes()
 
     def test_masking_defense_matches_local_stack(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         defense = DefenseConfig(masking={"en": 1.0, "fr": 2.0})
         remote, _ = eaas_embed(client, ["bonjour"], defense=defense, langs=["fr"])
         local = apply_defense_stack(
-            local_embedder.embed("bonjour").with_lang("fr"), defense, key="bonjour"
+            local_embedder.embed_many(["bonjour"]), ["fr"], ["bonjour"], defense
         )
-        assert remote[0].tobytes() == local.values.tobytes()
+        assert remote.tobytes() == local.tobytes()
 
     def test_agnostic_defense_with_context_matches_local(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
@@ -557,9 +563,10 @@ class TestDefenseOverWire:
         remote, _ = eaas_embed(
             client, texts, defense=defense, langs=["en"] * 3, context=context
         )
-        for raw, got, text in zip(raws, remote, texts):
-            local = apply_defense_stack(raw, defense, context, key=text)
-            assert got.tobytes() == local.values.tobytes()
+        local = apply_defense_stack(
+            local_embedder.embed_many(texts), ["en"] * 3, texts, defense, context
+        )
+        assert remote.tobytes() == local.tobytes()
 
     @pytest.mark.parametrize(
         "defense", [{}, None, {"noise_lambda": 0.0, "masking": None}], ids=["empty", "null", "off"]
@@ -591,7 +598,8 @@ class TestRemoteEmbedder:
         remote = RemoteEmbedder(client, dim=16)
         with pytest.raises(ValueError, match="dimension 32, expected 16"):
             remote.embed_many(["a"])
-        assert remote.queries_used() == 0
+        # The service billed the text, so the client counts it too.
+        assert remote.queries_used() == server.queries_used() == 1
         assert RemoteEmbedder(client, dim=32).embed_many([]).shape == (0, 32)
 
     def test_attack_through_wire_matches_local(self, client):

@@ -13,9 +13,15 @@ from invlab.datagen import (
     parallel_corpora,
     synthetic_corpus,
 )
+from invlab.defenses import DefenseConfig
 from invlab.eaas import eaas_serve
 from invlab.embeddings import NgramConfig, NgramEmbedder
-from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
+from invlab.experiments import (
+    _defense_label,
+    run_crosslingual,
+    run_defense_sweep,
+    run_reconstruction,
+)
 from invlab.report import csv_rows_without_wall, emit_report
 from invlab.translate import DictionaryTranslator, save_dictionary_tsv
 
@@ -286,6 +292,21 @@ class TestRunDefenseSweep:
         assert labels == ["none", "noise:0", "noise:1", "mask", "agnostic"]
         assert all(r.steps == 10 and r.beam == 4 for r in report.rows)
         assert all(r.ndcg is not None for r in report.rows)
+
+    @pytest.mark.parametrize(
+        "defense, label",
+        [
+            (None, "none"),
+            (DefenseConfig(), "none"),
+            (DefenseConfig(renormalize_after=True), "renorm"),
+            (DefenseConfig(noise_lambda=0.5, masking={"en": 1.0}, renormalize_after=True),
+             "noise:0.5+mask+renorm"),
+        ],
+    )
+    def test_defense_label_names_every_stage(self, defense, label):
+        # Renormalizing alone rescales every target of an embedder that is
+        # not unit-norm, so it is a defense, not "none".
+        assert _defense_label(defense) == label
 
     def test_zero_noise_equals_undefended_baseline(self, sweep_config):
         report = run_defense_sweep(sweep_config)

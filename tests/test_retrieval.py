@@ -169,6 +169,11 @@ class TestEvaluateTask:
         masked = evaluate_task(task, embedder, DefenseConfig(masking=ids))
         assert abs(masked - raw) < 0.01
 
+    def test_task_without_documents_refused(self, embedder):
+        task = RetrievalTask("empty", [sample("q0", "query")], [], {})
+        with pytest.raises(ValueError, match="empty document list"):
+            evaluate_task(task, embedder)
+
 
 class TestQrelsIO:
     def test_round_trip(self, tmp_path):
