@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .embeddings import ConfigError, NgramConfig, json_bool, json_float, json_int, json_str, require_fields
+from .embeddings import ConfigError, NgramConfig, from_json
 
 
 @dataclass
@@ -14,6 +14,10 @@ class AttackSweep:
     beams: list[int] = field(default_factory=lambda: [1, 4, 8])
     max_tokens: int = 32
     query_budget: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.steps or not self.beams:
+            raise ConfigError("steps and beams must be non-empty")
 
 
 @dataclass
@@ -30,11 +34,8 @@ class DefenseSweep:
             raise ConfigError("mask_scale must be finite")
 
 
-def _str_map(data: object, name: str) -> dict[str, str]:
-    """``data`` if it is a JSON object of strings; otherwise ConfigError."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    return {json_str(k, f"{name} key"): json_str(v, f"{name} value") for k, v in data.items()}
+# The files a retrieval task is read from; an entry may also carry a "name".
+_TASK_FILES = ("queries", "docs", "qrels")
 
 
 @dataclass
@@ -46,61 +47,27 @@ class ExperimentConfig:
     attack: AttackSweep = field(default_factory=AttackSweep)
     defense: DefenseSweep = field(default_factory=DefenseSweep)
     dictionaries: dict[str, str] = field(default_factory=dict)
-    retrieval_tasks: list[dict] = field(default_factory=list)
+    retrieval_tasks: list[dict[str, str]] = field(default_factory=list)
     seed: int = 0
     out_dir: str = "out"
     test_size: int = 100
+
+    def __post_init__(self) -> None:
+        for task in self.retrieval_tasks:
+            if not set(_TASK_FILES) <= set(task) <= {*_TASK_FILES, "name"}:
+                raise ConfigError(
+                    f"a retrieval_tasks entry needs the keys {list(_TASK_FILES)} and may"
+                    f" add name, not {list(task)}"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build a config from decoded JSON. Unknown keys (at the top level and
-        in ``embedder``, ``attack`` and ``defense``), booleans, integers,
-        numbers and strings that are not JSON booleans, integers, numbers and
-        strings, and any other malformed value raise ConfigError."""
-        try:
-            data = require_fields(data, cls, "config")
-            emb = require_fields(data.get("embedder", {}), NgramConfig, "embedder")
-            atk = require_fields(data.get("attack", {}), AttackSweep, "attack")
-            dfs = require_fields(data.get("defense", {}), DefenseSweep, "defense")
-            budget = atk.get("query_budget")
-            return cls(
-                corpora=_str_map(data.get("corpora", {}), "corpora"),
-                embedder=NgramConfig(
-                    n=json_int(emb.get("n", 3), "n"),
-                    dim=json_int(emb.get("dim", 256), "dim"),
-                    seed=json_int(emb.get("seed", 0), "seed"),
-                    unit_norm=json_bool(emb.get("unit_norm", True), "unit_norm"),
-                ),
-                attack=AttackSweep(
-                    steps=[json_int(s, "steps") for s in atk.get("steps", [1, 20, 50])],
-                    beams=[json_int(b, "beams") for b in atk.get("beams", [1, 4, 8])],
-                    max_tokens=json_int(atk.get("max_tokens", 32), "max_tokens"),
-                    query_budget=None if budget is None else json_int(budget, "query_budget"),
-                ),
-                defense=DefenseSweep(
-                    lambdas=[json_float(x, "lambdas") for x in dfs.get("lambdas", [0.0, 1e-3, 1e-2, 1e-1, 1.0])],
-                    masking=json_bool(dfs.get("masking", True), "masking"),
-                    language_agnostic=json_bool(
-                        dfs.get("language_agnostic", True), "language_agnostic"
-                    ),
-                    mask_scale=json_float(dfs.get("mask_scale", 1.0), "mask_scale"),
-                ),
-                dictionaries=_str_map(data.get("dictionaries", {}), "dictionaries"),
-                retrieval_tasks=[
-                    _str_map(t, "retrieval_tasks entry") for t in data.get("retrieval_tasks", [])
-                ],
-                seed=json_int(data.get("seed", 0), "seed"),
-                out_dir=json_str(data.get("out_dir", "out"), "out_dir"),
-                test_size=json_int(data.get("test_size", 100), "test_size"),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            # Wrong container types, unparsable or out-of-range numbers.
-            raise ConfigError(f"malformed config: {exc}") from exc
+        """Build a config from decoded JSON, as ``from_json`` decodes it; an
+        unknown key in any section or a malformed value raises ConfigError."""
+        return from_json(cls, data, "config")
 
     def validate_files(self) -> None:
         """Check that every referenced corpus, dictionary, and task file exists."""
@@ -109,8 +76,8 @@ class ExperimentConfig:
             if not Path(path).exists():
                 missing.append(path)
         for task in self.retrieval_tasks:
-            for key in ("queries", "docs", "qrels"):
-                if key in task and not Path(task[key]).exists():
+            for key in _TASK_FILES:
+                if not Path(task[key]).exists():
                     missing.append(task[key])
         if missing:
             raise ConfigError(f"missing referenced files: {missing}")

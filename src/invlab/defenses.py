@@ -14,9 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import (
-    BlackBoxEmbedder, ConfigError, Embedding, json_bool, json_float, json_int, json_str, require_fields,
-)
+from .embeddings import BlackBoxEmbedder, ConfigError, Embedding, from_json
 from .seeding import derive_rng
 
 
@@ -59,27 +57,11 @@ class DefenseConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "DefenseConfig":
         """Build a validated config from outside input (such as decoded
-        JSON). An unknown key or any malformed value raises ConfigError;
-        ``noise_seed`` must be a JSON integer, ``noise_lambda`` and the
-        language ids JSON numbers, and the two switches JSON booleans."""
-        try:
-            data = require_fields(data, cls, "defense")
-            masking = data.get("masking")
-            return cls(
-                noise_lambda=json_float(data.get("noise_lambda", 0.0), "noise_lambda"),
-                noise_seed=json_int(data.get("noise_seed", 0), "noise_seed"),
-                masking=None if masking is None else {
-                    json_str(k, "language"): json_float(v, "language id") for k, v in masking.items()
-                },
-                language_agnostic=json_bool(data.get("language_agnostic", False), "language_agnostic"),
-                renormalize_after=json_bool(data.get("renormalize_after", False), "renormalize_after"),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            # Wrong container types, unparsable or out-of-range numbers
-            # (float(10**400), digit-limit strings).
-            raise ConfigError(f"malformed defense config: {exc}") from exc
+        JSON), as ``from_json`` decodes it: ``noise_seed`` must be a JSON
+        integer, ``noise_lambda`` and the language ids JSON numbers, and the
+        two switches JSON booleans. An unknown key or any malformed value
+        raises ConfigError."""
+        return from_json(cls, data, "defense")
 
 
 @dataclass
@@ -147,8 +129,8 @@ def apply_defense_stack(
 
     Every row's language is checked before any arithmetic: no group mean or
     masking id raises UnknownLanguageError, a mean of the wrong shape
-    ValueError. A row the agnostic or noise stage leaves non-finite then
-    raises ValueError.
+    ValueError. A row the agnostic or noise stage leaves non-finite, or
+    whose norm overflows under ``renormalize_after``, then raises ValueError.
     """
     if config is None or not config.enabled() or not len(rows):
         return rows
@@ -179,7 +161,10 @@ def apply_defense_stack(
     if config.renormalize_after:
         # np.vecdot runs the per-row BLAS dot that np.linalg.norm of one row
         # runs, so each row is scaled bitwise as it would be alone.
-        norms = np.sqrt(np.vecdot(out, out))
+        with np.errstate(over="ignore"):  # refused below, not released as zeros
+            norms = np.sqrt(np.vecdot(out, out))
+        if not np.isfinite(norms).all():
+            raise ValueError("defended embedding norms must be finite")
         out = out / np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 

@@ -22,11 +22,12 @@ per-language mean vectors when the language-agnostic stage is enabled.
 included; an error reply never charges. A language without a masking id or
 group mean is ``unknown_lang``; a ``defense`` that ``DefenseConfig.from_dict``
 refuses, a group mean that is not a base64 string of exactly ``dim * 8``
-bytes or not finite, a defended vector that overflows to non-finite values,
-and a request of more than ``MAX_TEXTS`` (4096) texts are each a
-``bad_request``. A malformed request, ``defense`` or ``context`` is
-refused first, then an unknown language on any row, then non-finite
-defended vectors: ``unknown_lang`` wins over an overflow.
+bytes or not finite, a defended vector that overflows to non-finite values
+or, under ``renormalize_after``, whose norm overflows, and a request of more
+than ``MAX_TEXTS`` (4096) texts are each a ``bad_request``. A malformed
+request, ``defense`` or ``context`` is refused first, then an unknown
+language on any row, then non-finite defended vectors: ``unknown_lang`` wins
+over an overflow.
 A request line longer than ``MAX_LINE_BYTES`` (1 MiB, newline included) is
 a ``bad_request`` too, and the service then closes the connection without
 reading the rest. ``eaas_embed`` splits a batch that would pass either
@@ -194,7 +195,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return _error_line("unknown_lang")
         except ValueError:
             # A malformed defense or context, no group means at all,
-            # non-finite ones, or a defended vector that overflowed.
+            # non-finite ones, or a defended vector or norm that overflowed.
             return _error_line("bad_request")
         return _success_line(_encode_rows(rows), dim, self.server._charge(len(texts)))
 

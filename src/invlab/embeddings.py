@@ -12,8 +12,9 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from types import NoneType, UnionType
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,45 +23,60 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
-def json_int(value: Any, name: str) -> int:
-    """``value`` if it is a JSON integer (so not a boolean); otherwise ConfigError."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be a JSON integer, not {type(value).__name__}")
-    return value
+def from_json(cls: type, data: Any, name: str) -> Any:
+    """An instance of the dataclass ``cls`` decoded from JSON ``data``, which
+    must be an object whose keys all name fields of ``cls``; missing fields
+    take their defaults, and ``cls`` runs its own range checks.
 
-
-def json_float(value: Any, name: str) -> float:
-    """``value`` as a float if it is a JSON number (so not a boolean or a
-    string); otherwise ConfigError. An integer past the float range raises
-    OverflowError."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a JSON number, not {type(value).__name__}")
-    return float(value)
-
-
-def json_str(value: Any, name: str) -> str:
-    """``value`` if it is a JSON string; otherwise ConfigError."""
-    if type(value) is not str:
-        raise ConfigError(f"{name} must be a JSON string, not {type(value).__name__}")
-    return value
-
-
-def json_bool(value: Any, name: str) -> bool:
-    """``value`` if it is a JSON boolean (so not ``"false"``); otherwise ConfigError."""
-    if type(value) is not bool:
-        raise ConfigError(f"{name} must be a JSON boolean, not {type(value).__name__}")
-    return value
-
-
-def require_fields(data: Any, cls: type, name: str) -> dict:
-    """``data`` if it is a JSON object whose keys all name fields of the
-    dataclass ``cls``; otherwise ConfigError."""
+    Each value must match its field's annotation: ``bool``, ``int`` and
+    ``str`` need exactly that JSON type (so ``true`` is no integer and
+    ``"false"`` no boolean), ``float`` takes any JSON number, and ``list[T]``,
+    ``dict[str, T]``, ``T | None`` and nested dataclasses are decoded in
+    turn. Anything else raises ConfigError.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{name} must be a JSON object")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(map(str, unknown))}")
-    return data
+    hints = get_type_hints(cls)
+    return cls(**{key: _decode(hints[key], value, key) for key, value in data.items()})
+
+
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}
+
+
+def _decode(hint: Any, value: Any, name: str) -> Any:
+    """``value`` checked against the type ``hint``, as ``from_json`` says."""
+    if hint is float:
+        if type(value) not in (int, float):
+            raise ConfigError(f"{name} must be a JSON number, not {type(value).__name__}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is past the float range") from None
+    if hint in _JSON_TYPES:
+        if type(value) is not hint:
+            raise ConfigError(f"{name} must be a JSON {_JSON_TYPES[hint]}, not {type(value).__name__}")
+        return value
+    if is_dataclass(hint):
+        return from_json(hint, value, name)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # T | None
+        (inner,) = [a for a in args if a is not NoneType]
+        return None if value is None else _decode(inner, value, name)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a JSON array, not {type(value).__name__}")
+        return [_decode(args[0], v, name) for v in value]
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, not {type(value).__name__}")
+        return {
+            _decode(str, k, f"{name} key"): _decode(args[1], v, f"{name} value")
+            for k, v in value.items()
+        }
+    raise TypeError(f"from_json cannot decode a field of type {hint}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from .defenses import (
     apply_defense_stack,
     embed_many_with_defense,
 )
-from .embeddings import BlackBoxEmbedder, Embedding, TextSample
+from .embeddings import BlackBoxEmbedder, Embedding, TextSample, cosine
 from .metrics import ndcg_at_k
 
 log = logging.getLogger(__name__)
@@ -81,25 +81,13 @@ def build_index(
 
 
 def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact top-k by cosine, descending, ties broken by ascending doc id."""
+    """Exact top-k by cosine, descending, ties broken by ascending doc id; a
+    query whose dimension is not the index's raises ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = query_vec.values if isinstance(query_vec, Embedding) else np.asarray(query_vec, float)
-    if q.shape[0] != index.vectors.shape[1]:
-        raise ValueError(
-            f"query dimension {q.shape[0]} != index dimension {index.vectors.shape[1]}"
-        )
-    qnorm = float(np.linalg.norm(q))
-    doc_norms = np.linalg.norm(index.vectors, axis=1)
-    if qnorm == 0.0:
-        scores = np.zeros(len(index.ids))
-    else:
-        dots = index.vectors @ q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(doc_norms > 0.0, dots / (doc_norms * qnorm), 0.0)
-        scores = np.clip(scores, -1.0, 1.0)
+    scores = cosine(index.vectors, query_vec)
     order = sorted(range(len(index.ids)), key=lambda i: (-scores[i], index.ids[i]))
-    return [(index.ids[i], float(scores[i])) for i in order[:k]]
+    return [(index.ids[i], scores[i]) for i in order[:k]]
 
 
 def evaluate_task(

@@ -384,6 +384,16 @@ class TestApplyDefenseStack:
             with pytest.raises(ValueError, match="finite"):
                 stack(row(*[0.1] * 32), config, key="a")
 
+    def test_overflowing_norm_refused_not_zeroed(self):
+        # Finite noised rows whose sum of squares overflows: renormalising
+        # would release them as zero vectors, so the stack refuses them,
+        # and without a RuntimeWarning.
+        config = DefenseConfig(noise_lambda=1e200, noise_seed=1, renormalize_after=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                embed_many_with_defense(NgramEmbedder(n=3, dim=8, seed=1), ["a", "b"], [None, None], config)
+
     def test_unknown_language_rejected(self):
         config = DefenseConfig(masking={"en": 1.0})
         with pytest.raises(UnknownLanguageError):

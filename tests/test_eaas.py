@@ -461,6 +461,12 @@ class TestNoChargeOnError:
         request = {"texts": ["a"], "defense": {**self.OVERFLOWING, "noise_seed": 40}}
         assert self.refused(server, request) == "bad_request"
 
+    def test_overflowing_norm_refused_uncharged(self, server):
+        # Finite noised rows whose norm overflows under renormalize_after
+        # are refused, not released as zero vectors.
+        defense = {"noise_lambda": 1e200, "noise_seed": 1, "renormalize_after": True}
+        assert self.refused(server, {"texts": ["a", "b"], "defense": defense}) == "bad_request"
+
     def test_unknown_lang_on_later_row_reported_before_overflow(self, server):
         # Row 0's noise overflows as above, but every row's language is
         # checked before any arithmetic: row 1 has no masking id.

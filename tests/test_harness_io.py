@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig, load_config, save_config
 from invlab.corpus import Corpus, CorpusFormatError, load_jsonl_corpus, save_jsonl_corpus
 from invlab.datagen import language_tokens, parallel_corpora, synthetic_corpus
+from invlab.defenses import DefenseConfig
 from invlab.embeddings import ConfigError, NgramConfig, TextSample
 from invlab.metrics import MetricReport
 from invlab.report import (
@@ -217,11 +218,21 @@ class TestExperimentConfig:
             {"defense": {"lambdas": [True]}},
             {"defense": {"mask_scale": "2"}},
             {"defense": {"mask_scale": 10**400}},
+            {"retrieval_tasks": {}},
+            {"defense": {"lambdas": {}}},
+            {"retrieval_tasks": [{"nme": "t"}]},
+            {"retrieval_tasks": [{"queries": "q", "docs": "d", "qrels": "r", "lang": "en"}]},
+            {"attack": {"steps": []}},
+            {"attack": {"beams": []}},
         ],
     )
     def test_malformed_value_refused(self, data):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
+
+    def test_empty_object_gives_dataclass_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        assert DefenseConfig.from_dict({}) == DefenseConfig()
 
     @settings(max_examples=150, deadline=None)
     @given(
