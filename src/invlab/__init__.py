@@ -34,6 +34,7 @@ from .inversion import (
     correction_step,
     exhaustive_oracle,
     invert,
+    invert_grid,
     invert_many,
 )
 from .metrics import (

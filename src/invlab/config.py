@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .embeddings import ConfigError, NgramConfig, from_json
+from .inversion import AttackConfig
 
 
 @dataclass
@@ -18,6 +19,9 @@ class AttackSweep:
     def __post_init__(self) -> None:
         if not self.steps or not self.beams:
             raise ConfigError("steps and beams must be non-empty")
+        # AttackConfig's limits are lower bounds, so the smallest cell meets
+        # them all or raises their message; the vocabulary is checked later.
+        AttackConfig(("-",), min(self.steps), min(self.beams), self.max_tokens, self.query_budget)
 
 
 @dataclass
@@ -71,14 +75,9 @@ class ExperimentConfig:
 
     def validate_files(self) -> None:
         """Check that every referenced corpus, dictionary, and task file exists."""
-        missing = []
-        for path in list(self.corpora.values()) + list(self.dictionaries.values()):
-            if not Path(path).exists():
-                missing.append(path)
-        for task in self.retrieval_tasks:
-            for key in _TASK_FILES:
-                if not Path(task[key]).exists():
-                    missing.append(task[key])
+        paths = [*self.corpora.values(), *self.dictionaries.values()]
+        paths += [task[key] for task in self.retrieval_tasks for key in _TASK_FILES]
+        missing = [path for path in paths if not Path(path).exists()]
         if missing:
             raise ConfigError(f"missing referenced files: {missing}")
 

@@ -7,6 +7,7 @@ ground truth computable for every attack experiment. Callers only ever see
 the black-box surface: text in, vector out, one query counted per text.
 """
 
+import functools
 import hashlib
 import math
 import threading
@@ -39,8 +40,11 @@ def from_json(cls: type, data: Any, name: str) -> Any:
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(map(str, unknown))}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{key: _decode(hints[key], value, key) for key, value in data.items()})
+
+
+_type_hints = functools.cache(get_type_hints)  # resolving them costs more than a decode
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}

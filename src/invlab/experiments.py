@@ -26,7 +26,7 @@ from .defenses import (
 )
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
 from .embeddings import BlackBoxEmbedder, Embedding, NgramEmbedder, TextSample
-from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert_many
+from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert_grid
 from .inversion import invert  # unused here; benchmarks/tracing.py patches this name
 from .metrics import MetricReport, aggregate, pair_report
 from .report import ExperimentReport, ReportRow
@@ -119,35 +119,31 @@ class _Runtime:
         samples: list[TextSample],
         targets: list[Embedding],
         vocab: list[str],
-        steps: int,
-        beam: int,
+        cells: list[tuple[int, int]],
         labels: tuple[str, ...],
-    ) -> tuple[list[AttackResult], int, float]:
-        """Invert every sample's target embedding with the given vocabulary,
-        all of the split's attacks in lockstep (``invert_many``).
-
-        Each sample's generator is seeded from the run seed, ``labels`` and
-        the sample id. Returns the results, their summed queries and the
-        split's attack wall time in seconds.
+    ) -> list[tuple[list[AttackResult], int, float]]:
+        """Invert every sample's target embedding with the given vocabulary
+        once per (steps, beam) cell, all in one ``invert_grid`` call. Each
+        sample's generator is seeded from the run seed, ``labels`` and the
+        sample id, never from a cell. Returns, per cell, the results, their
+        summed queries and the cell's attack wall time in seconds.
         """
-        config = self.config
-        attack_config = AttackConfig(
-            vocab=tuple(vocab),
-            steps=steps,
-            beam_width=beam,
-            max_tokens=config.attack.max_tokens,
-            query_budget=config.attack.query_budget,
-        )
+        seed, sweep = self.config.seed, self.config.attack
+        attack_configs = [
+            AttackConfig(tuple(vocab), steps, beam, sweep.max_tokens, sweep.query_budget)
+            for steps, beam in cells
+        ]
         gens = [
             EditMutationGenerator(
-                vocab,
-                max_tokens=config.attack.max_tokens,
-                seed=stable_seed(config.seed, "gen", *labels, sample.id),
+                vocab, sweep.max_tokens, seed=stable_seed(seed, "gen", *labels, sample.id)
             )
             for sample in samples
         ]
-        results = invert_many(targets, self.attack_embedder, gens, attack_config)
-        return results, sum(r.queries_used for r in results), sum(r.wall_time for r in results)
+        grid = invert_grid(targets, self.attack_embedder, gens, attack_configs)
+        return [
+            (results, sum(r.queries_used for r in results), sum(r.wall_time for r in results))
+            for results in grid
+        ]
 
 
 def _pair_reports(results: list[AttackResult], samples: list[TextSample]) -> list[MetricReport]:
@@ -164,6 +160,7 @@ def run_reconstruction(
 
     The "mono" condition restricts the attack vocabulary to the test
     language; "multi" attacks every language with the union vocabulary.
+    Each (language, condition) split runs its whole grid as one attack call.
     """
     languages = sorted(languages if languages is not None else config.corpora)
     corpora = _load_corpora(config, languages)
@@ -176,18 +173,16 @@ def run_reconstruction(
         targets = runtime.targets(splits, defense)
         for lang, samples in splits.items():
             for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
-                for steps in config.attack.steps:
-                    for beam in config.attack.beams:
-                        results, queries, wall = runtime.attack(
-                            samples, targets[lang], vocab, steps, beam, (condition, lang)
+                cells = [(s, b) for s in config.attack.steps for b in config.attack.beams]
+                grid = runtime.attack(samples, targets[lang], vocab, cells, (condition, lang))
+                for (steps, beam), (results, queries, wall) in zip(cells, grid):
+                    metrics = aggregate(_pair_reports(results, samples))
+                    report.add(
+                        ReportRow(
+                            f"recon_{condition}", lang, steps, beam, defense_label,
+                            metrics, queries, _ms(wall),
                         )
-                        metrics = aggregate(_pair_reports(results, samples))
-                        report.add(
-                            ReportRow(
-                                f"recon_{condition}", lang, steps, beam, defense_label,
-                                metrics, queries, _ms(wall),
-                            )
-                        )
+                    )
     return report
 
 
@@ -234,8 +229,8 @@ def run_crosslingual(
     beam = max(config.attack.beams)
     with _Runtime(config, remote) as runtime:
         targets = runtime.targets({tgt: samples}, None)[tgt]
-        results, queries, attack_wall = runtime.attack(
-            samples, targets, vocab, steps, beam, ("xling", src, tgt)
+        [(results, queries, attack_wall)] = runtime.attack(
+            samples, targets, vocab, [(steps, beam)], ("xling", src, tgt)
         )
         rescore_start = time.perf_counter()
         rescored = [
@@ -335,13 +330,9 @@ def run_defense_sweep(
             queries = 0
             wall = 0.0
             for lang, samples in splits.items():
-                results, used, spent = runtime.attack(
-                    samples,
-                    targets[lang],
-                    vocabs[lang],
-                    DEFENSE_SWEEP_STEPS,
-                    DEFENSE_SWEEP_BEAM,
-                    ("defense", lang),
+                cell = (DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM)
+                [(results, used, spent)] = runtime.attack(
+                    samples, targets[lang], vocabs[lang], [cell], ("defense", lang)
                 )
                 reports += _pair_reports(results, samples)
                 queries += used

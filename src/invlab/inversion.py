@@ -10,6 +10,7 @@ scratch each step. An exhaustive-search oracle provides ground truth on
 vocabularies small enough to enumerate.
 """
 
+import copy
 import itertools
 import time
 from abc import ABC, abstractmethod
@@ -224,6 +225,12 @@ class _Scorer:
         self.cache: dict[str, float] = {}
         self.best: Hypothesis | None = None
 
+    def fork(self) -> "_Scorer":
+        """A scorer that goes on from this one's cache, best and queries."""
+        twin = copy.copy(self)
+        twin.cache = dict(self.cache)
+        return twin
+
     def score_batch(self, texts: Sequence[str], step: int) -> _Step:
         fresh = sorted({t for t in texts if t not in self.cache})
         exhausted = False
@@ -290,19 +297,24 @@ def _check_dimensions(target: Embedding, embedder: BlackBoxEmbedder) -> None:
 
 
 def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
-    """Append the best-scoring token until none improves the score. The kept
-    text ends as ``scorer.best``: its score beats every earlier round's, and
-    ties in later rounds lose to it, since every later text extends it."""
-    current = (yield from scorer.score_batch([""], step=0))[0]
-    tokens: list[str] = []
-    while len(tokens) < config.max_tokens:
-        candidates = [" ".join(tokens + [v]) for v in config.vocab]
-        scored = yield from scorer.score_batch(candidates, step=0)
-        nxt = min(scored, key=lambda h: (-h.score, h.text))
-        if nxt.score <= current.score:
-            break
-        current = nxt
-        tokens = nxt.text.split()
+    """Append the best-scoring token until none improves the score; False if
+    the budget ran out first. The kept text ends as ``scorer.best`` (set by
+    the first query, "", which any budget fits): it beats every earlier
+    round's score and wins later ties, as every later text extends it."""
+    try:
+        current = (yield from scorer.score_batch([""], step=0))[0]
+        tokens: list[str] = []
+        while len(tokens) < config.max_tokens:
+            candidates = [" ".join(tokens + [v]) for v in config.vocab]
+            scored = yield from scorer.score_batch(candidates, step=0)
+            nxt = min(scored, key=lambda h: (-h.score, h.text))
+            if nxt.score <= current.score:
+                break
+            current = nxt
+            tokens = nxt.text.split()
+    except _BudgetExhausted:
+        return False
+    return True
 
 
 def base_hypothesis(
@@ -318,11 +330,7 @@ def base_hypothesis(
 
 
 def _correction_step(
-    beam: Sequence[Hypothesis],
-    gen: MutationGenerator,
-    scorer: _Scorer,
-    b: int,
-    step: int,
+    beam: Sequence[Hypothesis], gen: MutationGenerator, scorer: _Scorer, b: int, step: int
 ) -> _Step:
     proposals: list[str] = []
     for h in beam:
@@ -360,25 +368,77 @@ def correction_step(
     return _drive([_correction_step(beam, gen, scorer, b, step)], embedder)[0]
 
 
-def _attack(target: Embedding, gen: MutationGenerator | None, config: AttackConfig) -> _Step:
-    """One whole attack; its result's ``wall_time`` is left at 0. The first
-    query, the empty text, always fits the budget, so ``scorer.best`` is set
-    from then on."""
-    scorer = _Scorer(target, config.query_budget)
-    history: list[float] = []
-    try:
-        yield from _greedy_base(scorer, config)
-        history.append(scorer.best.score)
-        beam, step = [scorer.best], 0
-        while scorer.best.score < _CONVERGENCE and step < config.steps:
-            step += 1
-            beam = yield from _correction_step(beam, gen, scorer, config.beam_width, step)
-            history.append(scorer.best.score)
-        terminated = CONVERGED if scorer.best.score >= _CONVERGENCE else COMPLETED
-    except _BudgetExhausted:
-        terminated = BUDGET_EXHAUSTED
-        history = history or [scorer.best.score]
-    return AttackResult(scorer.best, history, scorer.queries, 0.0, terminated)
+def _corrections(
+    scorer: _Scorer, gen: MutationGenerator, width: int, stops: list[int], based: bool
+) -> _Step:
+    """Correction steps at beam ``width`` from the greedy base that ``scorer``
+    holds (``based`` is False if the base ran out of budget), up to the last
+    of the ascending ``stops``. Returns, per stop, the result of the attack
+    that runs that many steps alone (``wall_time`` 0) and the clock when it
+    was reached; after convergence or budget exhaustion that state is final.
+    """
+    history = [scorer.best.score]
+    beam, step, ended = [scorer.best], 0, None if based else BUDGET_EXHAUSTED
+    reached = {}
+    for stop in stops:
+        try:
+            while ended is None and scorer.best.score < _CONVERGENCE and step < stop:
+                step += 1
+                beam = yield from _correction_step(beam, gen, scorer, width, step)
+                history.append(scorer.best.score)
+        except _BudgetExhausted:
+            ended = BUDGET_EXHAUSTED
+        terminated = ended or (CONVERGED if scorer.best.score >= _CONVERGENCE else COMPLETED)
+        result = AttackResult(scorer.best, history.copy(), scorer.queries, 0.0, terminated)
+        reached[stop] = (result, time.perf_counter())
+    return reached
+
+
+def invert_grid(
+    targets: Sequence[Embedding],
+    embedder: BlackBoxEmbedder,
+    gens: Sequence[MutationGenerator],
+    configs: Sequence[AttackConfig],
+) -> list[list[AttackResult]]:
+    """Run one attack per (target, generator) pair and config, all in lockstep
+    rounds; returns one result list per config. The configs may differ only
+    in ``steps`` and ``beam_width``.
+
+    Each sample's greedy base runs once; its scorer is then forked per beam
+    width, and each branch runs to its width's deepest ``steps``, reading
+    shallower cells off on the way. So every result equals ``invert`` on its
+    pair and config alone, yet a prefix that cells share is embedded once.
+    A cell's ``wall_time`` is the time from the grid's start until the last
+    of its attacks reached its step count, over the number of attacks."""
+    pairs = list(zip(targets, gens, strict=True))
+    if not configs:
+        return []
+    base = configs[0]
+    if any(replace(c, steps=base.steps, beam_width=base.beam_width) != base for c in configs):
+        raise ValueError("grid configs may differ only in steps and beam_width")
+    for target in targets:
+        _check_dimensions(target, embedder)
+    widths: dict[int, set[int]] = {}  # each beam width's step counts
+    for c in configs:
+        widths.setdefault(c.beam_width, set()).add(c.steps)
+    start = time.perf_counter()
+    scorers = [_Scorer(target, base.query_budget) for target in targets]
+    based = _drive([_greedy_base(scorer, base) for scorer in scorers], embedder)
+    branches = [
+        # The last branch goes on with the sample's own scorer.
+        _corrections(scorer if i == len(widths) - 1 else scorer.fork(), gen, w, sorted(stops), ok)
+        for scorer, (_, gen), ok in zip(scorers, pairs, based)
+        for i, (w, stops) in enumerate(widths.items())
+    ]
+    del scorers  # so each cache is freed when its sample's last branch ends
+    reached = iter(_drive(branches, embedder))
+    by_sample = [{w: next(reached) for w in widths} for _ in pairs]
+    grid = []
+    for c in configs:
+        cells = [sample[c.beam_width][c.steps] for sample in by_sample]
+        wall = max(max((t for _, t in cells), default=start) - start, 1e-9) / max(len(cells), 1)
+        grid.append([replace(result, wall_time=wall) for result, _ in cells])
+    return grid
 
 
 def invert_many(
@@ -387,23 +447,8 @@ def invert_many(
     gens: Sequence[MutationGenerator],
     config: AttackConfig,
 ) -> list[AttackResult]:
-    """Run one attack per (target, generator) pair, all in lockstep rounds.
-
-    Each attack keeps its own cache, query budget and best-so-far, so its
-    result equals ``invert`` on its pair alone; only the grouping of texts
-    into ``embed_many`` calls differs (see ``_drive``). The attacks share
-    one clock: each ``wall_time`` is the run's wall time divided by the
-    number of attacks, always positive.
-    """
-    attacks = [_attack(t, g, config) for t, g in zip(targets, gens, strict=True)]
-    for target in targets:
-        _check_dimensions(target, embedder)
-    start = time.perf_counter()
-    results = _drive(attacks, embedder)
-    wall = max(time.perf_counter() - start, 1e-9) / max(len(results), 1)
-    for result in results:
-        result.wall_time = wall
-    return results
+    """One attack per (target, generator) pair: ``invert_grid`` with one config."""
+    return invert_grid(targets, embedder, gens, [config])[0]
 
 
 def invert(
@@ -433,11 +478,11 @@ def exhaustive_oracle(
     """Global cosine argmax over every token sequence of length 0..max_len.
 
     Independent of the search path: enumerates, embeds, and ranks everything.
-    Raises ValueError, before any query, for an empty vocabulary, a negative
-    ``max_len`` or a candidate count above ``guard``.
+    Raises ValueError, before any query, for a vocabulary ``check_vocab``
+    refuses (ConfigError), a negative ``max_len`` or a candidate count above
+    ``guard``.
     """
-    if not vocab:
-        raise ValueError("vocabulary must be non-empty")
+    check_vocab(vocab)
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     _check_dimensions(target, embedder)

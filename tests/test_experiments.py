@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
+import invlab.experiments
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig
-from invlab.corpus import save_jsonl_corpus
+from invlab.corpus import load_jsonl_corpus, save_jsonl_corpus
 from invlab.datagen import (
     bijective_dictionary,
     language_tokens,
@@ -91,6 +92,64 @@ class TestRunReconstruction:
     def test_wall_time_positive(self, small_config):
         report = run_reconstruction(small_config, languages=["en"])
         assert all(r.wall_ms > 0 for r in report.rows)
+
+
+class TestReconstructionGrid:
+    """Each (language, condition) split runs its steps x beams grid as one
+    attack call; its rows must equal the cells run one at a time."""
+
+    @pytest.fixture
+    def grid_config(self, small_config):
+        # Unsorted and repeated cells, step 0, and a budget that cuts some
+        # union-vocabulary attacks after their greedy base.
+        sweep = AttackSweep(steps=[3, 0, 6, 3], beams=[2, 1, 3], max_tokens=3, query_budget=50)
+        return dataclasses.replace(small_config, attack=sweep)
+
+    def test_rows_equal_one_cell_runs(self, grid_config, tmp_path):
+        report = run_reconstruction(grid_config)
+        grid = csv_rows_without_wall(emit_report(report, tmp_path / "grid.csv"))
+        sweep = grid_config.attack
+        cells = list(itertools.product(sweep.steps, sweep.beams))
+        alone = {}
+        for i, (steps, beam) in enumerate(cells):
+            one = dataclasses.replace(
+                grid_config, attack=dataclasses.replace(sweep, steps=[steps], beams=[beam])
+            )
+            path = emit_report(run_reconstruction(one), tmp_path / f"cell{i}.csv")
+            alone[steps, beam] = csv_rows_without_wall(path)[1:]
+        splits = len(alone[cells[0]])  # (language, condition) pairs, in driver order
+        expected = [alone[cell][split] for split in range(splits) for cell in cells]
+        assert grid[1:] == expected
+
+    def test_wall_time_does_not_fall_with_steps(self, grid_config):
+        walls: dict[tuple, list] = {}
+        for row in run_reconstruction(grid_config).rows:
+            walls.setdefault((row.experiment_id, row.lang, row.beam), []).append(
+                (row.steps, row.wall_ms)
+            )
+        for cells in walls.values():
+            by_steps = [wall for _, wall in sorted(cells)]
+            assert by_steps == sorted(by_steps)
+
+    def test_generator_seed_names_no_cell(self, grid_config, monkeypatch):
+        # Cells share a split's attacks only because a sample's generator
+        # seed is the same in every cell.
+        calls = []
+        seed_of = invlab.experiments.stable_seed
+
+        def recording(*parts):
+            calls.append(parts)
+            return seed_of(*parts)
+
+        monkeypatch.setattr(invlab.experiments, "stable_seed", recording)
+        run_reconstruction(grid_config)
+        expected = [
+            (grid_config.seed, "gen", condition, lang, sample.id)
+            for lang, path in grid_config.corpora.items()
+            for condition in ("mono", "multi")
+            for sample in load_jsonl_corpus(path).samples[: grid_config.test_size]
+        ]
+        assert sorted(c for c in calls if c[1] == "gen") == sorted(expected)
 
 
 class TestReconstructionQuality:

@@ -9,6 +9,7 @@ from invlab.corpus import Corpus, CorpusFormatError, load_jsonl_corpus, save_jso
 from invlab.datagen import language_tokens, parallel_corpora, synthetic_corpus
 from invlab.defenses import DefenseConfig
 from invlab.embeddings import ConfigError, NgramConfig, TextSample
+from invlab.inversion import AttackConfig
 from invlab.metrics import MetricReport
 from invlab.report import (
     CSV_HEADER,
@@ -224,11 +225,32 @@ class TestExperimentConfig:
             {"retrieval_tasks": [{"queries": "q", "docs": "d", "qrels": "r", "lang": "en"}]},
             {"attack": {"steps": []}},
             {"attack": {"beams": []}},
+            {"attack": {"steps": [-1]}},
+            {"attack": {"steps": [3, -1, 5]}},
+            {"attack": {"beams": [0]}},
+            {"attack": {"max_tokens": 0}},
+            {"attack": {"query_budget": 0}},
         ],
     )
     def test_malformed_value_refused(self, data):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "attack, values",
+        [
+            ({"steps": [2, -1]}, {"steps": -1}),
+            ({"beams": [4, 0]}, {"beam_width": 0}),
+            ({"max_tokens": 0}, {"max_tokens": 0}),
+            ({"query_budget": 0}, {"query_budget": 0}),
+        ],
+    )
+    def test_attack_value_refused_with_attack_config_message(self, attack, values):
+        with pytest.raises(ConfigError) as from_config:
+            ExperimentConfig.from_dict({"attack": attack})
+        with pytest.raises(ConfigError) as from_attack:
+            AttackConfig(vocab=("a",), **values)
+        assert str(from_config.value) == str(from_attack.value)
 
     def test_empty_object_gives_dataclass_defaults(self):
         assert ExperimentConfig.from_dict({}) == ExperimentConfig()

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,7 @@ from invlab.inversion import (
     correction_step,
     exhaustive_oracle,
     invert,
+    invert_grid,
     invert_many,
 )
 from invlab.seeding import derive_rng
@@ -419,6 +423,124 @@ class TestLockstep:
             assert_same_attack(result, invert(target, local, gen, config), target, local)
 
 
+GRID_TOKENS = ("a", "b", "c", "d", "e")
+
+
+class TestGrid:
+    """Every cell of ``invert_grid`` equals its attack run alone."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        vocab=st.lists(st.sampled_from(GRID_TOKENS), min_size=1, max_size=4, unique=True),
+        attacks=st.lists(
+            st.tuples(
+                # Target tokens may lie outside the vocabulary, so some
+                # attacks never converge and run every step.
+                st.lists(st.sampled_from(GRID_TOKENS), max_size=4),
+                st.sampled_from(["edit", "edit", "identity", "silent"]),
+                st.integers(0, 1000),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        steps=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+        beams=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        budget=st.one_of(st.none(), st.integers(1, 120)),
+    )
+    def test_each_cell_equals_its_attack_alone(self, vocab, attacks, steps, beams, budget):
+        vocab = tuple(vocab)
+
+        def gens():
+            return [
+                EditMutationGenerator(vocab, max_tokens=4, seed=seed)
+                if kind == "edit"
+                else lockstep_generator(kind, seed)
+                for _, kind, seed in attacks
+            ]
+
+        configs = [
+            AttackConfig(vocab, s, b, max_tokens=4, query_budget=budget)
+            for s, b in itertools.product(steps, beams)
+        ]
+        embedder = NgramEmbedder(n=3, dim=64, seed=11)
+        targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
+        grid = invert_grid(targets, embedder, gens(), configs)
+        assert len(grid) == len(configs)
+        for config, results in zip(configs, grid):
+            fresh = NgramEmbedder(n=3, dim=64, seed=11)
+            alone = invert_many(targets, fresh, gens(), config)
+            assert len(results) == len(alone)
+            for target, result, expected in zip(targets, results, alone):
+                assert_same_attack(result, expected, target, fresh)
+                assert result.wall_time > 0
+
+    def test_bill_counts_each_shared_prefix_once(self):
+        vocab = ("a", "b", "c", "d")
+        texts = ["b c a e", "d d b", "e e", "c a b d"]
+        beams = (1, 3, 5)
+        configs = [AttackConfig(vocab, s, b, max_tokens=4) for s in (1, 4, 8) for b in beams]
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        targets = [embedder.embed(t) for t in texts]
+        embedder.calls.clear()
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
+        grid = invert_grid(targets, embedder, gens, configs)
+        greedy = invert_many(
+            targets, NgramEmbedder(n=3, dim=64, seed=11), [SilentGenerator()] * 4,
+            dataclasses.replace(configs[0], steps=0),
+        )
+        deepest = {c.beam_width: results for c, results in zip(configs, grid) if c.steps == 8}
+        expected = sum(
+            g.queries_used
+            + sum(deepest[b][i].queries_used - g.queries_used for b in beams)
+            for i, g in enumerate(greedy)
+        )
+        assert sum(embedder.calls) == expected
+        assert expected < sum(r.queries_used for results in grid for r in results)
+
+    def test_scorer_forked_once_per_extra_beam_width(self, monkeypatch, embedder):
+        forks = []
+        real_fork = invlab.inversion._Scorer.fork
+
+        def counting_fork(scorer):
+            forks.append(scorer)
+            return real_fork(scorer)
+
+        monkeypatch.setattr(invlab.inversion._Scorer, "fork", counting_fork)
+        vocab = ("a", "b", "c")
+        targets = [embedder.embed(t) for t in ("a b", "c c a")]
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
+        config = AttackConfig(vocab, steps=2, beam_width=2, max_tokens=4)
+        invert_many(targets, embedder, gens, config)
+        assert forks == []  # a one-config grid copies nothing
+        grid = [dataclasses.replace(config, beam_width=b, steps=s) for b in (1, 2, 3) for s in (0, 2)]
+        invert_grid(targets, embedder, gens, grid)
+        assert len(forks) == 2 * 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"max_tokens": 3},
+            {"query_budget": 50},
+            {"vocab": ("a", "b")},
+            {"vocab": ("b", "a", "c")},
+        ],
+    )
+    def test_configs_differing_beyond_steps_and_beam_refused(self, embedder, change):
+        config = AttackConfig(("a", "b", "c"), steps=2, beam_width=2, max_tokens=4)
+        other = dataclasses.replace(config, steps=3, beam_width=1, **change)
+        target = embedder.embed("a b")
+        before = embedder.queries_used()
+        with pytest.raises(ValueError, match="differ only in steps and beam_width"):
+            invert_grid([target], embedder, [SilentGenerator()], [config, other])
+        assert embedder.queries_used() == before
+
+    def test_mismatched_generators_refused_and_empty_grid(self, embedder):
+        config = AttackConfig(vocab=("a",))
+        with pytest.raises(ValueError):
+            invert_grid([embedder.embed("a")], embedder, [], [config])
+        assert invert_grid([embedder.embed("a")], embedder, [SilentGenerator()], []) == []
+
+
 class TestExhaustiveOracle:
     def test_enumerates_exact_candidate_count(self):
         # vocab {a, b}, max_len 2: "", a, b, a a, a b, b a, b b = 7 embeds
@@ -458,6 +580,17 @@ class TestExhaustiveOracle:
     def test_empty_vocab_rejected(self, embedder):
         with pytest.raises(ValueError):
             exhaustive_oracle(embedder.embed("a"), embedder, (), max_len=1)
+
+    @pytest.mark.parametrize("vocab", [["a", "a", "b"], "ab", ["a b"], [""], ["", "a"], [1]])
+    def test_vocabulary_refused_like_attack_config_before_any_query(self, embedder, vocab):
+        target = embedder.embed("a b")
+        before = embedder.queries_used()
+        with pytest.raises(ConfigError) as from_oracle:
+            exhaustive_oracle(target, embedder, vocab, max_len=2)
+        assert embedder.queries_used() == before
+        with pytest.raises(ConfigError) as from_config:
+            AttackConfig(vocab=vocab)
+        assert str(from_oracle.value) == str(from_config.value)
 
     def test_lexicographic_tie_break(self, constant_embedder):
         # all candidates score identically; the empty string wins ties
