@@ -18,7 +18,6 @@ from .embeddings import (
 )
 from .defenses import (
     DefenseConfig,
-    DefenseContext,
     UnknownLanguageError,
     apply_defense_stack,
     assign_language_ids,

@@ -58,8 +58,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     remote = _parse_remote(args.remote)
     if remote is not None:
         with EaasClient(*remote) as client:
-            langs = [args.lang] * len(args.text) if args.lang else None
-            embeddings, used = eaas_embed(client, args.text, langs=langs)
+            embeddings, used = eaas_embed(client, args.text)
     else:
         embedder = NgramEmbedder(_load(args).embedder)
         embeddings = embedder.embed_many(args.text)
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed texts and print vectors as JSON")
     p.add_argument("--text", action="append", required=True)
-    p.add_argument("--lang")
     p.add_argument("--remote", help="host:port of a running service")
     p.set_defaults(func=_cmd_embed)
 

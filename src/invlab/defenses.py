@@ -9,8 +9,8 @@ renormalize) so the masked dimension-0 value always survives composition.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,13 +64,6 @@ class DefenseConfig:
         return from_json(cls, data, "defense")
 
 
-@dataclass
-class DefenseContext:
-    """Data-dependent inputs the stack cannot derive from config alone."""
-
-    group_means: dict[str | None, np.ndarray] = field(default_factory=dict)
-
-
 def derive_noise_rng(noise_seed: int, key: str) -> np.random.Generator:
     """Noise stream for one embedding, keyed by (seed, sample key).
 
@@ -120,12 +113,13 @@ def apply_defense_stack(
     langs: Sequence[str | None],
     keys: Sequence[str],
     config: DefenseConfig | None,
-    context: DefenseContext | None = None,
+    group_means: Mapping[str | None, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Apply the configured stages in fixed order to an ``(n, dim)`` batch;
     returns ``rows`` itself when no stage is on or the batch is empty, and
-    never writes it. Row ``i`` is centred and masked by ``langs[i]``; its
-    noise stream is keyed by ``keys[i]`` (conventionally the embedded text).
+    never writes it. Row ``i`` is centred by ``group_means[langs[i]]`` and
+    masked by ``langs[i]``; its noise stream is keyed by ``keys[i]``
+    (conventionally the embedded text).
 
     Every row's language is checked before any arithmetic: no group mean or
     masking id raises UnknownLanguageError, a mean of the wrong shape
@@ -135,21 +129,20 @@ def apply_defense_stack(
     if config is None or not config.enabled() or not len(rows):
         return rows
     dim = rows.shape[1]
-    means = context.group_means if context is not None else None
-    if config.language_agnostic and not means:
+    if config.language_agnostic and not group_means:
         raise ConfigError("language-agnostic stage needs group means in context")
     for lang in dict.fromkeys(langs):
         if config.language_agnostic:
-            if lang not in means:
+            if lang not in group_means:
                 raise UnknownLanguageError(f"no group mean for language {lang!r}")
-            if np.shape(means[lang]) != (dim,):
-                raise ValueError(f"group mean shape {np.shape(means[lang])} != row shape {(dim,)}")
+            if (shape := np.shape(group_means[lang])) != (dim,):
+                raise ValueError(f"group mean shape {shape} != row shape {(dim,)}")
         if config.masking is not None and lang not in config.masking:
             raise UnknownLanguageError(f"language {lang!r} has no masking id")
     out = rows
     with np.errstate(over="ignore"):  # the finite check below refuses overflow
         if config.language_agnostic:
-            out = out - np.stack([means[lang] for lang in langs])
+            out = out - np.stack([group_means[lang] for lang in langs])
         if config.noise_lambda > 0:
             rngs = [derive_noise_rng(config.noise_seed, key) for key in keys]
             out = out + config.noise_lambda * np.stack([rng.standard_normal(dim) for rng in rngs])
@@ -174,9 +167,9 @@ def embed_many_with_defense(
     texts: Sequence[str],
     langs: Sequence[str | None],
     config: DefenseConfig | None = None,
-    context: DefenseContext | None = None,
+    group_means: Mapping[str | None, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Embed texts in one batch and return the ``(len(texts), dim)`` matrix,
     passed through the defense stack with each row tagged by its language
     and keyed by its text."""
-    return apply_defense_stack(embedder.embed_many(texts), langs, texts, config, context)
+    return apply_defense_stack(embedder.embed_many(texts), langs, texts, config, group_means)

@@ -48,11 +48,10 @@ import json
 import socket
 import socketserver
 import threading
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .defenses import (
     DefenseConfig,
-    DefenseContext,
     UnknownLanguageError,
     apply_defense_stack,  # unused here; benchmarks/tracing.py patches this name
     embed_many_with_defense,
@@ -107,8 +106,9 @@ def _decode_rows(data: object, n: int, dim: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(n, dim)
 
 
-def _parse_context(data: object, dim: int) -> DefenseContext | None:
-    """Decode a request's ``context``; ValueError on any malformed part."""
+def _parse_context(data: object, dim: int) -> dict[str, np.ndarray] | None:
+    """Decode a request's ``context`` into its group means, or None when it
+    is absent or empty; ValueError on any malformed part."""
     if not data:
         return None
     if not isinstance(data, dict):
@@ -116,7 +116,7 @@ def _parse_context(data: object, dim: int) -> DefenseContext | None:
     means = data.get("group_means") or {}
     if not isinstance(means, dict):
         raise ValueError("group_means must be an object")
-    return DefenseContext({lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()})
+    return {lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()}
 
 
 def _error_line(code: str) -> str:
@@ -186,11 +186,11 @@ class _Handler(socketserver.StreamRequestHandler):
         dim = self.server.embedder.dimension()
         try:
             # The request's defense is the only stack applied.
-            defense = context = None
+            defense = means = None
             if request.get("defense") is not None:
                 defense = DefenseConfig.from_dict(request["defense"])
-                context = _parse_context(request.get("context"), dim)
-            rows = embed_many_with_defense(self.server.embedder, texts, langs, defense, context)
+                means = _parse_context(request.get("context"), dim)
+            rows = embed_many_with_defense(self.server.embedder, texts, langs, defense, means)
         except UnknownLanguageError:
             return _error_line("unknown_lang")
         except ValueError:
@@ -327,7 +327,7 @@ def eaas_embed(
     texts: Sequence[str],
     defense: DefenseConfig | None = None,
     langs: Sequence[str | None] | None = None,
-    context: DefenseContext | None = None,
+    group_means: Mapping[str | None, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Embed texts through the service; returns the read-only
     ``(len(texts), dim)`` matrix of their vectors, in order, and the
@@ -341,12 +341,9 @@ def eaas_embed(
     extra: dict = {}
     if defense is not None:
         extra["defense"] = defense.to_dict()
-        if context is not None and context.group_means:
-            extra["context"] = {
-                "group_means": {
-                    lang: _encode_rows(vec) for lang, vec in context.group_means.items()
-                }
-            }
+        if group_means:
+            means = {lang: _encode_rows(vec) for lang, vec in group_means.items()}
+            extra["context"] = {"group_means": means}
     langs = list(langs) if langs is not None else None
     parts, used = [], 0
     for line, count in _request_lines(list(texts), langs, extra):

@@ -100,15 +100,6 @@ class Embedding:
         if not np.isfinite(values).all():
             raise ValueError("embedding components must be finite")
 
-    @classmethod
-    def _trusted(cls, values: np.ndarray, lang: str | None = None) -> "Embedding":
-        """Wrap values already known to pass the checks above, such as a row
-        of an embedder's matrix, without repeating them."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "values", values)
-        object.__setattr__(e, "lang", lang)
-        return e
-
     @property
     def dim(self) -> int:
         return int(self.values.size)
@@ -118,7 +109,7 @@ class Embedding:
 
     def with_lang(self, lang: str | None) -> "Embedding":
         """This embedding tagged ``lang``: itself when the tag is unchanged."""
-        return self if lang == self.lang else Embedding._trusted(self.values, lang)
+        return self if lang == self.lang else Embedding(self.values, lang)
 
 
 @dataclass(frozen=True)

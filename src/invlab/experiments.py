@@ -19,7 +19,6 @@ from .corpus import Corpus, load_jsonl_corpus
 from .datagen import synthetic_retrieval_task
 from .defenses import (
     DefenseConfig,
-    DefenseContext,
     assign_language_ids,
     compute_group_means,
     embed_many_with_defense,
@@ -97,21 +96,21 @@ class _Runtime:
         The language-agnostic stage subtracts group means taken over all the
         undefended splits, so those are embedded first when it is on.
         """
-        context = None
+        means = None
         if defense is not None and defense.language_agnostic:
             undefended = self.targets(splits, None).values()
-            context = DefenseContext(compute_group_means([e for embs in undefended for e in embs]))
+            means = compute_group_means([e for embs in undefended for e in embs])
         targets = {}
         for lang, samples in splits.items():
             texts = [s.text for s in samples]
             langs = [s.lang for s in samples]
             if self.client is not None:
                 rows, _ = eaas_embed(
-                    self.client, texts, defense=defense, langs=langs, context=context
+                    self.client, texts, defense=defense, langs=langs, group_means=means
                 )
             else:
-                rows = embed_many_with_defense(self.attack_embedder, texts, langs, defense, context)
-            targets[lang] = [Embedding._trusted(row, tag) for row, tag in zip(rows, langs)]
+                rows = embed_many_with_defense(self.attack_embedder, texts, langs, defense, means)
+            targets[lang] = [Embedding(row, tag) for row, tag in zip(rows, langs)]
         return targets
 
     def attack(

@@ -73,6 +73,9 @@ class AttackConfig:
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
         check_vocab(self.vocab)
+        # A list would leave the frozen config unhashable and unequal to its
+        # tuple twin.
+        object.__setattr__(self, "vocab", tuple(self.vocab))
         if self.query_budget is not None and self.query_budget < 1:
             raise ConfigError("query budget must be positive when set")
 

@@ -9,16 +9,11 @@ the query and document languages.
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .defenses import (
-    DefenseConfig,
-    DefenseContext,
-    _group_means,
-    apply_defense_stack,
-    embed_many_with_defense,
-)
+from .defenses import DefenseConfig, _group_means, apply_defense_stack, embed_many_with_defense
 from .embeddings import BlackBoxEmbedder, Embedding, TextSample, cosine
 from .metrics import ndcg_at_k
 
@@ -69,13 +64,13 @@ def build_index(
     docs: list[TextSample],
     embedder: BlackBoxEmbedder,
     defense: DefenseConfig | None = None,
-    context: DefenseContext | None = None,
+    group_means: Mapping[str | None, np.ndarray] | None = None,
 ) -> Index:
     """Embed every document, apply the defense stack, and stack the vectors."""
     if not docs:
         raise ValueError("cannot index an empty document list")
     vectors = embed_many_with_defense(
-        embedder, [d.text for d in docs], [d.lang for d in docs], defense, context
+        embedder, [d.text for d in docs], [d.lang for d in docs], defense, group_means
     )
     return Index([d.id for d in docs], vectors)
 
@@ -109,10 +104,10 @@ def evaluate_task(
     # Undefended first: the language-agnostic stage needs the raw group means.
     rows = embedder.embed_many([s.text for s in samples])
     langs = [s.lang for s in samples]
-    context = None
+    means = None
     if defense is not None and defense.language_agnostic:
-        context = DefenseContext(_group_means(rows, langs))
-    defended = apply_defense_stack(rows, langs, [s.text for s in samples], defense, context)
+        means = _group_means(rows, langs)
+    defended = apply_defense_stack(rows, langs, [s.text for s in samples], defense, means)
     index = Index([d.id for d in task.docs], defended[:n_docs])
     total = 0.0
     for query, qvec in zip(task.queries, defended[n_docs:]):

@@ -1,13 +1,12 @@
-"""Cross-lingual rescoring through a pluggable translator.
+"""Cross-lingual rescoring through a word-for-word dictionary translator.
 
 String-matching metrics miss leakage when a reconstruction lands in the
 wrong language; translating it into the target language before scoring
-exposes how much content actually escaped. A word-for-word dictionary
-translator keeps this verifiable at desk scale; unknown words pass through
-unchanged so degradation comes only from genuine coverage gaps.
+exposes how much content actually escaped. Dictionary translation keeps
+this verifiable at desk scale; unknown words pass through unchanged so
+degradation comes only from genuine coverage gaps.
 """
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,23 +14,15 @@ from .embeddings import BlackBoxEmbedder, cosine
 from .metrics import MetricReport, pair_report
 
 
-class Translator(ABC):
-    @abstractmethod
-    def translate(self, text: str, src: str, tgt: str) -> str: ...
-
-    @abstractmethod
-    def supports(self, src: str, tgt: str) -> bool: ...
-
-
-class DictionaryTranslator(Translator):
+class DictionaryTranslator:
     """Word-for-word translation over per-language-pair word maps.
 
     Identical source and target languages are always supported (identity)
-    unless an explicit table overrides the pair.
+    unless ``add_pair`` gives the pair a table.
     """
 
-    def __init__(self, tables: dict[tuple[str, str], dict[str, str]] | None = None):
-        self.tables = dict(tables) if tables else {}
+    def __init__(self) -> None:
+        self.tables: dict[tuple[str, str], dict[str, str]] = {}
 
     def add_pair(self, src: str, tgt: str, table: dict[str, str]) -> None:
         self.tables[(src, tgt)] = dict(table)
@@ -89,13 +80,12 @@ def translated_metrics(
     src: str,
     target_text: str,
     tgt: str,
-    translator: Translator,
+    translator: DictionaryTranslator,
     embedder: BlackBoxEmbedder,
 ) -> TranslationGain:
     """Score a reconstruction against the target text before and after
-    translating it from the attack's language into the target language."""
-    if not translator.supports(src, tgt):
-        raise ValueError(f"unsupported language pair ({src}, {tgt})")
+    translating it from the attack's language into the target language; an
+    unsupported pair raises ValueError before anything is embedded."""
     translated = translator.translate(generated, src, tgt)
     target_emb, generated_emb, translated_emb = embedder.embed_many(
         [target_text, generated, translated]
@@ -105,7 +95,7 @@ def translated_metrics(
     return TranslationGain(pre, post, bleu_gain_pct(pre.bleu, post.bleu))
 
 
-def round_trip(text: str, src: str, pivot: str, translator: Translator) -> str:
+def round_trip(text: str, src: str, pivot: str, translator: DictionaryTranslator) -> str:
     """Translate into the pivot language and back."""
     for pair in ((src, pivot), (pivot, src)):
         if not translator.supports(*pair):

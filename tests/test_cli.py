@@ -49,6 +49,10 @@ class TestEmbedCommand:
         assert len(payload["embeddings"][0]) == 64
         assert payload["queries_used"] == 1
 
+    def test_lang_flag_removed(self, config_path):
+        with pytest.raises(SystemExit):
+            main(["--config", str(config_path), "embed", "--text", "hello", "--lang", "en"])
+
 
 class TestAttackCommand:
     def test_writes_report(self, config_path, tmp_path, capsys):

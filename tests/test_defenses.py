@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from invlab.defenses import (
     DefenseConfig,
-    DefenseContext,
     UnknownLanguageError,
     apply_defense_stack,
     assign_language_ids,
@@ -48,9 +47,9 @@ def row(*values):
     return rows
 
 
-def stack(rows, config, context=None, lang=None, key=""):
+def stack(rows, config, means=None, lang=None, key=""):
     """The stack on a batch whose rows all share ``lang`` and ``key``."""
-    return apply_defense_stack(rows, [lang] * len(rows), [key] * len(rows), config, context)
+    return apply_defense_stack(rows, [lang] * len(rows), [key] * len(rows), config, means)
 
 
 def mask(values, lang_id):
@@ -80,12 +79,11 @@ def reference_mask_language(e, lang_id):
     return e.with_values(out)
 
 
-def reference_stack_one(e, config, context=None, key=""):
+def reference_stack_one(e, config, means=None, key=""):
     if config is None:
         return e
     out = e
     if config.language_agnostic:
-        means = context.group_means if context is not None else None
         if not means:
             raise ConfigError("language-agnostic stage needs group means in context")
         if out.lang not in means:
@@ -108,9 +106,9 @@ def reference_stack_one(e, config, context=None, key=""):
     return out
 
 
-def reference_stack(rows, langs, keys, config, context=None):
+def reference_stack(rows, langs, keys, config, means=None):
     defended = [
-        reference_stack_one(Embedding(r, lang), config, context, key=key).values
+        reference_stack_one(Embedding(r, lang), config, means, key=key).values
         for r, lang, key in zip(rows, langs, keys)
     ]
     return np.array(defended, dtype=np.float64).reshape(rows.shape)
@@ -416,20 +414,19 @@ class TestApplyDefenseStack:
         with pytest.raises(ConfigError):
             stack(row(1.0, 2.0), config, lang="en")
         with pytest.raises(UnknownLanguageError):
-            stack(row(1.0, 2.0), config, DefenseContext({"fr": np.zeros(2)}), lang="en")
+            stack(row(1.0, 2.0), config, {"fr": np.zeros(2)}, lang="en")
 
     def test_agnostic_wrong_length_mean_rejected(self):
         config = DefenseConfig(language_agnostic=True)
-        context = DefenseContext({"en": np.array([0.5])})
         with pytest.raises(ValueError, match="shape"):
-            stack(row(1.0, 2.0, 3.0), config, context, lang="en")
+            stack(row(1.0, 2.0, 3.0), config, {"en": np.array([0.5])}, lang="en")
 
     def test_stage_order_agnostic_then_noise_then_mask(self):
-        context = DefenseContext({"en": np.array([0.5, 0.5])})
+        means = {"en": np.array([0.5, 0.5])}
         config = DefenseConfig(
             noise_lambda=0.1, noise_seed=3, masking={"en": 7.0}, language_agnostic=True
         )
-        out = stack(row(1.0, 1.0), config, context, lang="en", key="t")
+        out = stack(row(1.0, 1.0), config, means, lang="en", key="t")
         # dimension 0 is the mask id; dimension 1 is centered then noised
         rng = derive_noise_rng(3, "t")
         expected_1 = 0.5 + 0.1 * rng.standard_normal(2)[1]
@@ -476,15 +473,15 @@ def defended_batches(draw, agnostic, noise, masking, renormalize):
         language_agnostic=agnostic,
         renormalize_after=renormalize,
     )
-    context = None
+    group_means = None
     if draw(st.booleans()):
         shape = dim if draw(st.integers(0, 9)) else dim + 1
         mean = st.lists(values, min_size=shape, max_size=shape).map(np.array)
-        context = DefenseContext({lang: draw(mean) for lang in known})
+        group_means = {lang: draw(mean) for lang in known}
     elif draw(st.integers(0, 9)):
         means = compute_group_means([Embedding(r, l) for r, l in zip(rows, langs)])
-        context = DefenseContext({lang: means[lang] for lang in known})
-    return rows, langs, keys, config, context
+        group_means = {lang: means[lang] for lang in known}
+    return rows, langs, keys, config, group_means
 
 
 class TestStackMatchesReference:
@@ -497,16 +494,16 @@ class TestStackMatchesReference:
         """Stages are (agnostic, noise, mask, renormalize). The batch stack
         gives every row the reference's bits, refuses exactly the batches
         the reference refuses, and never writes its read-only input."""
-        rows, langs, keys, config, context = data.draw(defended_batches(*stages))
+        rows, langs, keys, config, means = data.draw(defended_batches(*stages))
         rows.flags.writeable = False
         before = rows.tobytes()
         try:
-            expected = reference_stack(rows, langs, keys, config, context)
+            expected = reference_stack(rows, langs, keys, config, means)
         except ValueError:
             with pytest.raises(ValueError):
-                apply_defense_stack(rows, langs, keys, config, context)
+                apply_defense_stack(rows, langs, keys, config, means)
         else:
-            got = apply_defense_stack(rows, langs, keys, config, context)
+            got = apply_defense_stack(rows, langs, keys, config, means)
             assert got.shape == rows.shape and got.dtype == np.float64
             assert got.tobytes() == expected.tobytes()
         assert rows.tobytes() == before

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from invlab.defenses import (
     DefenseConfig,
-    DefenseContext,
     apply_defense_stack,
     compute_group_means,
     embed_many_with_defense,
@@ -72,6 +71,19 @@ def encode_rows(rows) -> str:
 
 def decode_rows(data: str, dim: int) -> np.ndarray:
     return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").reshape(-1, dim)
+
+
+def sent_lines(client, monkeypatch) -> list[str]:
+    """Record every line the client sends."""
+    lines: list[str] = []
+    exchange_line = client._exchange
+
+    def spy(line: str) -> dict:
+        lines.append(line)
+        return exchange_line(line)
+
+    monkeypatch.setattr(client, "_exchange", spy)
+    return lines
 
 
 class TestWireProtocol:
@@ -177,20 +189,8 @@ class TestRequestLineLimit:
             reader.close()
         assert limited.queries_used() == 0
 
-    def sent_lines(self, client, monkeypatch) -> list[str]:
-        """Record every line the client sends."""
-        lines: list[str] = []
-        exchange_line = client._exchange
-
-        def spy(line: str) -> dict:
-            lines.append(line)
-            return exchange_line(line)
-
-        monkeypatch.setattr(client, "_exchange", spy)
-        return lines
-
     def test_client_splits_batch_past_limit(self, limited, client, monkeypatch):
-        lines = self.sent_lines(client, monkeypatch)
+        lines = sent_lines(client, monkeypatch)
         texts = [f"text {i}" + " pad" * (i % 4) for i in range(25)] + ["é\U0001F600\t"]
         remote, used = eaas_embed(client, texts)
         assert len(lines) > 1
@@ -209,22 +209,22 @@ class TestRequestLineLimit:
     def test_client_split_keeps_defense_langs_and_context(self, server, client, monkeypatch):
         limit = 1024  # room for the defense and a 32-d group mean per line
         monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", limit)
-        lines = self.sent_lines(client, monkeypatch)
+        lines = sent_lines(client, monkeypatch)
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         texts = [f"sample number {i}" for i in range(60)]
         langs = ["en", "fr"] * 30
         raws = [local_embedder.embed(t).with_lang(l) for t, l in zip(texts, langs)]
-        context = DefenseContext(compute_group_means(raws))
+        means = compute_group_means(raws)
         defense = DefenseConfig(
             noise_lambda=0.05, noise_seed=3, masking={"en": 1.0, "fr": 2.0},
             language_agnostic=True,
         )
-        remote, used = eaas_embed(client, texts, defense=defense, langs=langs, context=context)
+        remote, used = eaas_embed(client, texts, defense=defense, langs=langs, group_means=means)
         assert len(lines) > 1
         assert all(len(line.encode("utf-8")) <= limit for line in lines)
         assert used == server.queries_used() == len(texts)
         # Each row is masked with its own language's id, so langs kept their order.
-        local = apply_defense_stack(local_embedder.embed_many(texts), langs, texts, defense, context)
+        local = apply_defense_stack(local_embedder.embed_many(texts), langs, texts, defense, means)
         assert remote.tobytes() == local.tobytes()
 
     @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ class TestRequestLineLimit:
             assert start == len(texts)
 
     def test_client_refuses_text_past_limit_before_sending(self, limited, client, monkeypatch):
-        lines = self.sent_lines(client, monkeypatch)
+        lines = sent_lines(client, monkeypatch)
         with pytest.raises(ValueError, match="does not fit"):
             eaas_embed(client, ["short", "x" * self.LIMIT])
         assert lines == []
@@ -564,15 +564,35 @@ class TestDefenseOverWire:
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         texts = ["one sample", "two sample", "three sample"]
         raws = [local_embedder.embed(t).with_lang("en") for t in texts]
-        context = DefenseContext(compute_group_means(raws))
+        means = compute_group_means(raws)
         defense = DefenseConfig(language_agnostic=True)
         remote, _ = eaas_embed(
-            client, texts, defense=defense, langs=["en"] * 3, context=context
+            client, texts, defense=defense, langs=["en"] * 3, group_means=means
         )
         local = apply_defense_stack(
-            local_embedder.embed_many(texts), ["en"] * 3, texts, defense, context
+            local_embedder.embed_many(texts), ["en"] * 3, texts, defense, means
         )
         assert remote.tobytes() == local.tobytes()
+
+    def test_defended_request_line_pinned(self, monkeypatch):
+        """The exact line a defended request with group means sends: the
+        means travel as ``"context": {"group_means": {lang: "<rows>"}}``."""
+        srv = eaas_serve(NgramEmbedder(n=3, dim=4, seed=17))
+        with srv, EaasClient(*srv.address) as client:
+            lines = sent_lines(client, monkeypatch)
+            defense = DefenseConfig(masking={"en": 1.0, "fr": 2.0}, language_agnostic=True)
+            means = {"en": np.array([0.5, -1.0, 0.25, 2.0]), "fr": np.array([1.0, 0.0, -0.5, 3.0])}
+            _, used = eaas_embed(
+                client, ["a cat", "un chat"], defense=defense, langs=["en", "fr"], group_means=means
+            )
+        assert used == 2
+        assert lines == [
+            '{"op": "embed", "texts": ["a cat", "un chat"], "defense": {"noise_lambda": 0.0, '
+            '"noise_seed": 0, "masking": {"en": 1.0, "fr": 2.0}, "language_agnostic": true, '
+            '"renormalize_after": false}, "context": {"group_means": '
+            '{"en": "AAAAAAAA4D8AAAAAAADwvwAAAAAAANA/AAAAAAAAAEA=", '
+            '"fr": "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAOC/AAAAAAAACEA="}}, "langs": ["en", "fr"]}\n'
+        ]
 
     @pytest.mark.parametrize(
         "defense", [{}, None, {"noise_lambda": 0.0, "masking": None}], ids=["empty", "null", "off"]

@@ -260,7 +260,7 @@ class TestBlockCosine:
         got = cosine(block, target)
         assert [x.hex() for x in got] == [cosine(r, target).hex() for r in block]
         assert got == [reference_cosine(r, target) for r in block]
-        assert got == cosine(block, Embedding._trusted(target))
+        assert got == cosine(block, Embedding(target))
 
     def test_embedded_block_equals_pairs(self):
         embedder = NgramEmbedder(n=3, dim=64, seed=2)

@@ -83,6 +83,17 @@ class TestAttackConfig:
         with pytest.raises(ConfigError):
             AttackConfig(vocab=("a",), query_budget=0)
 
+    def test_list_vocab_stored_as_tuple(self):
+        listed = AttackConfig(vocab=["a", "b"], steps=2)
+        tupled = AttackConfig(vocab=("a", "b"), steps=2)
+        assert listed.vocab == ("a", "b")
+        assert hash(listed) == hash(tupled)
+        assert listed == tupled
+
+    def test_string_vocab_still_refused(self):
+        with pytest.raises(ConfigError, match="not a string"):
+            AttackConfig(vocab="ab")
+
 
 class TestBaseHypothesis:
     def test_recovers_single_token_target(self, embedder):
@@ -533,6 +544,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="differ only in steps and beam_width"):
             invert_grid([target], embedder, [SilentGenerator()], [config, other])
         assert embedder.queries_used() == before
+
+    def test_list_and_tuple_vocabularies_share_a_grid(self, embedder):
+        listed = AttackConfig(["a", "b", "c"], steps=1, beam_width=2, max_tokens=4)
+        tupled = AttackConfig(("a", "b", "c"), steps=3, beam_width=2, max_tokens=4)
+        target = embedder.embed("c a b")
+        gen = EditMutationGenerator(("a", "b", "c"), 4, seed=3)
+        cells = invert_grid([target], embedder, [gen], [listed, tupled])
+        for config, (result,) in zip([listed, tupled], cells):
+            fresh = NgramEmbedder(n=3, dim=256, seed=7)
+            assert_same_attack(result, invert(target, fresh, gen, config), target, fresh)
 
     def test_mismatched_generators_refused_and_empty_grid(self, embedder):
         config = AttackConfig(vocab=("a",))

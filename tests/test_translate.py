@@ -91,8 +91,9 @@ class TestTranslatedMetrics:
 
     def test_unsupported_pair_rejected(self, en_fr):
         embedder = NgramEmbedder(n=3, dim=64, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unsupported language pair \(en, de\)"):
             translated_metrics("x", "en", "y", "de", en_fr, embedder)
+        assert embedder.queries_used() == 0
 
     def test_inputs_not_mutated(self, en_fr):
         embedder = NgramEmbedder(n=3, dim=64, seed=0)
