@@ -29,12 +29,10 @@ from .inversion import (
     EditMutationGenerator,
     Hypothesis,
     MutationGenerator,
-    base_hypothesis,
     correction_step,
     exhaustive_oracle,
     invert,
     invert_grid,
-    invert_many,
 )
 from .metrics import (
     MetricReport,
@@ -47,8 +45,8 @@ from .metrics import (
     token_f1,
     tokenize,
 )
-from .retrieval import RetrievalTask, build_index, evaluate_task, search
-from .translate import DictionaryTranslator, TranslationGain, round_trip, translated_metrics
+from .retrieval import RetrievalTask, evaluate_task, search
+from .translate import DictionaryTranslator, TranslationGain, translated_metrics
 from .corpus import Corpus, load_jsonl_corpus
 from .config import ExperimentConfig, load_config, save_config
 from .report import ExperimentReport, ReportRow, emit_report, read_report_csv

@@ -106,8 +106,10 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
         )
     except ConfigError as exc:
         raise SystemExit(f"invalid defense: {exc}") from None
-    embedder = NgramEmbedder(config.embedder)
     tasks = build_retrieval_tasks(config)
+    if not tasks:
+        raise SystemExit("retrieve needs at least one corpus or retrieval task")
+    embedder = NgramEmbedder(config.embedder)
     total = 0.0
     for task in tasks:
         score = evaluate_task(task, embedder, defense, k=args.k)

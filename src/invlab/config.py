@@ -73,20 +73,17 @@ class ExperimentConfig:
         unknown key in any section or a malformed value raises ConfigError."""
         return from_json(cls, data, "config")
 
-    def validate_files(self) -> None:
-        """Check that every referenced corpus, dictionary, and task file exists."""
-        paths = [*self.corpora.values(), *self.dictionaries.values()]
-        paths += [task[key] for task in self.retrieval_tasks for key in _TASK_FILES]
-        missing = [path for path in paths if not Path(path).exists()]
-        if missing:
-            raise ConfigError(f"missing referenced files: {missing}")
 
-
-def load_config(path: str | Path, check_files: bool = True) -> ExperimentConfig:
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a config; a corpus, dictionary or task file it names that does
+    not exist raises ConfigError."""
     with open(path, encoding="utf-8") as fh:
         config = ExperimentConfig.from_dict(json.load(fh))
-    if check_files:
-        config.validate_files()
+    paths = [*config.corpora.values(), *config.dictionaries.values()]
+    paths += [task[key] for task in config.retrieval_tasks for key in _TASK_FILES]
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        raise ConfigError(f"missing referenced files: {missing}")
     return config
 
 

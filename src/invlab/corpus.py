@@ -34,13 +34,6 @@ class Corpus:
     def __getitem__(self, i: int) -> TextSample:
         return self.samples[i]
 
-    @property
-    def languages(self) -> list[str]:
-        return sorted({s.lang for s in self.samples})
-
-    def by_lang(self, lang: str) -> list[TextSample]:
-        return [s for s in self.samples if s.lang == lang]
-
 
 def load_jsonl_corpus(path: str | Path) -> Corpus:
     """One TextSample per line from {"id":…,"text":…,"lang":…} objects.

@@ -108,12 +108,15 @@ def _decode_rows(data: object, n: int, dim: int) -> np.ndarray:
 
 def _parse_context(data: object, dim: int) -> dict[str, np.ndarray] | None:
     """Decode a request's ``context`` into its group means, or None when it
-    is absent or empty; ValueError on any malformed part."""
-    if not data:
+    or its ``group_means`` is absent or null; ValueError on any malformed
+    part."""
+    if data is None:
         return None
     if not isinstance(data, dict):
         raise ValueError("context must be an object")
-    means = data.get("group_means") or {}
+    means = data.get("group_means")
+    if means is None:
+        return None
     if not isinstance(means, dict):
         raise ValueError("group_means must be an object")
     return {lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()}

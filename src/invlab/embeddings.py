@@ -310,8 +310,6 @@ class NgramEmbedder(BlackBoxEmbedder):
         return found
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        with self._lock:
-            self._queries += len(texts)
         n, dim = self.config.n, self.config.dim
         # A text of length m has k * m - k * (k - 1) / 2 grams, k = min(n, m).
         sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
@@ -327,6 +325,9 @@ class NgramEmbedder(BlackBoxEmbedder):
             norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
             norms[norms == 0.0] = 1.0  # zero rows stay zero
             vecs /= norms[:, None]
+        # Charged only once the rows exist: a batch that raises costs nothing.
+        with self._lock:
+            self._queries += rows
         return vecs
 
     def dimension(self) -> int:

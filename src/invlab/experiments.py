@@ -290,7 +290,7 @@ def build_retrieval_tasks(config: ExperimentConfig) -> list[RetrievalTask]:
     pairs = [(lang, lang) for lang in langs]
     if len(langs) >= 2:
         pairs += [(langs[0], langs[1]), (langs[1], langs[0])]
-    # A monolingual task is named and seeded by its one language.
+    # A single-language task is named and seeded by its one language.
     return [
         synthetic_retrieval_task(
             f"mono-{q}" if q == d else f"xling-{q}-{d}",

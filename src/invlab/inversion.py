@@ -320,18 +320,6 @@ def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
     return True
 
 
-def base_hypothesis(
-    target: Embedding, embedder: BlackBoxEmbedder, config: AttackConfig
-) -> Hypothesis:
-    """Greedy initial hypothesis: append the best-scoring token until no
-    token improves the score or the token limit is reached.
-
-    On budget exhaustion the best hypothesis scored so far is returned.
-    """
-    # With no correction steps the attack never calls its generator.
-    return invert(target, embedder, None, replace(config, steps=0)).best
-
-
 def _correction_step(
     beam: Sequence[Hypothesis], gen: MutationGenerator, scorer: _Scorer, b: int, step: int
 ) -> _Step:
@@ -444,16 +432,6 @@ def invert_grid(
     return grid
 
 
-def invert_many(
-    targets: Sequence[Embedding],
-    embedder: BlackBoxEmbedder,
-    gens: Sequence[MutationGenerator],
-    config: AttackConfig,
-) -> list[AttackResult]:
-    """One attack per (target, generator) pair: ``invert_grid`` with one config."""
-    return invert_grid(targets, embedder, gens, [config])[0]
-
-
 def invert(
     target: Embedding,
     embedder: BlackBoxEmbedder,
@@ -468,7 +446,7 @@ def invert(
     records the best-so-far score after the base pass and after each
     correction step, so it is non-decreasing by construction.
     """
-    return invert_many([target], embedder, [gen], config)[0]
+    return invert_grid([target], embedder, [gen], [config])[0][0]
 
 
 def exhaustive_oracle(

@@ -97,11 +97,11 @@ def emit_report(report: ExperimentReport, path: str | Path, fmt: str = "csv") ->
 def render_markdown(report: ExperimentReport) -> str:
     if not report.rows:
         raise ValueError("cannot render an empty report")
-    by_lang: dict[str, list[ReportRow]] = {}
+    groups: dict[str, list[ReportRow]] = {}
     for row in report.rows:
-        by_lang.setdefault(row.lang, []).append(row)
+        groups.setdefault(row.lang, []).append(row)
     lines = []
-    for lang, rows in by_lang.items():
+    for lang, rows in groups.items():
         lines.append(f"## {lang}")
         lines.append("")
         lines.append("| " + " | ".join(CSV_HEADER[:1] + CSV_HEADER[2:]) + " |")

@@ -2,18 +2,17 @@
 
 Exact cosine scan over the whole document collection: at desk scale the
 corpora are small and exactness removes approximate-index noise from the
-defense measurements. Tasks are monolingual or cross-lingual depending on
-the query and document languages.
+defense measurements. Tasks are single-language or cross-lingual depending
+on the query and document languages.
 """
 
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .defenses import DefenseConfig, _group_means, apply_defense_stack, embed_many_with_defense
+from .defenses import DefenseConfig, _group_means, apply_defense_stack
 from .embeddings import BlackBoxEmbedder, Embedding, TextSample, cosine
 from .metrics import ndcg_at_k
 
@@ -43,11 +42,6 @@ class RetrievalTask:
     def qrels_for(self, query_id: str) -> dict[str, int]:
         return {did: g for (qid, did), g in self.qrels.items() if qid == query_id}
 
-    @property
-    def monolingual(self) -> bool:
-        langs = {q.lang for q in self.queries} | {d.lang for d in self.docs}
-        return len(langs) == 1
-
 
 @dataclass(eq=False)
 class Index:
@@ -58,21 +52,6 @@ class Index:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def build_index(
-    docs: list[TextSample],
-    embedder: BlackBoxEmbedder,
-    defense: DefenseConfig | None = None,
-    group_means: Mapping[str | None, np.ndarray] | None = None,
-) -> Index:
-    """Embed every document, apply the defense stack, and stack the vectors."""
-    if not docs:
-        raise ValueError("cannot index an empty document list")
-    vectors = embed_many_with_defense(
-        embedder, [d.text for d in docs], [d.lang for d in docs], defense, group_means
-    )
-    return Index([d.id for d in docs], vectors)
 
 
 def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tuple[str, float]]:

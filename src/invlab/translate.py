@@ -93,11 +93,3 @@ def translated_metrics(
     pre = pair_report(generated, target_text, cos=cosine(generated_emb, target_emb))
     post = pair_report(translated, target_text, cos=cosine(translated_emb, target_emb))
     return TranslationGain(pre, post, bleu_gain_pct(pre.bleu, post.bleu))
-
-
-def round_trip(text: str, src: str, pivot: str, translator: DictionaryTranslator) -> str:
-    """Translate into the pivot language and back."""
-    for pair in ((src, pivot), (pivot, src)):
-        if not translator.supports(*pair):
-            raise ValueError(f"unsupported language pair {pair}")
-    return translator.translate(translator.translate(text, src, pivot), pivot, src)

@@ -119,6 +119,13 @@ class TestRetrieveCommand:
             main(["--config", str(config_path), "retrieve", "--k", k])
         assert capsys.readouterr().out == ""
 
+    def test_no_tasks_refused(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("{}", encoding="utf-8")
+        with pytest.raises(SystemExit, match="needs at least one corpus or retrieval task"):
+            main(["--config", str(path), "retrieve"])
+        assert capsys.readouterr().out == ""
+
 
 class TestReportCommand:
     def test_rerenders_markdown(self, config_path, tmp_path, capsys):

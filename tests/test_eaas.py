@@ -442,6 +442,37 @@ class TestNoChargeOnError:
         assert refused == {"error": "bad_request"}
         assert served["queries_used"] == before + 1
 
+    NOISE = DefenseConfig(noise_lambda=0.1, noise_seed=3).to_dict()
+
+    @pytest.mark.parametrize(
+        "context",
+        [0, "", [], [1], "x", True, 1.5,
+         {"group_means": []}, {"group_means": 0}, {"group_means": ""},
+         {"group_means": [1]}, {"group_means": False}],
+        ids=["zero", "empty-string", "empty-list", "list", "string", "true", "float",
+             "means-empty-list", "means-zero", "means-empty-string", "means-list",
+             "means-false"],
+    )
+    def test_malformed_context_refused(self, server, context):
+        request = {"texts": ["a"], "defense": self.NOISE, "context": context}
+        assert self.refused(server, request) == "bad_request"
+
+    @pytest.mark.parametrize(
+        "context",
+        [{}, {"context": None}, {"context": {}}, {"context": {"group_means": None}},
+         {"context": {"group_means": {}}}],
+        ids=["absent", "null", "empty", "means-null", "means-empty"],
+    )
+    def test_empty_context_served(self, server, context):
+        request = {"op": "embed", "texts": ["a", "b"], "defense": self.NOISE, **context}
+        response = raw_request(server, json.dumps(request))
+        local = embed_many_with_defense(
+            NgramEmbedder(n=3, dim=32, seed=17), ["a", "b"], [None, None],
+            DefenseConfig.from_dict(self.NOISE),
+        )
+        assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
+        assert response["queries_used"] == server.queries_used() == 2
+
     def test_valid_request_still_charges_every_text(self, server):
         request = {
             "texts": ["a", "b", "c"],

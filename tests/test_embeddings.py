@@ -171,6 +171,20 @@ class TestNgramEmbedder:
         embedder.embed_many(["a", "b", "c"])
         assert embedder.queries_used() == 3
 
+    @pytest.mark.parametrize(
+        "texts, error",
+        [(["a\ud800"], UnicodeEncodeError), ([3], TypeError), (["ok", None], TypeError)],
+        ids=["surrogate", "int", "none-after-text"],
+    )
+    def test_failed_batch_charges_nothing(self, texts, error):
+        embedder = NgramEmbedder(n=2, dim=16, seed=0)
+        embedder.embed_many(["x", "y"])
+        with pytest.raises(error):
+            embedder.embed_many(texts)
+        assert embedder.queries_used() == 2
+        embedder.embed_many(["a", "b", "c"])
+        assert embedder.queries_used() == 5
+
     def test_counter_safe_under_concurrency(self):
         embedder = NgramEmbedder(n=2, dim=32, seed=1)
         with ThreadPoolExecutor(max_workers=8) as pool:

@@ -107,17 +107,6 @@ class TestCorpusType:
         with pytest.raises(ValueError):
             Corpus((s, s))
 
-    def test_languages_and_by_lang(self):
-        corpus = Corpus(
-            (
-                TextSample("1", "a", "en"),
-                TextSample("2", "b", "fr"),
-                TextSample("3", "c", "en"),
-            )
-        )
-        assert corpus.languages == ["en", "fr"]
-        assert [s.id for s in corpus.by_lang("en")] == ["1", "3"]
-
 
 class TestDatagen:
     def test_parallel_corpora_aligned(self):
@@ -160,12 +149,14 @@ class TestExperimentConfig:
         config = ExperimentConfig(seed=9, out_dir=str(tmp_path))
         path = tmp_path / "config.json"
         save_config(config, path)
-        assert load_config(path, check_files=False) == config
+        assert load_config(path) == config
 
     def test_missing_files_rejected(self, tmp_path):
         config = ExperimentConfig(corpora={"en": str(tmp_path / "nope.jsonl")})
+        path = tmp_path / "config.json"
+        save_config(config, path)
         with pytest.raises(ConfigError, match="missing"):
-            config.validate_files()
+            load_config(path)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):

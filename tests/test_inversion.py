@@ -17,12 +17,10 @@ from invlab.inversion import (
     EditMutationGenerator,
     Hypothesis,
     MutationGenerator,
-    base_hypothesis,
     correction_step,
     exhaustive_oracle,
     invert,
     invert_grid,
-    invert_many,
 )
 from invlab.seeding import derive_rng
 
@@ -66,6 +64,11 @@ def embedder():
     return NgramEmbedder(n=3, dim=256, seed=7)
 
 
+def greedy_base(target, embedder, config):
+    """The greedy base hypothesis: the best of an attack with no correction steps."""
+    return invert(target, embedder, SilentGenerator(), dataclasses.replace(config, steps=0)).best
+
+
 class TestAttackConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -100,14 +103,14 @@ class TestBaseHypothesis:
         # compare both candidate embeddings directly: "a" must win
         target = embedder.embed("a")
         assert cosine(embedder.embed("a"), target) > cosine(embedder.embed("b"), target)
-        hyp = base_hypothesis(target, embedder, AttackConfig(vocab=("a", "b"), max_tokens=1))
+        hyp = greedy_base(target, embedder, AttackConfig(vocab=("a", "b"), max_tokens=1))
         assert hyp.text == "a"
         assert hyp.score == pytest.approx(1.0, abs=1e-9)
         assert hyp.step == 0
 
     def test_single_candidate_vocab(self, embedder):
         target = embedder.embed("whatever text")
-        hyp = base_hypothesis(target, embedder, AttackConfig(vocab=("a",), max_tokens=1))
+        hyp = greedy_base(target, embedder, AttackConfig(vocab=("a",), max_tokens=1))
         assert hyp.text in ("", "a")  # the only candidates of length <= 1
         # with only token "a" available, the builder either keeps it or stops empty
         direct = cosine(embedder.embed("a"), target)
@@ -116,26 +119,26 @@ class TestBaseHypothesis:
     def test_deterministic(self, embedder):
         target = embedder.embed("b a")
         config = AttackConfig(vocab=("a", "b"), max_tokens=4)
-        first = base_hypothesis(target, embedder, config)
-        second = base_hypothesis(target, embedder, config)
+        first = greedy_base(target, embedder, config)
+        second = greedy_base(target, embedder, config)
         assert first.text == second.text
         assert first.score == second.score
 
     def test_dimension_mismatch(self, embedder):
         target = Embedding(np.zeros(8))
         with pytest.raises(ValueError):
-            base_hypothesis(target, embedder, AttackConfig(vocab=("a",)))
+            greedy_base(target, embedder, AttackConfig(vocab=("a",)))
 
     def test_respects_max_tokens(self, embedder):
         target = embedder.embed("a a a a a a")
-        hyp = base_hypothesis(target, embedder, AttackConfig(vocab=("a",), max_tokens=3))
+        hyp = greedy_base(target, embedder, AttackConfig(vocab=("a",), max_tokens=3))
         assert len(hyp.text.split()) <= 3
 
 
 class TestCorrectionStep:
     def test_identity_generator_fixed_point(self, embedder):
         target = embedder.embed("a")
-        hyp = base_hypothesis(target, embedder, AttackConfig(vocab=("a", "b"), max_tokens=1))
+        hyp = greedy_base(target, embedder, AttackConfig(vocab=("a", "b"), max_tokens=1))
         beam = correction_step([hyp], target, IdentityGenerator(), embedder, b=1)
         assert [h.text for h in beam] == [hyp.text]
 
@@ -200,14 +203,6 @@ class TestCorrectionStep:
 
 
 class TestInvert:
-    def test_zero_steps_equals_base(self, embedder):
-        target = embedder.embed("b a")
-        config = AttackConfig(vocab=("a", "b"), steps=0, max_tokens=2)
-        base = base_hypothesis(target, embedder, config)
-        result = invert(target, embedder, IdentityGenerator(), config)
-        assert result.best.text == base.text
-        assert result.best.score == base.score
-
     def test_recovers_derived_target(self, embedder):
         # the oracle confirms "c a b" is the unique global argmax first
         vocab = ("a", "b", "c")
@@ -236,7 +231,7 @@ class TestInvert:
         target = embedder.embed("c b a")
         vocab = ("a", "b", "c")
         config = AttackConfig(vocab=vocab, steps=20, beam_width=4, max_tokens=3)
-        base = base_hypothesis(target, embedder, config)
+        base = greedy_base(target, embedder, config)
         result = invert(target, embedder, EditMutationGenerator(vocab, 3, seed=1), config)
         assert result.best.score >= base.score
 
@@ -348,7 +343,8 @@ def lockstep_generator(kind: str, seed: int) -> MutationGenerator:
 
 
 class TestLockstep:
-    """``invert_many`` gives every attack exactly what ``invert`` gives it alone."""
+    """A one-config ``invert_grid`` gives every attack exactly what ``invert``
+    gives it alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -374,7 +370,7 @@ class TestLockstep:
         )
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
         gens = [lockstep_generator(kind, seed) for _, kind, seed in attacks]
-        results = invert_many(targets, embedder, gens, config)
+        results = invert_grid(targets, embedder, gens, [config])[0]
         assert len(results) == len(attacks)
         for target, gen, result in zip(targets, gens, results):
             assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
@@ -390,7 +386,7 @@ class TestLockstep:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=2) for _ in texts[:3]]
         gens.append(SilentGenerator())
         config = AttackConfig(vocab=vocab, steps=6, beam_width=4, max_tokens=4, query_budget=30)
-        results = invert_many(targets, embedder, gens, config)
+        results = invert_grid(targets, embedder, gens, [config])[0]
         assert [r.terminated for r in results] == [
             CONVERGED, CONVERGED, BUDGET_EXHAUSTED, COMPLETED
         ]
@@ -405,7 +401,7 @@ class TestLockstep:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
         config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
-        results = invert_many(targets, embedder, gens, config)
+        results = invert_grid(targets, embedder, gens, [config])[0]
         cap = invlab.inversion._ROUND_TEXTS
         assert max(embedder.calls) == cap  # rounds were long enough to be cut
         assert sum(embedder.calls) == sum(r.queries_used for r in results)
@@ -415,7 +411,7 @@ class TestLockstep:
 
     def test_mismatched_generators_refused(self, embedder):
         with pytest.raises(ValueError):
-            invert_many([embedder.embed("a")], embedder, [], AttackConfig(vocab=("a",)))
+            invert_grid([embedder.embed("a")], embedder, [], [AttackConfig(vocab=("a",))])
 
     def test_remote_bill_equals_summed_queries(self):
         local = NgramEmbedder(n=3, dim=32, seed=17)
@@ -426,7 +422,7 @@ class TestLockstep:
         server = eaas_serve(NgramEmbedder(n=3, dim=32, seed=17))
         try:
             with EaasClient(*server.address) as client:
-                results = invert_many(targets, RemoteEmbedder(client, dim=32), gens, config)
+                results = invert_grid(targets, RemoteEmbedder(client, dim=32), gens, [config])[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
         finally:
             server.stop()
@@ -479,7 +475,7 @@ class TestGrid:
         assert len(grid) == len(configs)
         for config, results in zip(configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_many(targets, fresh, gens(), config)
+            alone = invert_grid(targets, fresh, gens(), [config])[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -495,10 +491,10 @@ class TestGrid:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
         grid = invert_grid(targets, embedder, gens, configs)
-        greedy = invert_many(
+        greedy = invert_grid(
             targets, NgramEmbedder(n=3, dim=64, seed=11), [SilentGenerator()] * 4,
-            dataclasses.replace(configs[0], steps=0),
-        )
+            [dataclasses.replace(configs[0], steps=0)],
+        )[0]
         deepest = {c.beam_width: results for c, results in zip(configs, grid) if c.steps == 8}
         expected = sum(
             g.queries_used
@@ -521,7 +517,7 @@ class TestGrid:
         targets = [embedder.embed(t) for t in ("a b", "c c a")]
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
         config = AttackConfig(vocab, steps=2, beam_width=2, max_tokens=4)
-        invert_many(targets, embedder, gens, config)
+        invert_grid(targets, embedder, gens, [config])
         assert forks == []  # a one-config grid copies nothing
         grid = [dataclasses.replace(config, beam_width=b, steps=s) for b in (1, 2, 3) for s in (0, 2)]
         invert_grid(targets, embedder, gens, grid)

@@ -8,8 +8,8 @@ from invlab.datagen import synthetic_retrieval_task
 from invlab.defenses import DefenseConfig, assign_language_ids
 from invlab.embeddings import Embedding, NgramEmbedder, TextSample
 from invlab.retrieval import (
+    Index,
     RetrievalTask,
-    build_index,
     evaluate_task,
     load_qrels_tsv,
     save_qrels_tsv,
@@ -26,6 +26,11 @@ def embedder():
     return NgramEmbedder(n=3, dim=64, seed=21)
 
 
+def index_of(docs, embedder):
+    """An undefended index of ``docs``."""
+    return Index([d.id for d in docs], embedder.embed_many([d.text for d in docs]))
+
+
 class TestRetrievalTask:
     def test_qrels_must_reference_known_ids(self):
         with pytest.raises(ValueError):
@@ -37,63 +42,33 @@ class TestRetrievalTask:
         with pytest.raises(ValueError):
             RetrievalTask("t", [sample("q1", "x")], [sample("d1", "y")], {("q1", "d1"): 0})
 
-    def test_monolingual_flag(self):
-        mono = RetrievalTask("t", [sample("q", "x")], [sample("d", "y")], {})
-        cross = RetrievalTask(
-            "t", [sample("q", "x", "en")], [sample("d", "y", "fr")], {}
-        )
-        assert mono.monolingual and not cross.monolingual
-
-
-class TestBuildIndex:
-    def test_single_doc(self, embedder):
-        index = build_index([sample("d1", "hello")], embedder)
-        assert len(index) == 1
-        assert index.ids == ["d1"]
-
-    def test_deterministic(self, embedder):
-        docs = [sample(f"d{i}", f"text {i}") for i in range(4)]
-        a = build_index(docs, embedder)
-        b = build_index(docs, embedder)
-        assert a.vectors.tobytes() == b.vectors.tobytes()
-
-    def test_no_defense_equals_raw_embeddings(self, embedder):
-        docs = [sample("d1", "alpha"), sample("d2", "beta")]
-        index = build_index(docs, embedder)
-        raw = np.stack([embedder.embed(d.text).values for d in docs])
-        assert np.array_equal(index.vectors, raw)
-
-    def test_empty_rejected(self, embedder):
-        with pytest.raises(ValueError):
-            build_index([], embedder)
-
 
 class TestSearch:
     def test_stored_vector_ranks_first(self, embedder):
         docs = [sample(f"d{i}", t) for i, t in enumerate(["red fox", "blue sky", "green tea"])]
-        index = build_index(docs, embedder)
+        index = index_of(docs, embedder)
         result = search(index, embedder.embed("blue sky"), k=3)
         assert result[0][0] == "d1"
         assert result[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_k_larger_than_corpus(self, embedder):
         docs = [sample("d1", "a"), sample("d2", "b")]
-        index = build_index(docs, embedder)
+        index = index_of(docs, embedder)
         assert len(search(index, embedder.embed("a"), k=10)) == 2
 
     def test_tie_break_by_id(self, constant_embedder):
         docs = [sample("zz", "x"), sample("aa", "y"), sample("mm", "z")]
-        index = build_index(docs, constant_embedder)
+        index = index_of(docs, constant_embedder)
         result = search(index, constant_embedder.embed("q"), k=3)
         assert [doc_id for doc_id, _ in result] == ["aa", "mm", "zz"]
 
     def test_dimension_mismatch(self, embedder):
-        index = build_index([sample("d1", "a")], embedder)
+        index = index_of([sample("d1", "a")], embedder)
         with pytest.raises(ValueError):
             search(index, Embedding(np.zeros(8)), k=1)
 
     def test_zero_query_scores_zero(self, embedder):
-        index = build_index([sample("d1", "a")], embedder)
+        index = index_of([sample("d1", "a")], embedder)
         result = search(index, Embedding(np.zeros(embedder.dimension())), k=1)
         assert result[0][1] == 0.0
 
@@ -115,8 +90,6 @@ class TestSearch:
             ((doc_id, naive_cosine(query, vec)) for doc_id, vec in index_docs),
             key=lambda pair: (-pair[1], pair[0]),
         )[:10]
-
-        from invlab.retrieval import Index
 
         result = search(Index(ids, vectors), query, k=10)
         assert [doc_id for doc_id, _ in result] == [doc_id for doc_id, _ in naive]

@@ -6,7 +6,6 @@ from invlab.translate import (
     DictionaryTranslator,
     bleu_gain_pct,
     load_dictionary_tsv,
-    round_trip,
     save_dictionary_tsv,
     translated_metrics,
 )
@@ -34,29 +33,33 @@ class TestDictionaryTranslator:
 
     def test_unsupported_pair_rejected(self, en_fr):
         assert not en_fr.supports("en", "de")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unsupported language pair \(en, de\)"):
             en_fr.translate("red", "en", "de")
+
+
+def there_and_back(text, src, pivot, translator):
+    return translator.translate(translator.translate(text, src, pivot), pivot, src)
 
 
 class TestRoundTrip:
     def test_bijective_dictionary_is_identity(self, en_fr):
-        assert round_trip("red cat red", "en", "fr", en_fr) == "red cat red"
+        assert there_and_back("red cat red", "en", "fr", en_fr) == "red cat red"
 
     def test_pivot_equals_source_identity(self):
-        assert round_trip("la vie", "fr", "fr", DictionaryTranslator()) == "la vie"
+        assert there_and_back("la vie", "fr", "fr", DictionaryTranslator()) == "la vie"
 
     def test_unknown_word_passes_both_hops(self, en_fr):
-        assert round_trip("zebra", "en", "fr", en_fr) == "zebra"
+        assert there_and_back("zebra", "en", "fr", en_fr) == "zebra"
 
     def test_unsupported_pair_rejected(self, en_fr):
-        with pytest.raises(ValueError):
-            round_trip("red", "en", "de", en_fr)
+        with pytest.raises(ValueError, match=r"unsupported language pair \(en, de\)"):
+            there_and_back("red", "en", "de", en_fr)
 
     def test_generated_bijection_round_trips(self):
         translator = dictionary_translator(["en", "fr"], 12)
         corpora = parallel_corpora(["en", "fr"], 10, vocab_size=12, seed=4)
         for s in corpora["en"]:
-            assert round_trip(s.text, "en", "fr", translator) == s.text
+            assert there_and_back(s.text, "en", "fr", translator) == s.text
 
 
 class TestBleuGain:
