@@ -17,7 +17,8 @@ bitwise equal to local ones.
 
 ``defense`` is the only stack the service applies, and none when it is
 absent or null; ``langs`` tags each text for masking; ``context`` supplies
-per-language mean vectors when the language-agnostic stage is enabled.
+per-language mean vectors when the language-agnostic stage is enabled, and
+is checked on every request, defended or not.
 ``queries_used`` is the bill: the vectors returned so far, this reply's
 included; an error reply never charges. A language without a masking id or
 group mean is ``unknown_lang``; a ``defense`` that ``DefenseConfig.from_dict``
@@ -189,10 +190,10 @@ class _Handler(socketserver.StreamRequestHandler):
         dim = self.server.embedder.dimension()
         try:
             # The request's defense is the only stack applied.
-            defense = means = None
+            defense = None
             if request.get("defense") is not None:
                 defense = DefenseConfig.from_dict(request["defense"])
-                means = _parse_context(request.get("context"), dim)
+            means = _parse_context(request.get("context"), dim)
             rows = embed_many_with_defense(self.server.embedder, texts, langs, defense, means)
         except UnknownLanguageError:
             return _error_line("unknown_lang")

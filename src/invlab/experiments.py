@@ -29,7 +29,7 @@ from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert
 from .inversion import invert  # unused here; benchmarks/tracing.py patches this name
 from .metrics import MetricReport, aggregate, pair_report
 from .report import ExperimentReport, ReportRow
-from .retrieval import RetrievalTask, evaluate_task, load_qrels_tsv
+from .retrieval import RetrievalTask, embed_task, evaluate_task, load_qrels_tsv
 from .seeding import stable_seed
 from .translate import DictionaryTranslator, load_dictionary_tsv, translated_metrics
 
@@ -116,21 +116,21 @@ class _Runtime:
     def attack(
         self,
         samples: list[TextSample],
-        targets: list[Embedding],
         vocab: list[str],
-        cells: list[tuple[int, int]],
+        cells: list[tuple[list[Embedding], int, int]],
         labels: tuple[str, ...],
     ) -> list[tuple[list[AttackResult], int, float]]:
-        """Invert every sample's target embedding with the given vocabulary
-        once per (steps, beam) cell, all in one ``invert_grid`` call. Each
-        sample's generator is seeded from the run seed, ``labels`` and the
-        sample id, never from a cell. Returns, per cell, the results, their
-        summed queries and the cell's attack wall time in seconds.
+        """Invert the samples' target embeddings with the given vocabulary once
+        per (targets, steps, beam) cell, all in one ``invert_grid`` call; a
+        cell's targets hold one embedding per sample. Each sample's generator
+        is seeded from the run seed, ``labels`` and the sample id, never from
+        a cell. Returns, per cell, the results, their summed queries and the
+        cell's attack wall time in seconds.
         """
         seed, sweep = self.config.seed, self.config.attack
         attack_configs = [
             AttackConfig(tuple(vocab), steps, beam, sweep.max_tokens, sweep.query_budget)
-            for steps, beam in cells
+            for _, steps, beam in cells
         ]
         gens = [
             EditMutationGenerator(
@@ -138,6 +138,7 @@ class _Runtime:
             )
             for sample in samples
         ]
+        targets = [cell_targets for cell_targets, _, _ in cells]
         grid = invert_grid(targets, self.attack_embedder, gens, attack_configs)
         return [
             (results, sum(r.queries_used for r in results), sum(r.wall_time for r in results))
@@ -172,9 +173,11 @@ def run_reconstruction(
         targets = runtime.targets(splits, defense)
         for lang, samples in splits.items():
             for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
-                cells = [(s, b) for s in config.attack.steps for b in config.attack.beams]
-                grid = runtime.attack(samples, targets[lang], vocab, cells, (condition, lang))
-                for (steps, beam), (results, queries, wall) in zip(cells, grid):
+                cells = [
+                    (targets[lang], s, b) for s in config.attack.steps for b in config.attack.beams
+                ]
+                grid = runtime.attack(samples, vocab, cells, (condition, lang))
+                for (_, steps, beam), (results, queries, wall) in zip(cells, grid):
                     metrics = aggregate(_pair_reports(results, samples))
                     report.add(
                         ReportRow(
@@ -229,7 +232,7 @@ def run_crosslingual(
     with _Runtime(config, remote) as runtime:
         targets = runtime.targets({tgt: samples}, None)[tgt]
         [(results, queries, attack_wall)] = runtime.attack(
-            samples, targets, vocab, [(steps, beam)], ("xling", src, tgt)
+            samples, vocab, [(targets, steps, beam)], ("xling", src, tgt)
         )
         rescore_start = time.perf_counter()
         rescored = [
@@ -312,6 +315,16 @@ def run_defense_sweep(
     defense effects are not confounded by search depth; retrieval reports
     mean NDCG@10 across the configured tasks. Also writes a plot-ready CSV
     (defense, level, ndcg, bleu) into the configured output directory.
+
+    A cell's attacks differ from another cell's only in their targets, so
+    each split attacks every cell's targets in one attack call (see
+    ``invert_grid``): a row's ``queries`` is what its attacks cost alone,
+    while the embedder serves each sample's shared texts once, so a remote
+    run's bill falls below the summed ``queries``. A row's ``wall_ms`` is
+    the shared pass's time until the cell's last attack finished, so the
+    rows' times overlap and do not add up to the sweep's. Each retrieval
+    task is embedded once, undefended, and every cell runs its defense stack
+    on those rows.
     """
     langs = sorted(config.corpora)
     if not langs:
@@ -323,27 +336,29 @@ def run_defense_sweep(
     report = ExperimentReport()
     plot_rows = []
     with _Runtime(config, remote) as runtime:
-        for label, defense in _sweep_cells(config, langs):
-            targets = runtime.targets(splits, defense)
-            reports = []
-            queries = 0
-            wall = 0.0
-            for lang, samples in splits.items():
-                cell = (DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM)
-                [(results, used, spent)] = runtime.attack(
-                    samples, targets[lang], vocabs[lang], [cell], ("defense", lang)
-                )
-                reports += _pair_reports(results, samples)
-                queries += used
-                wall += spent
+        sweep = _sweep_cells(config, langs)
+        targets = [runtime.targets(splits, defense) for _, defense in sweep]
+        reports: list[list[MetricReport]] = [[] for _ in sweep]
+        queries = [0] * len(sweep)
+        wall = [0.0] * len(sweep)
+        for lang, samples in splits.items():
+            cells = [(t[lang], DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM) for t in targets]
+            grid = runtime.attack(samples, vocabs[lang], cells, ("defense", lang))
+            for c, (results, used, spent) in enumerate(grid):
+                reports[c] += _pair_reports(results, samples)
+                queries[c] += used
+                wall[c] += spent
+        raw = [embed_task(task, runtime.attack_embedder) for task in tasks]
+        for c, (label, defense) in enumerate(sweep):
             ndcg = sum(
-                evaluate_task(task, runtime.attack_embedder, defense) for task in tasks
+                evaluate_task(task, runtime.attack_embedder, defense, rows=rows)
+                for task, rows in zip(tasks, raw)
             ) / len(tasks)
-            metrics = aggregate(reports)
+            metrics = aggregate(reports[c])
             report.add(
                 ReportRow(
                     "defense", "all", DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM, label,
-                    metrics, queries, _ms(wall), ndcg,
+                    metrics, queries[c], _ms(wall[c]), ndcg,
                 )
             )
             level = f"{defense.noise_lambda:g}" if label.startswith("noise") or label == "none" else ""

@@ -94,7 +94,9 @@ class MutationGenerator(ABC):
 
     Stands in for a learned corrector; any generator can be plugged into the
     search as long as proposals respect the vocabulary and token limit and
-    are deterministic given (hypothesis, k, seed).
+    are deterministic given (hypothesis.text, hypothesis.step, k, seed): a
+    proposal never depends on the hypothesis's score, so the attacks of one
+    sample can share it (see ``invert_grid``).
     """
 
     @abstractmethod
@@ -198,6 +200,26 @@ class EditMutationGenerator(MutationGenerator):
         return [build[family](rank) for family, rank in itertools.islice(picks, max(k, 0))]
 
 
+class _SharedProposals(MutationGenerator):
+    """One sample's generator, shared by its attacks: each (text, step, k) is
+    proposed once and the list handed to every attack that asks for it. The
+    memo is emptied whenever the step changes, so it holds about one round's
+    proposals."""
+
+    def __init__(self, gen: MutationGenerator):
+        self.gen = gen
+        self.step: int | None = None
+        self.memo: dict[tuple[str, int], list[str]] = {}
+
+    def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
+        if hypothesis.step != self.step:
+            self.step, self.memo = hypothesis.step, {}
+        key = (hypothesis.text, k)
+        if key not in self.memo:
+            self.memo[key] = self.gen.propose(hypothesis, k)
+        return self.memo[key]
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -255,16 +277,25 @@ class _Scorer:
         return [Hypothesis(text, self.cache[text], step) for text in dict.fromkeys(texts)]
 
 
-def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
+def _drive(
+    attacks: list[_Step], embedder: BlackBoxEmbedder, samples: Sequence[int] | None = None
+) -> list:
     """Run attack steps in lockstep rounds; returns their results in order.
 
-    Each round joins every live step's request, in step order, into
-    ``embed_many`` calls of at most ``_ROUND_TEXTS`` texts, and hands each
-    step its own block of rows as soon as the block is complete, so a
-    round's vectors are never all alive at once. The step then makes its
+    ``samples[i]`` is the sample step ``i`` attacks (each step is its own by
+    default). Each round embeds every distinct (sample, text) pair that live
+    steps request once, in step order, in ``embed_many`` calls of at most
+    ``_ROUND_TEXTS`` texts, and hands each step its rows as soon as they
+    exist; rows that no later request of the round needs are dropped, so a
+    round's vectors are not all alive at once. The step then makes its
     request for the next round. Vectors do not depend on their batch, so
-    only the grouping into calls differs from running steps one at a time.
+    only the calls differ from running steps one at a time. Sharing never
+    reaches across samples or rounds, and a step never asks for a text twice
+    (its scorer requests only unscored texts), so with one step per sample
+    every requested text is embedded.
     """
+    if samples is None:
+        samples = range(len(attacks))
     results: list = [None] * len(attacks)
     requests: list[tuple[int, list[str]]] = []
 
@@ -278,17 +309,32 @@ def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder) -> list:
         advance(i, None)
     while requests:
         batch, requests = requests, []
-        texts = [t for _, fresh in batch for t in fresh]
-        held: list[np.ndarray] = []  # embedded rows not yet handed out
-        count = 0
+        texts: list[str] = []  # one per distinct (sample, text) pair of the round
+        rows_of: dict[int, dict[str, int]] = {}  # sample -> text -> its row in the round
+        wanted: list[range | list[int]] = []  # each request's rows
+        for i, fresh in batch:
+            known = rows_of.setdefault(samples[i], {})
+            n = len(texts)
+            texts += [t for t in fresh if t not in known]
+            known.update(zip(texts[n:], itertools.count(n)))
+            # A request whose texts are all new to the round reads a block.
+            fresh_block = len(texts) - n == len(fresh)
+            wanted.append(range(n, len(texts)) if fresh_block else [known[t] for t in fresh])
+        # keep[j]: the first row that request j or a later one needs
+        keep = list(itertools.accumulate(map(min, reversed(wanted)), min))[::-1]
+        held, first, j = None, 0, 0  # embedded rows from row ``first`` on
         for lo in range(0, len(texts), _ROUND_TEXTS):
-            held.append(embedder.embed_many(texts[lo : lo + _ROUND_TEXTS]))
-            count += len(held[-1])
-            while batch and len(batch[0][1]) <= count:
-                i, fresh = batch.pop(0)
-                rows = held[0] if len(held) == 1 else np.concatenate(held)
-                held, count = [rows[len(fresh) :]], count - len(fresh)
-                advance(i, rows[: len(fresh)])
+            rows = embedder.embed_many(texts[lo : lo + _ROUND_TEXTS])
+            held = rows if held is None else np.concatenate([held, rows])
+            while j < len(batch) and max(wanted[j]) < lo + len(rows):
+                w = wanted[j]
+                if isinstance(w, range):
+                    advance(batch[j][0], held[w.start - first : w.stop - first])
+                else:
+                    advance(batch[j][0], held[np.subtract(w, first)])
+                j += 1
+            if j < len(batch):
+                held, first = held[keep[j] - first :], keep[j]
     return results
 
 
@@ -385,48 +431,96 @@ def _corrections(
     return reached
 
 
+def _attack_group(
+    plans: list[dict[bytes, tuple[Embedding, dict[int, set[int]]]]],
+    gens: Sequence[MutationGenerator],
+    config: AttackConfig,
+    embedder: BlackBoxEmbedder,
+) -> list[dict[tuple[bytes, int], dict]]:
+    """Run the attacks of a group of samples, given per sample its distinct
+    targets and each one's beam widths and step counts. Returns per sample,
+    for each (target key, width), what ``_corrections`` returns."""
+    chains = [(i, key, target, widths) for i, plan in enumerate(plans)
+              for key, (target, widths) in plan.items()]
+    scorers = [_Scorer(target, config.query_budget) for _, _, target, _ in chains]
+    owners = [i for i, *_ in chains]
+    based = _drive([_greedy_base(scorer, config) for scorer in scorers], embedder, owners)
+    shared = []
+    for plan, gen in zip(plans, gens):
+        # A branch asks for k = its width, so only equal widths can share.
+        widths = [w for _, ws in plan.values() for w in ws]
+        shared.append(_SharedProposals(gen) if len(set(widths)) < len(widths) else gen)
+    names = [(i, key, w) for i, key, _, widths in chains for w in widths]
+    branches = [
+        # The last branch goes on with the chain's own scorer.
+        _corrections(scorer if n == len(widths) - 1 else scorer.fork(), shared[i], w,
+                     sorted(stops), ok)
+        for (i, _, _, widths), scorer, ok in zip(chains, scorers, based)
+        for n, (w, stops) in enumerate(widths.items())
+    ]
+    del scorers  # so each cache is freed when its chain's last branch ends
+    reached: list[dict] = [{} for _ in plans]
+    for (i, key, w), stops in zip(names, _drive(branches, embedder, [i for i, _, _ in names])):
+        reached[i][key, w] = stops
+    return reached
+
+
 def invert_grid(
-    targets: Sequence[Embedding],
+    targets: Sequence[Embedding] | Sequence[Sequence[Embedding]],
     embedder: BlackBoxEmbedder,
     gens: Sequence[MutationGenerator],
     configs: Sequence[AttackConfig],
 ) -> list[list[AttackResult]]:
-    """Run one attack per (target, generator) pair and config, all in lockstep
-    rounds; returns one result list per config. The configs may differ only
-    in ``steps`` and ``beam_width``.
+    """Run one attack per sample (one generator each) and config, all in
+    lockstep rounds; returns one result list per config. The configs may
+    differ only in ``steps`` and ``beam_width``. ``targets`` holds each
+    sample's target, attacked under every config, or one such list per
+    config, so that a cell is a (targets, steps, beam) triple.
 
-    Each sample's greedy base runs once; its scorer is then forked per beam
-    width, and each branch runs to its width's deepest ``steps``, reading
-    shallower cells off on the way. So every result equals ``invert`` on its
-    pair and config alone, yet a prefix that cells share is embedded once.
+    Cells that give a sample equal targets share its attack: the greedy base
+    runs once, its scorer is then forked per beam width, and each branch
+    runs to its width's deepest ``steps``, reading shallower cells off on
+    the way. A sample's branches of equal beam width ask for the same k, so
+    they share its generator through a memo that proposes each (text, step,
+    k) once per round, and each round embeds every text a sample's attacks
+    ask for once (see ``_drive``). So every result, ``queries_used`` included,
+    equals ``invert`` on its target and config alone, yet what the attacks
+    share is embedded once. Samples run in groups of ceil(samples / t), t
+    the most distinct targets a sample has, so about as many attacks are
+    live at once as a grid with one target per sample has.
+
     A cell's ``wall_time`` is the time from the grid's start until the last
-    of its attacks reached its step count, over the number of attacks."""
-    pairs = list(zip(targets, gens, strict=True))
+    of its attacks reached its step count, over the number of attacks;
+    cells share the time of the work they share."""
+    if targets and not isinstance(targets[0], Embedding):
+        per_config = list(targets)
+    else:
+        per_config = [targets] * len(configs)
+    if len(per_config) != len(configs) or any(len(t) != len(gens) for t in per_config):
+        raise ValueError("need one target per generator under every config")
     if not configs:
         return []
     base = configs[0]
     if any(replace(c, steps=base.steps, beam_width=base.beam_width) != base for c in configs):
         raise ValueError("grid configs may differ only in steps and beam_width")
-    for target in targets:
-        _check_dimensions(target, embedder)
-    widths: dict[int, set[int]] = {}  # each beam width's step counts
-    for c in configs:
-        widths.setdefault(c.beam_width, set()).add(c.steps)
+    keys = []
+    for cell in per_config:
+        for target in cell:
+            _check_dimensions(target, embedder)
+        keys.append([target.values.tobytes() for target in cell])
+    plans: list[dict[bytes, tuple[Embedding, dict[int, set[int]]]]] = [{} for _ in gens]
+    for cell, cell_keys, c in zip(per_config, keys, configs):
+        for plan, target, key in zip(plans, cell, cell_keys):
+            widths = plan.setdefault(key, (target, {}))[1]
+            widths.setdefault(c.beam_width, set()).add(c.steps)
+    size = -(-len(gens) // max(map(len, plans), default=1))
     start = time.perf_counter()
-    scorers = [_Scorer(target, base.query_budget) for target in targets]
-    based = _drive([_greedy_base(scorer, base) for scorer in scorers], embedder)
-    branches = [
-        # The last branch goes on with the sample's own scorer.
-        _corrections(scorer if i == len(widths) - 1 else scorer.fork(), gen, w, sorted(stops), ok)
-        for scorer, (_, gen), ok in zip(scorers, pairs, based)
-        for i, (w, stops) in enumerate(widths.items())
-    ]
-    del scorers  # so each cache is freed when its sample's last branch ends
-    reached = iter(_drive(branches, embedder))
-    by_sample = [{w: next(reached) for w in widths} for _ in pairs]
+    reached = []
+    for lo in range(0, len(gens), size):
+        reached += _attack_group(plans[lo : lo + size], gens[lo : lo + size], base, embedder)
     grid = []
-    for c in configs:
-        cells = [sample[c.beam_width][c.steps] for sample in by_sample]
+    for cell_keys, c in zip(keys, configs):
+        cells = [sample[key, c.beam_width][c.steps] for sample, key in zip(reached, cell_keys)]
         wall = max(max((t for _, t in cells), default=start) - start, 1e-9) / max(len(cells), 1)
         grid.append([replace(result, wall_time=wall) for result, _ in cells])
     return grid

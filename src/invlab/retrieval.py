@@ -64,25 +64,35 @@ def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tupl
     return [(index.ids[i], scores[i]) for i in order[:k]]
 
 
+def embed_task(task: RetrievalTask, embedder: BlackBoxEmbedder) -> np.ndarray:
+    """The task's raw embeddings, documents then queries, from one batch; a
+    task without documents raises ValueError before any query."""
+    if not task.docs:
+        raise ValueError("cannot index an empty document list")
+    return embedder.embed_many([s.text for s in task.docs + task.queries])
+
+
 def evaluate_task(
     task: RetrievalTask,
     embedder: BlackBoxEmbedder,
     defense: DefenseConfig | None = None,
     k: int = 10,
+    rows: np.ndarray | None = None,
 ) -> float:
     """Mean NDCG@k over the task's queries with a shared defense stack.
 
     Queries are masked with their own language id. Queries without
     judgments score 0 and are logged; a task without documents raises
-    ValueError.
+    ValueError. ``rows`` are the task's ``embed_task`` rows when the caller
+    already has them, as a sweep over several defenses does; otherwise the
+    task is embedded here.
     """
-    if not task.docs:
-        raise ValueError("cannot index an empty document list")
+    if rows is None:
+        rows = embed_task(task, embedder)
     samples = task.docs + task.queries
     n_docs = len(task.docs)
-    # Undefended first: the language-agnostic stage needs the raw group means.
-    rows = embedder.embed_many([s.text for s in samples])
     langs = [s.lang for s in samples]
+    # The language-agnostic stage takes its group means from the raw rows.
     means = None
     if defense is not None and defense.language_agnostic:
         means = _group_means(rows, langs)

@@ -296,7 +296,10 @@ def test_criterion_8_translation_gain(tmp_path):
 
 
 def test_criterion_9_wire_parity(tmp_path):
-    corpora = parallel_corpora(["en", "fr"], 6, vocab_size=8, min_len=3, max_len=4, seed=23)
+    # The recon_remote benchmark's sizes: the local run takes about 0.3 s on
+    # a 2-vCPU Xeon VM, long enough that a scheduler stall alone cannot push
+    # the ratio past the bound.
+    corpora = parallel_corpora(["en", "fr"], 12, vocab_size=8, min_len=3, max_len=4, seed=23)
     paths = {}
     for lang, corpus in corpora.items():
         path = tmp_path / f"{lang}.jsonl"
@@ -305,10 +308,10 @@ def test_criterion_9_wire_parity(tmp_path):
     config = ExperimentConfig(
         corpora=paths,
         embedder=NgramConfig(n=3, dim=64, seed=29),
-        attack=AttackSweep(steps=[1, 5], beams=[1, 4], max_tokens=4),
+        attack=AttackSweep(steps=[1, 5, 10], beams=[1, 4, 8], max_tokens=4),
         seed=31,
         out_dir=str(tmp_path / "out"),
-        test_size=6,
+        test_size=12,
     )
     start = time.perf_counter()
     local_report = run_reconstruction(config)

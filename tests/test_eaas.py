@@ -459,6 +459,15 @@ class TestNoChargeOnError:
 
     @pytest.mark.parametrize(
         "context",
+        [0, "junk", {"group_means": 5}, {"group_means": {"en": "AAAA"}}],
+        ids=["zero", "string", "means-number", "means-short-row"],
+    )
+    def test_malformed_context_refused_without_defense(self, server, context):
+        # The context is checked even when no stack would read it.
+        assert self.refused(server, {"texts": ["a"], "context": context}) == "bad_request"
+
+    @pytest.mark.parametrize(
+        "context",
         [{}, {"context": None}, {"context": {}}, {"context": {"group_means": None}},
          {"context": {"group_means": {}}}],
         ids=["absent", "null", "empty", "means-null", "means-empty"],

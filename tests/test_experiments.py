@@ -375,6 +375,15 @@ class TestRunDefenseSweep:
         assert zero_row.queries == none_row.queries
         assert zero_row.ndcg == none_row.ndcg
 
+    def test_remote_bill_below_summed_queries(self, sweep_config):
+        # Each row's queries are its attacks' cost alone, while the service
+        # embeds once what a sample's attacks share in a round; the bill also
+        # covers the targets and the retrieval tasks.
+        with eaas_serve(NgramEmbedder(sweep_config.embedder)) as server:
+            report = run_defense_sweep(sweep_config, remote=server.address)
+            bill = server.queries_used()
+        assert bill < sum(row.queries for row in report.rows)
+
     def test_heavy_noise_collapses_bleu(self, sweep_config):
         report = run_defense_sweep(sweep_config)
         none_row = next(r for r in report.rows if r.defense == "none")

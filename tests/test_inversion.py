@@ -306,14 +306,16 @@ class TestInvert:
 
 
 class CountingEmbedder(NgramEmbedder):
-    """Records the size of every embed_many call."""
+    """Records the size and the texts of every embed_many call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.calls: list[int] = []
+        self.texts: list[list[str]] = []
 
     def embed_many(self, texts):
         self.calls.append(len(texts))
+        self.texts.append(list(texts))
         return super().embed_many(texts)
 
 
@@ -491,16 +493,21 @@ class TestGrid:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
         grid = invert_grid(targets, embedder, gens, configs)
-        greedy = invert_grid(
-            targets, NgramEmbedder(n=3, dim=64, seed=11), [SilentGenerator()] * 4,
-            [dataclasses.replace(configs[0], steps=0)],
-        )[0]
-        deepest = {c.beam_width: results for c, results in zip(configs, grid) if c.steps == 8}
-        expected = sum(
-            g.queries_used
-            + sum(deepest[b][i].queries_used - g.queries_used for b in beams)
-            for i, g in enumerate(greedy)
-        )
+        # Reference: each sample's deepest attack per beam width, run alone.
+        # A lone attack asks for under _ROUND_TEXTS texts a round, so each of
+        # its calls is one round, and a sample's branches run in the same
+        # rounds: the bill is, per sample and round, the union of what its
+        # branches asked for.
+        expected = 0
+        for target, gen in zip(targets, gens):
+            branches = []
+            for b in beams:
+                alone = CountingEmbedder(n=3, dim=64, seed=11)
+                invert_grid([target], alone, [gen], [AttackConfig(vocab, 8, b, max_tokens=4)])
+                assert max(alone.calls) < invlab.inversion._ROUND_TEXTS
+                branches.append(alone.texts)
+            rounds = itertools.zip_longest(*branches, fillvalue=[])
+            expected += sum(len(set().union(*requests)) for requests in rounds)
         assert sum(embedder.calls) == expected
         assert expected < sum(r.queries_used for results in grid for r in results)
 
@@ -556,6 +563,155 @@ class TestGrid:
         with pytest.raises(ValueError):
             invert_grid([embedder.embed("a")], embedder, [], [config])
         assert invert_grid([embedder.embed("a")], embedder, [SilentGenerator()], []) == []
+
+
+class TestCellTargets:
+    """Cells of one ``invert_grid`` call may carry their own targets: each
+    sample's attacks then share its generator and each round's embeds, and
+    every cell still equals its attack alone."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        vocab=st.lists(st.sampled_from(GRID_TOKENS), min_size=1, max_size=4, unique=True),
+        kinds=st.lists(
+            st.tuples(
+                st.sampled_from(["edit", "edit", "identity", "silent"]), st.integers(0, 1000)
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        budget=st.one_of(st.none(), st.integers(1, 120)),
+        data=st.data(),
+    )
+    def test_each_cell_equals_its_cell_alone(self, vocab, kinds, budget, data):
+        vocab = tuple(vocab)
+        texts = st.lists(st.sampled_from(GRID_TOKENS), max_size=4).map(" ".join)
+        # Target sets may repeat a text, so cells over equal targets share a
+        # sample's scorer as well.
+        target_sets = data.draw(
+            st.lists(st.lists(texts, min_size=len(kinds), max_size=len(kinds)),
+                     min_size=1, max_size=3)
+        )
+        cells = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(target_sets) - 1), st.integers(0, 6),
+                          st.integers(1, 4)),
+                min_size=1,
+                max_size=5,
+            )
+        )
+
+        def gens():
+            return [
+                EditMutationGenerator(vocab, max_tokens=4, seed=seed)
+                if kind == "edit"
+                else lockstep_generator(kind, seed)
+                for kind, seed in kinds
+            ]
+
+        embedder = NgramEmbedder(n=3, dim=64, seed=11)
+        embedded = [[embedder.embed(text) for text in texts] for texts in target_sets]
+        targets = [embedded[t] for t, _, _ in cells]
+        configs = [
+            AttackConfig(vocab, s, b, max_tokens=4, query_budget=budget) for _, s, b in cells
+        ]
+        grid = invert_grid(targets, embedder, gens(), configs)
+        assert len(grid) == len(configs)
+        for cell_targets, config, results in zip(targets, configs, grid):
+            fresh = NgramEmbedder(n=3, dim=64, seed=11)
+            alone = invert_grid(cell_targets, fresh, gens(), [config])[0]
+            assert len(results) == len(alone)
+            for target, result, expected in zip(cell_targets, results, alone):
+                assert_same_attack(result, expected, target, fresh)
+                assert result.wall_time > 0
+
+    def test_no_round_embeds_a_text_twice(self):
+        # One sample, so every (sample, text) pair is a text; every round
+        # stays below the cap, so each call is one round.
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        vocab = ("a", "b", "c", "d")
+        targets = [[embedder.embed(t)] for t in ("b c a", "b c a d", "d a", "c c b a")]
+        embedder.calls.clear()
+        embedder.texts.clear()
+        configs = [AttackConfig(vocab, 6, b, max_tokens=4) for b in (2, 3, 3, 2)]
+        gen = EditMutationGenerator(vocab, max_tokens=4, seed=5)
+        grid = invert_grid(targets, embedder, [gen], configs)
+        assert max(embedder.calls) < invlab.inversion._ROUND_TEXTS
+        assert all(len(set(texts)) == len(texts) for texts in embedder.texts)
+        assert sum(embedder.calls) < sum(r.queries_used for results in grid for r in results)
+
+    def test_rounds_cut_into_calls_equal_cells_alone(self):
+        # Rounds of several hundred texts, cut into calls at the cap, with
+        # each sample's rows shared between calls.
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        vocab = tuple("abcdefgh")
+        cells = [
+            [embedder.embed(" ".join(vocab[i + shift : i + 3 + shift])) for i in range(4)]
+            for shift in (0, 1, 2)
+        ]
+        embedder.calls.clear()
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
+        config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
+        grid = invert_grid(cells, embedder, gens, [config] * 3)
+        assert embedder.calls.count(invlab.inversion._ROUND_TEXTS) > 1
+        for targets, results in zip(cells, grid):
+            fresh = NgramEmbedder(n=3, dim=64, seed=11)
+            for target, result, alone in zip(
+                targets, results, invert_grid(targets, fresh, gens, [config])[0]
+            ):
+                assert_same_attack(result, alone, target, fresh)
+
+    def test_proposals_shared_across_cells(self, monkeypatch, embedder):
+        proposed = []
+        real_propose = EditMutationGenerator.propose
+
+        def counting_propose(gen, hypothesis, k):
+            proposed.append((hypothesis.text, hypothesis.step, k))
+            return real_propose(gen, hypothesis, k)
+
+        monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
+        vocab = ("a", "b", "c")
+        gen = EditMutationGenerator(vocab, max_tokens=4, seed=1)
+        config = AttackConfig(vocab, 4, 2, max_tokens=4)
+        # A slightly noised twin of a target: the two attacks make the same
+        # greedy base and early beams, so the same proposals, made once.
+        target = embedder.embed("c a b")
+        twin = target.with_values(target.values + 1e-6 * np.sin(np.arange(target.dim)))
+        targets = [[target], [twin]]
+        invert_grid(targets, embedder, [gen], [config, config])
+        shared = len(proposed)
+        assert shared == len(set(proposed)) > 0
+        proposed.clear()
+        for cell in targets:
+            invert_grid(cell, embedder, [gen], [config])
+        assert shared < len(proposed)
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+    def test_one_config_bill_equals_summed_queries(self, remote):
+        # Samples with equal targets and generators ask for the same texts
+        # in the same rounds; sharing across samples would bill them once.
+        local = CountingEmbedder(n=3, dim=32, seed=17)
+        vocab = ("a", "b", "c")
+        targets = [local.embed(t) for t in ("a b", "a b", "c a b", "c a b")]
+        local.calls.clear()
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s // 2) for s in range(4)]
+        config = AttackConfig(vocab=vocab, steps=5, beam_width=4, max_tokens=4)
+        if not remote:
+            results = invert_grid(targets, local, gens, [config])[0]
+            assert sum(local.calls) == sum(r.queries_used for r in results)
+            return
+        with eaas_serve(NgramEmbedder(n=3, dim=32, seed=17)) as server:
+            with EaasClient(*server.address) as client:
+                results = invert_grid(targets, RemoteEmbedder(client, dim=32), gens, [config])[0]
+            assert server.queries_used() == sum(r.queries_used for r in results)
+
+    def test_targets_per_config_must_match_configs_and_generators(self, embedder):
+        config = AttackConfig(vocab=("a", "b"))
+        target = embedder.embed("a")
+        with pytest.raises(ValueError, match="one target per generator"):
+            invert_grid([[target]], embedder, [SilentGenerator()], [config, config])
+        with pytest.raises(ValueError, match="one target per generator"):
+            invert_grid([[target], []], embedder, [SilentGenerator()], [config, config])
 
 
 class TestExhaustiveOracle:
