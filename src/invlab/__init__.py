@@ -21,7 +21,7 @@ from .defenses import (
     UnknownLanguageError,
     apply_defense_stack,
     assign_language_ids,
-    language_agnostic,
+    compute_group_means,
 )
 from .inversion import (
     AttackConfig,

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import BlackBoxEmbedder, ConfigError, Embedding, from_json
+from .embeddings import BlackBoxEmbedder, ConfigError, from_json
 from .seeding import derive_rng
 
 
@@ -86,26 +86,19 @@ def assign_language_ids(langs: Iterable[str], scale: float = 1.0) -> dict[str, f
     return {code: scale * float(i + 1) for i, code in enumerate(ordered)}
 
 
-def _group_means(rows: np.ndarray, langs: Sequence[str | None]) -> dict[str | None, np.ndarray]:
-    """Component-wise mean of the rows of each language group."""
+def compute_group_means(
+    rows: np.ndarray, langs: Sequence[str | None]
+) -> dict[str | None, np.ndarray]:
+    """Component-wise mean of the rows of each language group of a non-empty
+    ``(n, dim)`` batch, row ``i`` in group ``langs[i]``: the ``group_means``
+    the language-agnostic stage subtracts. Any other input raises ValueError."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or not len(rows) or len(rows) != len(langs):
+        raise ValueError("group means need a non-empty (n, dim) batch and one language per row")
     groups: dict[str | None, list[int]] = {}
     for i, lang in enumerate(langs):
         groups.setdefault(lang, []).append(i)
     return {lang: np.mean(rows[idx], axis=0) for lang, idx in groups.items()}
-
-
-def compute_group_means(batch: Sequence[Embedding]) -> dict[str | None, np.ndarray]:
-    """Component-wise mean embedding per language group."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    # np.stack refuses mixed dimensions with ValueError.
-    return _group_means(np.stack([e.values for e in batch]), [e.lang for e in batch])
-
-
-def language_agnostic(batch: Sequence[Embedding]) -> list[Embedding]:
-    """Subtract each language group's mean, leaving zero-mean groups."""
-    means = compute_group_means(batch)
-    return [e.with_values(e.values - means[e.lang]) for e in batch]
 
 
 def apply_defense_stack(

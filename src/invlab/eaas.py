@@ -18,7 +18,9 @@ bitwise equal to local ones.
 ``defense`` is the only stack the service applies, and none when it is
 absent or null; ``langs`` tags each text for masking; ``context`` supplies
 per-language mean vectors when the language-agnostic stage is enabled, and
-is checked on every request, defended or not.
+is checked on every request, defended or not. Its languages are JSON object
+keys, so strings: ``eaas_embed`` refuses any other ``group_means`` key with
+``ValueError`` before sending, since ``None`` would arrive as ``"null"``.
 ``queries_used`` is the bill: the vectors returned so far, this reply's
 included; an error reply never charges. A language without a masking id or
 group mean is ``unknown_lang``; a ``defense`` that ``DefenseConfig.from_dict``
@@ -336,6 +338,8 @@ def eaas_embed(
     """Embed texts through the service; returns the read-only
     ``(len(texts), dim)`` matrix of their vectors, in order, and the
     service's cumulative query counter. Raises EaasError on an error response.
+    A ``group_means`` key that is not a string raises ValueError before
+    anything is sent.
 
     A batch whose request would pass ``MAX_LINE_BYTES`` or ``MAX_TEXTS`` goes
     out as several requests, in order, each within both. Each is charged on
@@ -346,6 +350,8 @@ def eaas_embed(
     if defense is not None:
         extra["defense"] = defense.to_dict()
         if group_means:
+            if not all(isinstance(lang, str) for lang in group_means):
+                raise ValueError("group mean languages must be strings to cross the wire")
             means = {lang: _encode_rows(vec) for lang, vec in group_means.items()}
             extra["context"] = {"group_means": means}
     langs = list(langs) if langs is not None else None

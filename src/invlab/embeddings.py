@@ -85,10 +85,10 @@ def _decode(hint: Any, value: Any, name: str) -> Any:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Fixed-dimension real vector with an optional language tag."""
+    """One validated vector: one-dimensional, of dimension at least 2, with
+    finite components. A batch of vectors is an ``(n, dim)`` matrix instead."""
 
     values: np.ndarray
-    lang: str | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -103,13 +103,6 @@ class Embedding:
     @property
     def dim(self) -> int:
         return int(self.values.size)
-
-    def with_values(self, values: np.ndarray) -> "Embedding":
-        return Embedding(values, lang=self.lang)
-
-    def with_lang(self, lang: str | None) -> "Embedding":
-        """This embedding tagged ``lang``: itself when the tag is unchanged."""
-        return self if lang == self.lang else Embedding(self.values, lang)
 
 
 @dataclass(frozen=True)

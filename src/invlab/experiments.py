@@ -14,6 +14,8 @@ import csv
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import ExperimentConfig
 from .corpus import Corpus, load_jsonl_corpus
 from .datagen import synthetic_retrieval_task
@@ -24,7 +26,7 @@ from .defenses import (
     embed_many_with_defense,
 )
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
-from .embeddings import BlackBoxEmbedder, Embedding, NgramEmbedder, TextSample
+from .embeddings import BlackBoxEmbedder, NgramEmbedder, TextSample
 from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert_grid
 from .inversion import invert  # unused here; benchmarks/tracing.py patches this name
 from .metrics import MetricReport, aggregate, pair_report
@@ -88,41 +90,43 @@ class _Runtime:
 
     def targets(
         self, splits: dict[str, list[TextSample]], defense: DefenseConfig | None
-    ) -> dict[str, list[Embedding]]:
-        """Language-tagged embeddings of every split, defended when ``defense``
-        is set, from one batch request per split in the order of ``splits``;
-        the only place the drivers wrap rows as ``Embedding``s.
+    ) -> dict[str, np.ndarray]:
+        """The ``(len(samples), dim)`` target matrix of every split, defended
+        when ``defense`` is set, from one batch request per split in the order
+        of ``splits``; row ``i`` is sample ``i``'s.
 
         The language-agnostic stage subtracts group means taken over all the
-        undefended splits, so those are embedded first when it is on.
+        undefended splits joined in order, so those are embedded first when
+        it is on.
         """
         means = None
         if defense is not None and defense.language_agnostic:
-            undefended = self.targets(splits, None).values()
-            means = compute_group_means([e for embs in undefended for e in embs])
+            undefended = np.concatenate(list(self.targets(splits, None).values()))
+            means = compute_group_means(undefended, [s.lang for ss in splits.values() for s in ss])
         targets = {}
         for lang, samples in splits.items():
             texts = [s.text for s in samples]
             langs = [s.lang for s in samples]
             if self.client is not None:
-                rows, _ = eaas_embed(
+                targets[lang], _ = eaas_embed(
                     self.client, texts, defense=defense, langs=langs, group_means=means
                 )
             else:
-                rows = embed_many_with_defense(self.attack_embedder, texts, langs, defense, means)
-            targets[lang] = [Embedding(row, tag) for row, tag in zip(rows, langs)]
+                targets[lang] = embed_many_with_defense(
+                    self.attack_embedder, texts, langs, defense, means
+                )
         return targets
 
     def attack(
         self,
         samples: list[TextSample],
         vocab: list[str],
-        cells: list[tuple[list[Embedding], int, int]],
+        cells: list[tuple[np.ndarray, int, int]],
         labels: tuple[str, ...],
     ) -> list[tuple[list[AttackResult], int, float]]:
         """Invert the samples' target embeddings with the given vocabulary once
         per (targets, steps, beam) cell, all in one ``invert_grid`` call; a
-        cell's targets hold one embedding per sample. Each sample's generator
+        cell's targets are a matrix, one row per sample. Each sample's generator
         is seeded from the run seed, ``labels`` and the sample id, never from
         a cell. Returns, per cell, the results, their summed queries and the
         cell's attack wall time in seconds.
@@ -225,6 +229,9 @@ def run_crosslingual(
             if key not in config.dictionaries:
                 raise ValueError(f"no dictionary configured for pair {key}")
             translator.add_pair(src, tgt, load_dictionary_tsv(config.dictionaries[key]))
+    # Refused before the attack: a remote run would be billed for it.
+    if not translator.supports(src, tgt):
+        raise ValueError(f"unsupported language pair ({src}, {tgt})")
     vocab = _corpus_vocab(corpora[src])
     samples = _test_splits(config, {tgt: corpora[tgt]})[tgt]
     steps = max(config.attack.steps)

@@ -243,8 +243,8 @@ class _Scorer:
     The cache keeps scores only, so no vector outlives its scoring.
     """
 
-    def __init__(self, target: Embedding, budget: int | None):
-        self.target = target.values
+    def __init__(self, target: np.ndarray, budget: int | None):
+        self.target = target
         self.budget = budget
         self.queries = 0
         self.cache: dict[str, float] = {}
@@ -338,11 +338,13 @@ def _drive(
     return results
 
 
-def _check_dimensions(target: Embedding, embedder: BlackBoxEmbedder) -> None:
-    if embedder.dimension() != target.dim:
-        raise ValueError(
-            f"embedder dimension {embedder.dimension()} != target dimension {target.dim}"
-        )
+def _check_targets(rows: np.ndarray, n: int, embedder: BlackBoxEmbedder) -> np.ndarray:
+    """``rows`` as float64, once checked to be ``n`` finite targets of the
+    embedder's dimension; ValueError otherwise."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape != (n, embedder.dimension()) or not np.isfinite(rows).all():
+        raise ValueError(f"need a finite {(n, embedder.dimension())} target matrix: {rows.shape}")
+    return rows
 
 
 def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
@@ -398,10 +400,10 @@ def correction_step(
         raise ValueError("beam must be non-empty")
     if b < 1:
         raise ValueError("beam width must be >= 1")
-    _check_dimensions(target, embedder)
+    _check_targets(target.values[None], 1, embedder)
     if step is None:
         step = max(h.step for h in beam) + 1
-    scorer = _Scorer(target, None)
+    scorer = _Scorer(target.values, None)
     return _drive([_correction_step(beam, gen, scorer, b, step)], embedder)[0]
 
 
@@ -432,7 +434,7 @@ def _corrections(
 
 
 def _attack_group(
-    plans: list[dict[bytes, tuple[Embedding, dict[int, set[int]]]]],
+    plans: list[dict[bytes, tuple[np.ndarray, dict[int, set[int]]]]],
     gens: Sequence[MutationGenerator],
     config: AttackConfig,
     embedder: BlackBoxEmbedder,
@@ -466,16 +468,18 @@ def _attack_group(
 
 
 def invert_grid(
-    targets: Sequence[Embedding] | Sequence[Sequence[Embedding]],
+    targets: Sequence[np.ndarray],
     embedder: BlackBoxEmbedder,
     gens: Sequence[MutationGenerator],
     configs: Sequence[AttackConfig],
 ) -> list[list[AttackResult]]:
     """Run one attack per sample (one generator each) and config, all in
     lockstep rounds; returns one result list per config. The configs may
-    differ only in ``steps`` and ``beam_width``. ``targets`` holds each
-    sample's target, attacked under every config, or one such list per
-    config, so that a cell is a (targets, steps, beam) triple.
+    differ only in ``steps`` and ``beam_width``. ``targets`` holds one
+    ``(len(gens), dim)`` matrix per config, row ``i`` sample ``i``'s target,
+    so that a cell is a (targets, steps, beam) triple. Before any query, a
+    matrix of another shape or with a non-finite component, or a list whose
+    length is not the number of configs, raises ValueError.
 
     Cells that give a sample equal targets share its attack: the greedy base
     runs once, its scorer is then forked per beam width, and each branch
@@ -492,23 +496,16 @@ def invert_grid(
     A cell's ``wall_time`` is the time from the grid's start until the last
     of its attacks reached its step count, over the number of attacks;
     cells share the time of the work they share."""
-    if targets and not isinstance(targets[0], Embedding):
-        per_config = list(targets)
-    else:
-        per_config = [targets] * len(configs)
-    if len(per_config) != len(configs) or any(len(t) != len(gens) for t in per_config):
-        raise ValueError("need one target per generator under every config")
+    if len(targets) != len(configs):
+        raise ValueError(f"need one target matrix per config: {len(targets)} for {len(configs)}")
     if not configs:
         return []
     base = configs[0]
     if any(replace(c, steps=base.steps, beam_width=base.beam_width) != base for c in configs):
         raise ValueError("grid configs may differ only in steps and beam_width")
-    keys = []
-    for cell in per_config:
-        for target in cell:
-            _check_dimensions(target, embedder)
-        keys.append([target.values.tobytes() for target in cell])
-    plans: list[dict[bytes, tuple[Embedding, dict[int, set[int]]]]] = [{} for _ in gens]
+    per_config = [_check_targets(rows, len(gens), embedder) for rows in targets]
+    keys = [[target.tobytes() for target in cell] for cell in per_config]
+    plans: list[dict[bytes, tuple[np.ndarray, dict[int, set[int]]]]] = [{} for _ in gens]
     for cell, cell_keys, c in zip(per_config, keys, configs):
         for plan, target, key in zip(plans, cell, cell_keys):
             widths = plan.setdefault(key, (target, {}))[1]
@@ -540,7 +537,7 @@ def invert(
     records the best-so-far score after the base pass and after each
     correction step, so it is non-decreasing by construction.
     """
-    return invert_grid([target], embedder, [gen], [config])[0][0]
+    return invert_grid([target.values[None]], embedder, [gen], [config])[0][0]
 
 
 def exhaustive_oracle(
@@ -560,7 +557,7 @@ def exhaustive_oracle(
     check_vocab(vocab)
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    _check_dimensions(target, embedder)
+    _check_targets(target.values[None], 1, embedder)
     total = sum(len(vocab) ** length for length in range(max_len + 1))
     if total > guard:
         raise ValueError(f"{total} candidates exceed the enumeration guard of {guard}")

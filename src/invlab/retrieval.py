@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .defenses import DefenseConfig, _group_means, apply_defense_stack
+from .defenses import DefenseConfig, apply_defense_stack, compute_group_means
 from .embeddings import BlackBoxEmbedder, Embedding, TextSample, cosine
 from .metrics import ndcg_at_k
 
@@ -95,7 +95,7 @@ def evaluate_task(
     # The language-agnostic stage takes its group means from the raw rows.
     means = None
     if defense is not None and defense.language_agnostic:
-        means = _group_means(rows, langs)
+        means = compute_group_means(rows, langs)
     defended = apply_defense_stack(rows, langs, [s.text for s in samples], defense, means)
     index = Index([d.id for d in task.docs], defended[:n_docs])
     total = 0.0

@@ -18,7 +18,12 @@ from invlab.datagen import (
     parallel_corpora,
     synthetic_retrieval_task,
 )
-from invlab.defenses import DefenseConfig, assign_language_ids, compute_group_means, language_agnostic
+from invlab.defenses import (
+    DefenseConfig,
+    assign_language_ids,
+    compute_group_means,
+    embed_many_with_defense,
+)
 from invlab.eaas import eaas_serve
 from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
@@ -202,18 +207,19 @@ def test_criterion_5_masking_defense_tradeoff(sweep_report):
 def test_criterion_6_language_agnostic_identity(sweep_report):
     embedder = NgramEmbedder(SWEEP_EMBEDDER)
     corpora = parallel_corpora(SWEEP_LANGS, 24, vocab_size=10, min_len=3, max_len=4, seed=9)
-    batch = [
-        embedder.embed(s.text).with_lang(lang)
-        for lang in SWEEP_LANGS
-        for s in corpora[lang]
-    ]
-    residual_means = compute_group_means(language_agnostic(batch))
+    texts = [s.text for lang in SWEEP_LANGS for s in corpora[lang]]
+    langs = [lang for lang in SWEEP_LANGS for _ in corpora[lang]]
+    # The drivers' path: raw group means, then the stack on the batch.
+    means = compute_group_means(embedder.embed_many(texts), langs)
+    agnostic_only = DefenseConfig(language_agnostic=True)
+    defended = embed_many_with_defense(embedder, texts, langs, agnostic_only, means)
+    residual_means = compute_group_means(defended, langs)
     max_norm = max(float(np.linalg.norm(m)) for m in residual_means.values())
     deltas = []
     for lang in SWEEP_LANGS:
         task = synthetic_retrieval_task(f"acc6-{lang}", lang, lang, seed=402)
         raw = evaluate_task(task, embedder)
-        agnostic = evaluate_task(task, embedder, DefenseConfig(language_agnostic=True))
+        agnostic = evaluate_task(task, embedder, agnostic_only)
         deltas.append(abs(agnostic - raw))
     retrieval_ok = all(d < 0.02 for d in deltas)
     check(

@@ -16,7 +16,6 @@ from invlab.defenses import (
     compute_group_means,
     derive_noise_rng,
     embed_many_with_defense,
-    language_agnostic,
 )
 from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
 
@@ -34,10 +33,6 @@ json_values = st.recursive(
 config_keys = st.sampled_from(
     ["noise_lambda", "noise_seed", "masking", "language_agnostic", "renormalize_after"]
 )
-
-
-def emb(*values, lang=None):
-    return Embedding(np.array(values, dtype=float), lang=lang)
 
 
 def row(*values):
@@ -58,60 +53,70 @@ def mask(values, lang_id):
 
 
 # The per-embedding stack the batch stack replaced, kept as the reference
-# every batch must match bit for bit.
+# every batch must match bit for bit. It carries each row as (values, lang);
+# every stage returns ``Embedding(values).values``, so a non-finite result
+# raises ValueError as the per-embedding stack did.
 
 
-def reference_noise_insert(e, lam, rng):
+def reference_noise_insert(values, lam, rng):
     if lam < 0:
         raise ConfigError("noise scale must be non-negative")
     if lam == 0:
-        return e
+        return values
     with np.errstate(over="ignore"):  # Embedding refuses a non-finite result
-        values = e.values + lam * rng.standard_normal(e.dim)
-    return e.with_values(values)
+        return Embedding(values + lam * rng.standard_normal(values.size)).values
 
 
-def reference_mask_language(e, lang_id):
-    if e.dim < 2:
+def reference_mask_language(values, lang_id):
+    if values.size < 2:
         raise ValueError("masking needs dimension >= 2")
-    out = e.values.copy()
+    out = values.copy()
     out[0] = lang_id
-    return e.with_values(out)
+    return Embedding(out).values
 
 
-def reference_stack_one(e, config, means=None, key=""):
+def reference_stack_one(values, lang, config, means=None, key=""):
+    out = Embedding(values).values
     if config is None:
-        return e
-    out = e
+        return out
     if config.language_agnostic:
         if not means:
             raise ConfigError("language-agnostic stage needs group means in context")
-        if out.lang not in means:
-            raise UnknownLanguageError(f"no group mean for language {out.lang!r}")
-        mean = means[out.lang]
-        if np.shape(mean) != out.values.shape:
-            raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.values.shape}")
-        out = out.with_values(out.values - mean)
+        if lang not in means:
+            raise UnknownLanguageError(f"no group mean for language {lang!r}")
+        mean = means[lang]
+        if np.shape(mean) != out.shape:
+            raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.shape}")
+        out = Embedding(out - mean).values
     if config.noise_lambda > 0:
         rng = derive_noise_rng(config.noise_seed, key)
         out = reference_noise_insert(out, config.noise_lambda, rng)
     if config.masking is not None:
-        if out.lang is None or out.lang not in config.masking:
-            raise UnknownLanguageError(f"language {out.lang!r} has no masking id")
-        out = reference_mask_language(out, config.masking[out.lang])
+        if lang is None or lang not in config.masking:
+            raise UnknownLanguageError(f"language {lang!r} has no masking id")
+        out = reference_mask_language(out, config.masking[lang])
     if config.renormalize_after:
-        norm = float(np.linalg.norm(out.values))
+        norm = float(np.linalg.norm(out))
         if norm > 0.0:
-            out = out.with_values(out.values / norm)
+            out = Embedding(out / norm).values
     return out
 
 
 def reference_stack(rows, langs, keys, config, means=None):
     defended = [
-        reference_stack_one(Embedding(r, lang), config, means, key=key).values
+        reference_stack_one(r, lang, config, means, key=key)
         for r, lang, key in zip(rows, langs, keys)
     ]
     return np.array(defended, dtype=np.float64).reshape(rows.shape)
+
+
+def agnostic(rows, langs):
+    """The language-agnostic stage alone on ``rows``, centred by their own
+    group means, as the drivers run it."""
+    rows = np.asarray(rows, dtype=float)
+    means = compute_group_means(rows, langs)
+    config = DefenseConfig(language_agnostic=True)
+    return apply_defense_stack(rows, langs, [""] * len(rows), config, means)
 
 
 class TestNoiseInsert:
@@ -220,36 +225,38 @@ class TestMaskLanguage:
 
 class TestLanguageAgnostic:
     def test_single_member_group_becomes_zero(self):
-        (out,) = language_agnostic([emb(3.0, -1.0, lang="en")])
-        assert not out.values.any()
+        (out,) = agnostic([[3.0, -1.0]], ["en"])
+        assert not out.any()
 
     def test_hand_derived_two_member_group(self):
         # mean [2, 1]; residuals [-1, -1] and [1, 1]
-        outs = language_agnostic([emb(1.0, 0.0, lang="en"), emb(3.0, 2.0, lang="en")])
-        assert np.array_equal(outs[0].values, [-1.0, -1.0])
-        assert np.array_equal(outs[1].values, [1.0, 1.0])
+        out = agnostic([[1.0, 0.0], [3.0, 2.0]], ["en", "en"])
+        assert np.array_equal(out, [[-1.0, -1.0], [1.0, 1.0]])
 
     def test_group_sums_are_zero(self):
-        rng = np.random.default_rng(5)
-        batch = [Embedding(rng.normal(size=6), lang=lang) for lang in "en en fr fr fr".split()]
-        outs = language_agnostic(batch)
+        langs = "en en fr fr fr".split()
+        out = agnostic(np.random.default_rng(5).normal(size=(5, 6)), langs)
         for lang in ("en", "fr"):
-            group = np.sum([o.values for o in outs if o.lang == lang], axis=0)
+            group = out[[i for i, tag in enumerate(langs) if tag == lang]].sum(axis=0)
             assert np.linalg.norm(group) < 1e-9
 
     def test_per_language_mean_norm_below_tolerance(self):
-        rng = np.random.default_rng(6)
-        batch = [Embedding(rng.normal(size=8), lang="xx") for _ in range(17)]
-        means = compute_group_means(language_agnostic(batch))
-        assert np.linalg.norm(means["xx"]) < 1e-9
+        langs = ["xx"] * 17
+        out = agnostic(np.random.default_rng(6).normal(size=(17, 8)), langs)
+        assert np.linalg.norm(compute_group_means(out, langs)["xx"]) < 1e-9
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            language_agnostic([])
+            agnostic(np.zeros((0, 2)), [])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            language_agnostic([emb(1.0, 2.0), emb(1.0, 2.0, 3.0)])
+            compute_group_means([np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])], [None, None])
+
+    @pytest.mark.parametrize("rows, langs", [(np.zeros(2), [None]), (np.zeros((2, 2)), ["en"])])
+    def test_rows_not_one_language_each_rejected(self, rows, langs):
+        with pytest.raises(ValueError):
+            compute_group_means(rows, langs)
 
 
 class TestDefenseConfig:
@@ -357,10 +364,9 @@ class TestApplyDefenseStack:
         assert stack(rows, DefenseConfig(), lang="en", key="k") is rows
 
     def test_masking_only_equals_mask_language(self):
-        e = emb(0.9, 0.1, lang="en")
         config = DefenseConfig(masking={"en": 2.0})
         out = stack(row(0.9, 0.1), config, lang="en")
-        assert out.tobytes() == reference_mask_language(e, 2.0).values.tobytes()
+        assert out.tobytes() == reference_mask_language(np.array([0.9, 0.1]), 2.0).tobytes()
 
     def test_masking_overwrites_noised_dimension(self):
         config = DefenseConfig(noise_lambda=1e-3, noise_seed=4, masking={"en": 2.0})
@@ -479,7 +485,7 @@ def defended_batches(draw, agnostic, noise, masking, renormalize):
         mean = st.lists(values, min_size=shape, max_size=shape).map(np.array)
         group_means = {lang: draw(mean) for lang in known}
     elif draw(st.integers(0, 9)):
-        means = compute_group_means([Embedding(r, l) for r, l in zip(rows, langs)])
+        means = compute_group_means(rows, langs)
         group_means = {lang: means[lang] for lang in known}
     return rows, langs, keys, config, group_means
 

@@ -213,8 +213,7 @@ class TestRequestLineLimit:
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         texts = [f"sample number {i}" for i in range(60)]
         langs = ["en", "fr"] * 30
-        raws = [local_embedder.embed(t).with_lang(l) for t, l in zip(texts, langs)]
-        means = compute_group_means(raws)
+        means = compute_group_means(local_embedder.embed_many(texts), langs)
         defense = DefenseConfig(
             noise_lambda=0.05, noise_seed=3, masking={"en": 1.0, "fr": 2.0},
             language_agnostic=True,
@@ -603,8 +602,7 @@ class TestDefenseOverWire:
     def test_agnostic_defense_with_context_matches_local(self, client):
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         texts = ["one sample", "two sample", "three sample"]
-        raws = [local_embedder.embed(t).with_lang("en") for t in texts]
-        means = compute_group_means(raws)
+        means = compute_group_means(local_embedder.embed_many(texts), ["en"] * 3)
         defense = DefenseConfig(language_agnostic=True)
         remote, _ = eaas_embed(
             client, texts, defense=defense, langs=["en"] * 3, group_means=means
@@ -613,6 +611,23 @@ class TestDefenseOverWire:
             local_embedder.embed_many(texts), ["en"] * 3, texts, defense, means
         )
         assert remote.tobytes() == local.tobytes()
+
+    @pytest.mark.parametrize("langs", [[None, None], [None, "null"]], ids=["none", "none_and_null"])
+    def test_non_string_group_mean_key_refused_before_sending(
+        self, server, client, monkeypatch, langs
+    ):
+        # JSON turns a None key into "null", so the service would miss an
+        # untagged group's mean, or mix it up with a language named "null".
+        local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
+        texts = ["one sample", "two sample"]
+        means = compute_group_means(local_embedder.embed_many(texts), langs)
+        defense = DefenseConfig(language_agnostic=True)
+        local = apply_defense_stack(local_embedder.embed_many(texts), langs, texts, defense, means)
+        assert local.shape == (2, 32)  # the local stack takes the None key
+        lines = sent_lines(client, monkeypatch)
+        with pytest.raises(ValueError, match="strings"):
+            eaas_embed(client, texts, defense=defense, langs=langs, group_means=means)
+        assert lines == [] and server.queries_used() == 0
 
     def test_defended_request_line_pinned(self, monkeypatch):
         """The exact line a defended request with group means sends: the

@@ -36,22 +36,6 @@ class TestEmbeddingType:
         with pytest.raises(ValueError):
             Embedding(np.zeros((2, 2)))
 
-    def test_lang_tag_preserved(self):
-        e = Embedding(np.array([1.0, 2.0]), lang="en")
-        assert e.with_values(np.array([3.0, 4.0])).lang == "en"
-        assert e.with_lang("fr").lang == "fr"
-
-    @pytest.mark.parametrize("lang", [None, "en"])
-    def test_unchanged_lang_tag_returns_self(self, lang):
-        e = Embedding(np.array([1.0, 2.0]), lang=lang)
-        assert e.with_lang(e.lang) is e
-
-    def test_changed_lang_tag_is_new_object_over_same_values(self):
-        e = Embedding(np.array([1.0, 2.0]))
-        tagged = e.with_lang("en")
-        assert tagged is not e and tagged.lang == "en" and e.lang is None
-        assert tagged.values is e.values
-
 
 class TestCosine:
     def test_identical_direction(self):

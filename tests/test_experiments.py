@@ -330,6 +330,17 @@ class TestRunCrosslingual:
         with pytest.raises(ValueError, match="dictionary"):
             run_crosslingual(small_config, "en", "fr")
 
+    def test_unsupported_translator_refused_before_any_query(self, small_config):
+        # A translator without the pair is refused before the attack: the
+        # service bills nothing.
+        with eaas_serve(NgramEmbedder(small_config.embedder)) as server:
+            with pytest.raises(ValueError, match=r"unsupported language pair \(en, fr\)"):
+                run_crosslingual(
+                    small_config, "en", "fr", remote=server.address,
+                    translator=DictionaryTranslator(),
+                )
+            assert server.queries_used() == 0
+
 
 class TestRunDefenseSweep:
     @pytest.fixture

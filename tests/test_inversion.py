@@ -323,6 +323,12 @@ def assert_re_embeds(best: Hypothesis, target: Embedding, embedder) -> None:
     assert best.score.hex() == cosine(embedder.embed(best.text), target).hex()
 
 
+def matrix(targets):
+    """One ``Embedding`` per sample, as the target matrix ``invert_grid``
+    takes for a config."""
+    return np.stack([t.values for t in targets])
+
+
 def assert_same_attack(lockstep, alone, target, embedder):
     assert lockstep.best.text == alone.best.text
     assert lockstep.best.score.hex() == alone.best.score.hex()
@@ -372,7 +378,7 @@ class TestLockstep:
         )
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
         gens = [lockstep_generator(kind, seed) for _, kind, seed in attacks]
-        results = invert_grid(targets, embedder, gens, [config])[0]
+        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
         assert len(results) == len(attacks)
         for target, gen, result in zip(targets, gens, results):
             assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
@@ -388,7 +394,7 @@ class TestLockstep:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=2) for _ in texts[:3]]
         gens.append(SilentGenerator())
         config = AttackConfig(vocab=vocab, steps=6, beam_width=4, max_tokens=4, query_budget=30)
-        results = invert_grid(targets, embedder, gens, [config])[0]
+        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
         assert [r.terminated for r in results] == [
             CONVERGED, CONVERGED, BUDGET_EXHAUSTED, COMPLETED
         ]
@@ -403,7 +409,7 @@ class TestLockstep:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
         config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
-        results = invert_grid(targets, embedder, gens, [config])[0]
+        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
         cap = invlab.inversion._ROUND_TEXTS
         assert max(embedder.calls) == cap  # rounds were long enough to be cut
         assert sum(embedder.calls) == sum(r.queries_used for r in results)
@@ -413,7 +419,7 @@ class TestLockstep:
 
     def test_mismatched_generators_refused(self, embedder):
         with pytest.raises(ValueError):
-            invert_grid([embedder.embed("a")], embedder, [], [AttackConfig(vocab=("a",))])
+            invert_grid([embedder.embed_many(["a"])], embedder, [], [AttackConfig(vocab=("a",))])
 
     def test_remote_bill_equals_summed_queries(self):
         local = NgramEmbedder(n=3, dim=32, seed=17)
@@ -424,7 +430,8 @@ class TestLockstep:
         server = eaas_serve(NgramEmbedder(n=3, dim=32, seed=17))
         try:
             with EaasClient(*server.address) as client:
-                results = invert_grid(targets, RemoteEmbedder(client, dim=32), gens, [config])[0]
+                remote = RemoteEmbedder(client, dim=32)
+                results = invert_grid([matrix(targets)], remote, gens, [config])[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
         finally:
             server.stop()
@@ -473,11 +480,11 @@ class TestGrid:
         ]
         embedder = NgramEmbedder(n=3, dim=64, seed=11)
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
-        grid = invert_grid(targets, embedder, gens(), configs)
+        grid = invert_grid([matrix(targets)] * len(configs), embedder, gens(), configs)
         assert len(grid) == len(configs)
         for config, results in zip(configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid(targets, fresh, gens(), [config])[0]
+            alone = invert_grid([matrix(targets)], fresh, gens(), [config])[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -492,7 +499,7 @@ class TestGrid:
         targets = [embedder.embed(t) for t in texts]
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
-        grid = invert_grid(targets, embedder, gens, configs)
+        grid = invert_grid([matrix(targets)] * len(configs), embedder, gens, configs)
         # Reference: each sample's deepest attack per beam width, run alone.
         # A lone attack asks for under _ROUND_TEXTS texts a round, so each of
         # its calls is one round, and a sample's branches run in the same
@@ -503,7 +510,8 @@ class TestGrid:
             branches = []
             for b in beams:
                 alone = CountingEmbedder(n=3, dim=64, seed=11)
-                invert_grid([target], alone, [gen], [AttackConfig(vocab, 8, b, max_tokens=4)])
+                deepest = AttackConfig(vocab, 8, b, max_tokens=4)
+                invert_grid([matrix([target])], alone, [gen], [deepest])
                 assert max(alone.calls) < invlab.inversion._ROUND_TEXTS
                 branches.append(alone.texts)
             rounds = itertools.zip_longest(*branches, fillvalue=[])
@@ -524,10 +532,10 @@ class TestGrid:
         targets = [embedder.embed(t) for t in ("a b", "c c a")]
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
         config = AttackConfig(vocab, steps=2, beam_width=2, max_tokens=4)
-        invert_grid(targets, embedder, gens, [config])
+        invert_grid([matrix(targets)], embedder, gens, [config])
         assert forks == []  # a one-config grid copies nothing
         grid = [dataclasses.replace(config, beam_width=b, steps=s) for b in (1, 2, 3) for s in (0, 2)]
-        invert_grid(targets, embedder, gens, grid)
+        invert_grid([matrix(targets)] * len(grid), embedder, gens, grid)
         assert len(forks) == 2 * 2
 
     @pytest.mark.parametrize(
@@ -545,7 +553,7 @@ class TestGrid:
         target = embedder.embed("a b")
         before = embedder.queries_used()
         with pytest.raises(ValueError, match="differ only in steps and beam_width"):
-            invert_grid([target], embedder, [SilentGenerator()], [config, other])
+            invert_grid([matrix([target])] * 2, embedder, [SilentGenerator()], [config, other])
         assert embedder.queries_used() == before
 
     def test_list_and_tuple_vocabularies_share_a_grid(self, embedder):
@@ -553,7 +561,7 @@ class TestGrid:
         tupled = AttackConfig(("a", "b", "c"), steps=3, beam_width=2, max_tokens=4)
         target = embedder.embed("c a b")
         gen = EditMutationGenerator(("a", "b", "c"), 4, seed=3)
-        cells = invert_grid([target], embedder, [gen], [listed, tupled])
+        cells = invert_grid([matrix([target])] * 2, embedder, [gen], [listed, tupled])
         for config, (result,) in zip([listed, tupled], cells):
             fresh = NgramEmbedder(n=3, dim=256, seed=7)
             assert_same_attack(result, invert(target, fresh, gen, config), target, fresh)
@@ -561,8 +569,8 @@ class TestGrid:
     def test_mismatched_generators_refused_and_empty_grid(self, embedder):
         config = AttackConfig(vocab=("a",))
         with pytest.raises(ValueError):
-            invert_grid([embedder.embed("a")], embedder, [], [config])
-        assert invert_grid([embedder.embed("a")], embedder, [SilentGenerator()], []) == []
+            invert_grid([embedder.embed_many(["a"])], embedder, [], [config])
+        assert invert_grid([], embedder, [SilentGenerator()], []) == []
 
 
 class TestCellTargets:
@@ -615,11 +623,11 @@ class TestCellTargets:
         configs = [
             AttackConfig(vocab, s, b, max_tokens=4, query_budget=budget) for _, s, b in cells
         ]
-        grid = invert_grid(targets, embedder, gens(), configs)
+        grid = invert_grid([matrix(t) for t in targets], embedder, gens(), configs)
         assert len(grid) == len(configs)
         for cell_targets, config, results in zip(targets, configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid(cell_targets, fresh, gens(), [config])[0]
+            alone = invert_grid([matrix(cell_targets)], fresh, gens(), [config])[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(cell_targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -635,7 +643,7 @@ class TestCellTargets:
         embedder.texts.clear()
         configs = [AttackConfig(vocab, 6, b, max_tokens=4) for b in (2, 3, 3, 2)]
         gen = EditMutationGenerator(vocab, max_tokens=4, seed=5)
-        grid = invert_grid(targets, embedder, [gen], configs)
+        grid = invert_grid([matrix(t) for t in targets], embedder, [gen], configs)
         assert max(embedder.calls) < invlab.inversion._ROUND_TEXTS
         assert all(len(set(texts)) == len(texts) for texts in embedder.texts)
         assert sum(embedder.calls) < sum(r.queries_used for results in grid for r in results)
@@ -652,12 +660,12 @@ class TestCellTargets:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
         config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
-        grid = invert_grid(cells, embedder, gens, [config] * 3)
+        grid = invert_grid([matrix(t) for t in cells], embedder, gens, [config] * 3)
         assert embedder.calls.count(invlab.inversion._ROUND_TEXTS) > 1
         for targets, results in zip(cells, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
             for target, result, alone in zip(
-                targets, results, invert_grid(targets, fresh, gens, [config])[0]
+                targets, results, invert_grid([matrix(targets)], fresh, gens, [config])[0]
             ):
                 assert_same_attack(result, alone, target, fresh)
 
@@ -676,14 +684,14 @@ class TestCellTargets:
         # A slightly noised twin of a target: the two attacks make the same
         # greedy base and early beams, so the same proposals, made once.
         target = embedder.embed("c a b")
-        twin = target.with_values(target.values + 1e-6 * np.sin(np.arange(target.dim)))
+        twin = Embedding(target.values + 1e-6 * np.sin(np.arange(target.dim)))
         targets = [[target], [twin]]
-        invert_grid(targets, embedder, [gen], [config, config])
+        invert_grid([matrix(t) for t in targets], embedder, [gen], [config, config])
         shared = len(proposed)
         assert shared == len(set(proposed)) > 0
         proposed.clear()
         for cell in targets:
-            invert_grid(cell, embedder, [gen], [config])
+            invert_grid([matrix(cell)], embedder, [gen], [config])
         assert shared < len(proposed)
 
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
@@ -697,21 +705,40 @@ class TestCellTargets:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s // 2) for s in range(4)]
         config = AttackConfig(vocab=vocab, steps=5, beam_width=4, max_tokens=4)
         if not remote:
-            results = invert_grid(targets, local, gens, [config])[0]
+            results = invert_grid([matrix(targets)], local, gens, [config])[0]
             assert sum(local.calls) == sum(r.queries_used for r in results)
             return
         with eaas_serve(NgramEmbedder(n=3, dim=32, seed=17)) as server:
             with EaasClient(*server.address) as client:
-                results = invert_grid(targets, RemoteEmbedder(client, dim=32), gens, [config])[0]
+                remote = RemoteEmbedder(client, dim=32)
+                results = invert_grid([matrix(targets)], remote, gens, [config])[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
 
-    def test_targets_per_config_must_match_configs_and_generators(self, embedder):
+    @pytest.mark.parametrize(
+        "targets, match",
+        [
+            (lambda rows: [rows], "one target matrix per config"),
+            (lambda rows: [rows, rows[:0]], "target matrix"),
+            (lambda rows: [rows, np.vstack([rows, rows])], "target matrix"),
+            (lambda rows: [rows, rows[:, :-1]], "target matrix"),
+            (lambda rows: [rows, rows.ravel()], "target matrix"),
+            (lambda rows: [rows, np.where(np.arange(rows.shape[1]) == 3, np.nan, rows)],
+             "finite"),
+            (lambda rows: [rows, np.where(np.arange(rows.shape[1]) == 3, -np.inf, rows)],
+             "finite"),
+        ],
+        ids=["fewer_matrices_than_configs", "no_rows", "rows_not_generators", "width",
+             "one_dimensional", "nan", "inf"],
+    )
+    def test_targets_per_config_must_match_configs_and_generators(self, embedder, targets, match):
+        # Refused before any query: a target matrix per config, of
+        # (len(gens), dim) finite components.
         config = AttackConfig(vocab=("a", "b"))
-        target = embedder.embed("a")
-        with pytest.raises(ValueError, match="one target per generator"):
-            invert_grid([[target]], embedder, [SilentGenerator()], [config, config])
-        with pytest.raises(ValueError, match="one target per generator"):
-            invert_grid([[target], []], embedder, [SilentGenerator()], [config, config])
+        rows = embedder.embed_many(["a"])
+        before = embedder.queries_used()
+        with pytest.raises(ValueError, match=match):
+            invert_grid(targets(rows), embedder, [SilentGenerator()], [config, config])
+        assert embedder.queries_used() == before
 
 
 class TestExhaustiveOracle:
