@@ -9,7 +9,6 @@ with a TCP embedding service.
 from .embeddings import (
     BlackBoxEmbedder,
     ConfigError,
-    Embedding,
     NgramConfig,
     NgramEmbedder,
     TextSample,

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import BlackBoxEmbedder, ConfigError, from_json
+from .embeddings import ConfigError, from_json
 from .seeding import derive_rng
 
 
@@ -154,15 +154,3 @@ def apply_defense_stack(
         out = out / np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
 
-
-def embed_many_with_defense(
-    embedder: BlackBoxEmbedder,
-    texts: Sequence[str],
-    langs: Sequence[str | None],
-    config: DefenseConfig | None = None,
-    group_means: Mapping[str | None, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Embed texts in one batch and return the ``(len(texts), dim)`` matrix,
-    passed through the defense stack with each row tagged by its language
-    and keyed by its text."""
-    return apply_defense_stack(embedder.embed_many(texts), langs, texts, config, group_means)

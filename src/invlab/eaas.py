@@ -53,12 +53,7 @@ import socketserver
 import threading
 from typing import Mapping, Sequence
 
-from .defenses import (
-    DefenseConfig,
-    UnknownLanguageError,
-    apply_defense_stack,  # unused here; benchmarks/tracing.py patches this name
-    embed_many_with_defense,
-)
+from .defenses import DefenseConfig, UnknownLanguageError, apply_defense_stack
 from .embeddings import BlackBoxEmbedder
 
 import numpy as np
@@ -196,7 +191,9 @@ class _Handler(socketserver.StreamRequestHandler):
             if request.get("defense") is not None:
                 defense = DefenseConfig.from_dict(request["defense"])
             means = _parse_context(request.get("context"), dim)
-            rows = embed_many_with_defense(self.server.embedder, texts, langs, defense, means)
+            rows = apply_defense_stack(
+                self.server.embedder.embed_many(texts), langs, texts, defense, means
+            )
         except UnknownLanguageError:
             return _error_line("unknown_lang")
         except ValueError:

@@ -1,10 +1,12 @@
-"""Embedding value type, cosine geometry, and a deterministic toy embedder.
+"""Cosine geometry and a deterministic toy embedder.
 
 The embedder maps text to a fixed-dimension vector by hashing character
 n-grams into seeded signed slots. It is cheap, deterministic across
 processes, and invertible by exhaustive search at small scale, which makes
 ground truth computable for every attack experiment. Callers only ever see
-the black-box surface: text in, vector out, one query counted per text.
+the black-box surface: text in, vector out, one query counted per text. A
+vector is a one-dimensional float64 array and a batch of vectors an
+``(n, dim)`` matrix.
 """
 
 import functools
@@ -83,28 +85,6 @@ def _decode(hint: Any, value: Any, name: str) -> Any:
     raise TypeError(f"from_json cannot decode a field of type {hint}")
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """One validated vector: one-dimensional, of dimension at least 2, with
-    finite components. A batch of vectors is an ``(n, dim)`` matrix instead."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ValueError("embedding values must be one-dimensional")
-        if values.size < 2:
-            raise ValueError("embedding dimension must be at least 2")
-        if not np.isfinite(values).all():
-            raise ValueError("embedding components must be finite")
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-
 @dataclass(frozen=True)
 class TextSample:
     """Identified, language-tagged text record."""
@@ -114,7 +94,7 @@ class TextSample:
     lang: str
 
 
-def cosine(a: "Embedding | np.ndarray", b: "Embedding | np.ndarray") -> "float | list[float]":
+def cosine(a: np.ndarray, b: np.ndarray) -> float | list[float]:
     """Cosine similarity in [-1, 1] of ``a`` and the vector ``b``; a 2-D
     ``a`` is a block of rows and gives one float per row, each bitwise equal
     to ``cosine(row, b)``.
@@ -123,8 +103,8 @@ def cosine(a: "Embedding | np.ndarray", b: "Embedding | np.ndarray") -> "float |
     (or norms whose product underflows to 0) yields 0.0 by convention so
     metric aggregation never aborts on degenerate inputs.
     """
-    va = a.values if isinstance(a, Embedding) else np.asarray(a, dtype=np.float64)
-    vb = b.values if isinstance(b, Embedding) else np.asarray(b, dtype=np.float64)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     if vb.ndim != 1 or va.ndim not in (1, 2) or va.shape[-1] != vb.shape[0]:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     # np.vecdot takes each row's dot product with the BLAS call ndarray.dot
@@ -167,7 +147,7 @@ def _gram_slot(gram: str, seed: int, dim: int) -> tuple[int, float]:
     return h % dim, 1.0 if (h >> 63) == 0 else -1.0
 
 
-def embed_ngram(text: str, config: NgramConfig) -> Embedding:
+def embed_ngram(text: str, config: NgramConfig) -> np.ndarray:
     """Hashed character n-gram embedding; a pure function of (text, config).
 
     This is the plain-Python reference implementation: ``NgramEmbedder``
@@ -185,7 +165,7 @@ def embed_ngram(text: str, config: NgramConfig) -> Embedding:
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
-    return Embedding(vec)
+    return vec
 
 
 class BlackBoxEmbedder(ABC):
@@ -194,8 +174,8 @@ class BlackBoxEmbedder(ABC):
     Implementations provide ``embed_many``, which returns one finite row per
     text as a ``(len(texts), dimension())`` float64 matrix, must be deterministic
     per text and counts exactly one query per text; ``embed`` is a batch of
-    one, wrapped as an ``Embedding``. The counter must be safe under
-    concurrent use.
+    one and returns its row, a one-dimensional float64 array. The counter
+    must be safe under concurrent use.
     """
 
     @abstractmethod
@@ -207,8 +187,8 @@ class BlackBoxEmbedder(ABC):
     @abstractmethod
     def queries_used(self) -> int: ...
 
-    def embed(self, text: str) -> Embedding:
-        return Embedding(self.embed_many([text])[0])
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
 
 
 # Most slot codes the chunk memo of one ``NgramEmbedder`` holds; every gram

@@ -4,10 +4,11 @@ translation rescoring, and the defense trade-off study.
 Every run is a pure function of its configuration: per-sample generator
 seeds derive from the experiment seed, attack probes always query the raw
 embedder, and only the attacked target embeddings pass through the defense
-stack. In remote mode the same target embeddings are requested over the
-wire with the defense as a per-request override, and the attack's probe
-queries cross the wire undefended, so local and remote runs produce
-identical reports.
+stack. A local run embeds each test split raw once and runs every defense
+cell's stack on those rows. In remote mode each defended cell's targets are
+requested over the wire with the defense as a per-request override, the raw
+splits only when a cell needs them, and the attack's probe queries cross the
+wire undefended, so local and remote runs produce identical reports.
 """
 
 import csv
@@ -19,12 +20,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .corpus import Corpus, load_jsonl_corpus
 from .datagen import synthetic_retrieval_task
-from .defenses import (
-    DefenseConfig,
-    assign_language_ids,
-    compute_group_means,
-    embed_many_with_defense,
-)
+from . import defenses as _defenses
+from .defenses import DefenseConfig, assign_language_ids, compute_group_means
 from .eaas import EaasClient, RemoteEmbedder, eaas_embed
 from .embeddings import BlackBoxEmbedder, NgramEmbedder, TextSample
 from .inversion import AttackConfig, AttackResult, EditMutationGenerator, invert_grid
@@ -89,33 +86,46 @@ class _Runtime:
             self.client.close()
 
     def targets(
-        self, splits: dict[str, list[TextSample]], defense: DefenseConfig | None
-    ) -> dict[str, np.ndarray]:
-        """The ``(len(samples), dim)`` target matrix of every split, defended
-        when ``defense`` is set, from one batch request per split in the order
-        of ``splits``; row ``i`` is sample ``i``'s.
+        self, splits: dict[str, list[TextSample]], defenses: list[DefenseConfig | None]
+    ) -> list[dict[str, np.ndarray]]:
+        """Per defense cell, the ``(len(samples), dim)`` target matrix of every
+        split, row ``i`` sample ``i``'s, defended by the cell's config.
 
-        The language-agnostic stage subtracts group means taken over all the
-        undefended splits joined in order, so those are embedded first when
-        it is on.
+        Each split is embedded raw once, in the order of ``splits``, and a
+        cell with no enabled stage gets those matrices themselves. Locally a
+        defended cell runs the defense stack on the raw rows; remotely it is
+        one service request per split, and the raw rows are requested only
+        when some cell is undefended or language-agnostic. The agnostic
+        stage subtracts group means taken over all the raw splits joined in
+        order.
         """
-        means = None
-        if defense is not None and defense.language_agnostic:
-            undefended = np.concatenate(list(self.targets(splits, None).values()))
-            means = compute_group_means(undefended, [s.lang for ss in splits.values() for s in ss])
-        targets = {}
-        for lang, samples in splits.items():
-            texts = [s.text for s in samples]
-            langs = [s.lang for s in samples]
-            if self.client is not None:
-                targets[lang], _ = eaas_embed(
-                    self.client, texts, defense=defense, langs=langs, group_means=means
-                )
-            else:
-                targets[lang] = embed_many_with_defense(
-                    self.attack_embedder, texts, langs, defense, means
-                )
-        return targets
+        on = [defense is not None and defense.enabled() for defense in defenses]
+        agnostic = any(defense.language_agnostic for defense, o in zip(defenses, on) if o)
+        raw, means = {}, None
+        if self.client is None or agnostic or not all(on):
+            raw = {
+                lang: self.attack_embedder.embed_many([s.text for s in samples])
+                for lang, samples in splits.items()
+            }
+        if agnostic:
+            langs = [s.lang for samples in splits.values() for s in samples]
+            means = compute_group_means(np.concatenate(list(raw.values())), langs)
+
+        def release(lang: str, defense: DefenseConfig) -> np.ndarray:
+            texts = [s.text for s in splits[lang]]
+            langs = [s.lang for s in splits[lang]]
+            if self.client is None:
+                # Looked up on its module, where benchmarks/tracing.py patches it.
+                return _defenses.apply_defense_stack(raw[lang], langs, texts, defense, means)
+            rows, _ = eaas_embed(
+                self.client, texts, defense=defense, langs=langs, group_means=means
+            )
+            return rows
+
+        return [
+            {lang: release(lang, defense) for lang in splits} if o else raw
+            for defense, o in zip(defenses, on)
+        ]
 
     def attack(
         self,
@@ -174,7 +184,7 @@ def run_reconstruction(
     defense_label = _defense_label(defense)
     report = ExperimentReport()
     with _Runtime(config, remote) as runtime:
-        targets = runtime.targets(splits, defense)
+        [targets] = runtime.targets(splits, [defense])
         for lang, samples in splits.items():
             for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
                 cells = [
@@ -237,7 +247,7 @@ def run_crosslingual(
     steps = max(config.attack.steps)
     beam = max(config.attack.beams)
     with _Runtime(config, remote) as runtime:
-        targets = runtime.targets({tgt: samples}, None)[tgt]
+        targets = runtime.targets({tgt: samples}, [None])[0][tgt]
         [(results, queries, attack_wall)] = runtime.attack(
             samples, vocab, [(targets, steps, beam)], ("xling", src, tgt)
         )
@@ -344,7 +354,7 @@ def run_defense_sweep(
     plot_rows = []
     with _Runtime(config, remote) as runtime:
         sweep = _sweep_cells(config, langs)
-        targets = [runtime.targets(splits, defense) for _, defense in sweep]
+        targets = runtime.targets(splits, [defense for _, defense in sweep])
         reports: list[list[MetricReport]] = [[] for _ in sweep]
         queries = [0] * len(sweep)
         wall = [0.0] * len(sweep)

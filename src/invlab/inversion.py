@@ -20,7 +20,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from .embeddings import BlackBoxEmbedder, ConfigError, Embedding, cosine
+from .embeddings import BlackBoxEmbedder, ConfigError, cosine
 from .seeding import derive_rng
 
 COMPLETED = "completed"
@@ -202,19 +202,21 @@ class EditMutationGenerator(MutationGenerator):
 
 class _SharedProposals(MutationGenerator):
     """One sample's generator, shared by its attacks: each (text, step, k) is
-    proposed once and the list handed to every attack that asks for it. The
-    memo is emptied whenever the step changes, so it holds about one round's
-    proposals."""
+    proposed once and the list handed to every attack that asks for it. A
+    sample's attacks can sit at adjacent steps in one round, so when a later
+    step than any before is asked for, the memo keeps the previous latest
+    step and drops only older ones; it holds about two rounds' proposals."""
 
     def __init__(self, gen: MutationGenerator):
         self.gen = gen
-        self.step: int | None = None
-        self.memo: dict[tuple[str, int], list[str]] = {}
+        self.latest = 0
+        self.memo: dict[tuple[str, int, int], list[str]] = {}
 
     def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
-        if hypothesis.step != self.step:
-            self.step, self.memo = hypothesis.step, {}
-        key = (hypothesis.text, k)
+        if hypothesis.step > self.latest:
+            self.memo = {key: p for key, p in self.memo.items() if key[1] >= self.latest}
+            self.latest = hypothesis.step
+        key = (hypothesis.text, hypothesis.step, k)
         if key not in self.memo:
             self.memo[key] = self.gen.propose(hypothesis, k)
         return self.memo[key]
@@ -340,10 +342,11 @@ def _drive(
 
 def _check_targets(rows: np.ndarray, n: int, embedder: BlackBoxEmbedder) -> np.ndarray:
     """``rows`` as float64, once checked to be ``n`` finite targets of the
-    embedder's dimension; ValueError otherwise."""
+    embedder's dimension, which must be at least 2; ValueError otherwise."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (n, embedder.dimension()) or not np.isfinite(rows).all():
-        raise ValueError(f"need a finite {(n, embedder.dimension())} target matrix: {rows.shape}")
+    dim = embedder.dimension()
+    if rows.shape != (n, dim) or dim < 2 or not np.isfinite(rows).all():
+        raise ValueError(f"need a finite {(n, dim)} target matrix, dim >= 2: {rows.shape}")
     return rows
 
 
@@ -384,7 +387,7 @@ def _correction_step(
 
 def correction_step(
     beam: Sequence[Hypothesis],
-    target: Embedding,
+    target: np.ndarray,
     gen: MutationGenerator,
     embedder: BlackBoxEmbedder,
     b: int,
@@ -394,16 +397,17 @@ def correction_step(
     and score the unique texts, and keep the top b by cosine to the target.
 
     A generator that proposes nothing for every member leaves the beam
-    unchanged.
+    unchanged. A target that is not one finite vector of the embedder's
+    dimension raises ValueError before any query.
     """
     if not beam:
         raise ValueError("beam must be non-empty")
     if b < 1:
         raise ValueError("beam width must be >= 1")
-    _check_targets(target.values[None], 1, embedder)
+    (target,) = _check_targets(np.asarray(target)[None], 1, embedder)
     if step is None:
         step = max(h.step for h in beam) + 1
-    scorer = _Scorer(target.values, None)
+    scorer = _Scorer(target, None)
     return _drive([_correction_step(beam, gen, scorer, b, step)], embedder)[0]
 
 
@@ -524,7 +528,7 @@ def invert_grid(
 
 
 def invert(
-    target: Embedding,
+    target: np.ndarray,
     embedder: BlackBoxEmbedder,
     gen: MutationGenerator,
     config: AttackConfig,
@@ -535,13 +539,15 @@ def invert(
     Terminates early once the best score reaches 1 - 1e-9 (converged) or the
     query budget runs out mid-step (budget_exhausted). ``beam_history``
     records the best-so-far score after the base pass and after each
-    correction step, so it is non-decreasing by construction.
+    correction step, so it is non-decreasing by construction. A target that
+    is not one finite vector of the embedder's dimension raises ValueError
+    before any query.
     """
-    return invert_grid([target.values[None]], embedder, [gen], [config])[0][0]
+    return invert_grid([np.asarray(target)[None]], embedder, [gen], [config])[0][0]
 
 
 def exhaustive_oracle(
-    target: Embedding,
+    target: np.ndarray,
     embedder: BlackBoxEmbedder,
     vocab: Sequence[str],
     max_len: int,
@@ -551,13 +557,14 @@ def exhaustive_oracle(
 
     Independent of the search path: enumerates, embeds, and ranks everything.
     Raises ValueError, before any query, for a vocabulary ``check_vocab``
-    refuses (ConfigError), a negative ``max_len`` or a candidate count above
+    refuses (ConfigError), a negative ``max_len``, a target that is not one
+    finite vector of the embedder's dimension, or a candidate count above
     ``guard``.
     """
     check_vocab(vocab)
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    _check_targets(target.values[None], 1, embedder)
+    (target,) = _check_targets(np.asarray(target)[None], 1, embedder)
     total = sum(len(vocab) ** length for length in range(max_len + 1))
     if total > guard:
         raise ValueError(f"{total} candidates exceed the enumeration guard of {guard}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .defenses import DefenseConfig, apply_defense_stack, compute_group_means
-from .embeddings import BlackBoxEmbedder, Embedding, TextSample, cosine
+from .embeddings import BlackBoxEmbedder, TextSample, cosine
 from .metrics import ndcg_at_k
 
 log = logging.getLogger(__name__)
@@ -54,11 +54,16 @@ class Index:
         return len(self.ids)
 
 
-def search(index: Index, query_vec: Embedding | np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact top-k by cosine, descending, ties broken by ascending doc id; a
-    query whose dimension is not the index's raises ValueError."""
+def search(index: Index, query_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """Exact top-k by cosine, descending, ties broken by ascending doc id. A
+    query that is not one finite vector of the index's dimension raises
+    ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    query_vec = np.asarray(query_vec, dtype=np.float64)
+    shape = index.vectors.shape[1:]
+    if query_vec.shape != shape or not np.isfinite(query_vec).all():
+        raise ValueError(f"need a finite query of shape {shape}: {query_vec.shape}")
     scores = cosine(index.vectors, query_vec)
     order = sorted(range(len(index.ids)), key=lambda i: (-scores[i], index.ids[i]))
     return [(index.ids[i], scores[i]) for i in order[:k]]

@@ -20,9 +20,9 @@ from invlab.datagen import (
 )
 from invlab.defenses import (
     DefenseConfig,
+    apply_defense_stack,
     assign_language_ids,
     compute_group_means,
-    embed_many_with_defense,
 )
 from invlab.eaas import eaas_serve
 from invlab.embeddings import NgramConfig, NgramEmbedder
@@ -209,10 +209,11 @@ def test_criterion_6_language_agnostic_identity(sweep_report):
     corpora = parallel_corpora(SWEEP_LANGS, 24, vocab_size=10, min_len=3, max_len=4, seed=9)
     texts = [s.text for lang in SWEEP_LANGS for s in corpora[lang]]
     langs = [lang for lang in SWEEP_LANGS for _ in corpora[lang]]
-    # The drivers' path: raw group means, then the stack on the batch.
-    means = compute_group_means(embedder.embed_many(texts), langs)
+    # The drivers' path: one raw batch, its group means, then the stack on it.
+    rows = embedder.embed_many(texts)
+    means = compute_group_means(rows, langs)
     agnostic_only = DefenseConfig(language_agnostic=True)
-    defended = embed_many_with_defense(embedder, texts, langs, agnostic_only, means)
+    defended = apply_defense_stack(rows, langs, texts, agnostic_only, means)
     residual_means = compute_group_means(defended, langs)
     max_norm = max(float(np.linalg.norm(m)) for m in residual_means.values())
     deltas = []

@@ -21,11 +21,15 @@ BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 # Functions the drivers must look up as module globals at call time, so the
 # shims the traced benchmark installs there see every call: the attack's
 # remote embedder goes through invlab.eaas.eaas_embed, its scorer through
-# invlab.inversion.cosine, and every defended or raw batch, on either side of
-# the wire, through apply_defense_stack.
+# invlab.inversion.cosine, a defended remote target through
+# invlab.experiments.eaas_embed, and every defended batch through
+# apply_defense_stack: a local target's in invlab.defenses, a retrieval
+# task's in invlab.retrieval, and every batch the service returns in
+# invlab.eaas.
 DRIVER_GLOBALS = (
     (invlab.defenses, "apply_defense_stack"),
     (invlab.retrieval, "apply_defense_stack"),
+    (invlab.eaas, "apply_defense_stack"),
     (invlab.experiments, "evaluate_task"),
     (invlab.experiments, "pair_report"),
     (invlab.experiments, "translated_metrics"),
@@ -69,13 +73,15 @@ def test_drivers_call_through_patched_globals(monkeypatch, tmp_path):
         corpora=paths,
         embedder=NgramConfig(n=3, dim=32, seed=5),
         attack=AttackSweep(steps=[1], beams=[1], max_tokens=3),
-        defense=DefenseSweep(lambdas=[], masking=False, language_agnostic=False),
+        defense=DefenseSweep(lambdas=[0.5], masking=False, language_agnostic=False),
         out_dir=str(tmp_path / "out"),
         test_size=2,
     )
+    # A noised cell, so targets pass the stack locally and over the wire.
     with eaas_serve(NgramEmbedder(config.embedder)) as server:
         invlab.experiments.run_defense_sweep(config, remote=server.address)
         invlab.experiments.run_reconstruction(config, remote=server.address)
+    invlab.experiments.run_defense_sweep(config)
     invlab.experiments.run_crosslingual(config, "en", "en", translator=DictionaryTranslator())
     keys = [f"{module.__name__}.{name}" for module, name in DRIVER_GLOBALS]
     assert {key: calls[key] > 0 for key in keys} == dict.fromkeys(keys, True)

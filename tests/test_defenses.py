@@ -15,9 +15,9 @@ from invlab.defenses import (
     assign_language_ids,
     compute_group_means,
     derive_noise_rng,
-    embed_many_with_defense,
 )
-from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
+from invlab.eaas import EaasClient, eaas_embed, eaas_serve
+from invlab.embeddings import ConfigError, NgramEmbedder, cosine
 
 vectors = st.lists(st.floats(-5, 5), min_size=2, max_size=12)
 json_values = st.recursive(
@@ -54,8 +54,17 @@ def mask(values, lang_id):
 
 # The per-embedding stack the batch stack replaced, kept as the reference
 # every batch must match bit for bit. It carries each row as (values, lang);
-# every stage returns ``Embedding(values).values``, so a non-finite result
-# raises ValueError as the per-embedding stack did.
+# every stage returns ``checked(values)``, so a non-finite result raises
+# ValueError as the per-embedding stack did.
+
+
+def checked(values):
+    """``values`` as float64 once checked to be one finite vector of
+    dimension at least 2, as the per-embedding stack's value type was."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size < 2 or not np.isfinite(values).all():
+        raise ValueError("embedding components must be finite")
+    return values
 
 
 def reference_noise_insert(values, lam, rng):
@@ -63,8 +72,8 @@ def reference_noise_insert(values, lam, rng):
         raise ConfigError("noise scale must be non-negative")
     if lam == 0:
         return values
-    with np.errstate(over="ignore"):  # Embedding refuses a non-finite result
-        return Embedding(values + lam * rng.standard_normal(values.size)).values
+    with np.errstate(over="ignore"):  # checked refuses a non-finite result
+        return checked(values + lam * rng.standard_normal(values.size))
 
 
 def reference_mask_language(values, lang_id):
@@ -72,11 +81,11 @@ def reference_mask_language(values, lang_id):
         raise ValueError("masking needs dimension >= 2")
     out = values.copy()
     out[0] = lang_id
-    return Embedding(out).values
+    return checked(out)
 
 
 def reference_stack_one(values, lang, config, means=None, key=""):
-    out = Embedding(values).values
+    out = checked(values)
     if config is None:
         return out
     if config.language_agnostic:
@@ -87,7 +96,7 @@ def reference_stack_one(values, lang, config, means=None, key=""):
         mean = means[lang]
         if np.shape(mean) != out.shape:
             raise ValueError(f"group mean shape {np.shape(mean)} != embedding shape {out.shape}")
-        out = Embedding(out - mean).values
+        out = checked(out - mean)
     if config.noise_lambda > 0:
         rng = derive_noise_rng(config.noise_seed, key)
         out = reference_noise_insert(out, config.noise_lambda, rng)
@@ -98,7 +107,7 @@ def reference_stack_one(values, lang, config, means=None, key=""):
     if config.renormalize_after:
         norm = float(np.linalg.norm(out))
         if norm > 0.0:
-            out = Embedding(out / norm).values
+            out = checked(out / norm)
     return out
 
 
@@ -396,7 +405,8 @@ class TestApplyDefenseStack:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                embed_many_with_defense(NgramEmbedder(n=3, dim=8, seed=1), ["a", "b"], [None, None], config)
+                rows = NgramEmbedder(n=3, dim=8, seed=1).embed_many(["a", "b"])
+                apply_defense_stack(rows, [None, None], ["a", "b"], config)
 
     def test_unknown_language_rejected(self):
         config = DefenseConfig(masking={"en": 1.0})
@@ -541,22 +551,31 @@ class TestMaskedNearestNeighborInvariance:
 
 
 class TestEmbedWithDefense:
+    """The service embeds a request's texts in one batch and runs the
+    request's defense stack on it, each row tagged by its language and keyed
+    by its text."""
+
+    @staticmethod
+    def serve(texts, **request):
+        with eaas_serve(NgramEmbedder(n=2, dim=16, seed=0)) as server:
+            with EaasClient(*server.address) as client:
+                rows, _ = eaas_embed(client, texts, **request)
+        return rows
+
     def test_tags_language_and_applies_stack(self):
-        embedder = NgramEmbedder(n=2, dim=16, seed=0)
-        config = DefenseConfig(masking={"it": 1.0})
-        out = embed_many_with_defense(embedder, ["ciao"], ["it"], config)
-        assert out.shape == (1, 16)
-        assert out[0, 0] == 1.0  # masked with the id of the row's language
+        texts, langs = ["ciao", "hello"], ["it", "en"]
+        config = DefenseConfig(noise_lambda=0.1, noise_seed=3, masking={"it": 1.0, "en": 2.0})
+        out = self.serve(texts, defense=config, langs=langs)
+        assert out.shape == (2, 16)
+        assert out[:, 0].tolist() == [1.0, 2.0]  # masked with each row's language id
+        raw = NgramEmbedder(n=2, dim=16, seed=0).embed_many(texts)
+        assert out.tobytes() == apply_defense_stack(raw, langs, texts, config).tobytes()
 
     def test_no_defense_returns_raw(self):
-        embedder = NgramEmbedder(n=2, dim=16, seed=0)
-        raw = embedder.embed("ciao")
-        out = embed_many_with_defense(embedder, ["ciao"], ["it"], None)
-        assert out.tobytes() == raw.values.tobytes()
+        raw = NgramEmbedder(n=2, dim=16, seed=0).embed("ciao")
+        assert self.serve(["ciao"], langs=["it"]).tobytes() == raw.tobytes()
 
-    def test_untagged_rows_pass_through_unwrapped(self, monkeypatch):
-        embedder = NgramEmbedder(n=2, dim=16, seed=0)
-        rows = embedder.embed_many(["a", "b", "c"])
-        monkeypatch.setattr(embedder, "embed_many", lambda texts: rows)
-        out = embed_many_with_defense(embedder, ["a", "b", "c"], [None] * 3)
-        assert out is rows
+    def test_untagged_rows_pass_through_unwrapped(self):
+        raw = NgramEmbedder(n=2, dim=16, seed=0).embed_many(["a", "b", "c"])
+        out = self.serve(["a", "b", "c"], defense=DefenseConfig())
+        assert out.tobytes() == raw.tobytes()

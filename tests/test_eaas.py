@@ -13,7 +13,6 @@ from invlab.defenses import (
     DefenseConfig,
     apply_defense_stack,
     compute_group_means,
-    embed_many_with_defense,
 )
 import invlab.eaas
 from invlab.embeddings import NgramEmbedder
@@ -474,8 +473,8 @@ class TestNoChargeOnError:
     def test_empty_context_served(self, server, context):
         request = {"op": "embed", "texts": ["a", "b"], "defense": self.NOISE, **context}
         response = raw_request(server, json.dumps(request))
-        local = embed_many_with_defense(
-            NgramEmbedder(n=3, dim=32, seed=17), ["a", "b"], [None, None],
+        local = apply_defense_stack(
+            NgramEmbedder(n=3, dim=32, seed=17).embed_many(["a", "b"]), [None, None], ["a", "b"],
             DefenseConfig.from_dict(self.NOISE),
         )
         assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
@@ -519,7 +518,7 @@ class TestNoChargeOnError:
             server, json.dumps({"op": "embed", "texts": ["a"], "defense": defense.to_dict()})
         )
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
-        local = embed_many_with_defense(local_embedder, ["a"], [None], defense)
+        local = apply_defense_stack(local_embedder.embed_many(["a"]), [None], ["a"], defense)
         assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
         assert response["queries_used"] == server.queries_used() == 1
 
@@ -657,7 +656,7 @@ class TestDefenseOverWire:
         request = {"op": "embed", "texts": ["secret text"], "defense": defense}
         reply = raw_request(server, json.dumps(request))
         local = NgramEmbedder(n=3, dim=32, seed=17).embed("secret text")
-        assert decode_rows(reply["embeddings"], 32).tobytes() == local.values.tobytes()
+        assert decode_rows(reply["embeddings"], 32).tobytes() == local.tobytes()
 
 
 class TestRemoteEmbedder:
@@ -665,7 +664,7 @@ class TestRemoteEmbedder:
         local = NgramEmbedder(n=3, dim=32, seed=17)
         remote = RemoteEmbedder(client, dim=32)
         for text in ["", "a", "some longer text"]:
-            assert remote.embed(text).values.tobytes() == local.embed(text).values.tobytes()
+            assert remote.embed(text).tobytes() == local.embed(text).tobytes()
 
     def test_counts_own_queries(self, client):
         remote = RemoteEmbedder(client, dim=32)

@@ -11,30 +11,69 @@ from hypothesis import strategies as st
 import invlab.embeddings
 from invlab.embeddings import (
     ConfigError,
-    Embedding,
     NgramConfig,
     NgramEmbedder,
     cosine,
     embed_ngram,
 )
+from invlab.inversion import (
+    AttackConfig,
+    EditMutationGenerator,
+    Hypothesis,
+    correction_step,
+    exhaustive_oracle,
+    invert,
+)
+
+
+def assert_target_refused(target, embedder) -> None:
+    """Each entry that takes one target vector refuses ``target`` with
+    ValueError before any query."""
+    gen = EditMutationGenerator(["a", "b"], max_tokens=2)
+    entries = {
+        "invert": lambda: invert(target, embedder, gen, AttackConfig(("a", "b"), 1, 1, 2)),
+        "correction_step": lambda: correction_step(
+            [Hypothesis("a", 0.0, 0)], target, gen, embedder, b=1
+        ),
+        "exhaustive_oracle": lambda: exhaustive_oracle(target, embedder, ["a", "b"], 2),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(ValueError, match="target matrix"):
+            entry()
+        assert embedder.queries_used() == 0, name
 
 
 class TestEmbeddingType:
+    """A vector is a one-dimensional float64 array of dimension at least 2
+    with finite components; ``invert``, ``correction_step`` and
+    ``exhaustive_oracle`` check their target at entry."""
+
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Embedding(np.array([1.0, float("nan")]))
+        assert_target_refused(np.array([1.0, float("nan")]), NgramEmbedder(n=2, dim=2))
 
     def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            Embedding(np.array([1.0, float("inf")]))
+        assert_target_refused(np.array([1.0, float("inf")]), NgramEmbedder(n=2, dim=2))
+        assert_target_refused(np.array([-float("inf"), 0.0]), NgramEmbedder(n=2, dim=2))
 
-    def test_rejects_dimension_below_two(self):
-        with pytest.raises(ValueError):
-            Embedding(np.array([1.0]))
+    def test_rejects_dimension_below_two(self, monkeypatch):
+        assert_target_refused(np.array([1.0]), NgramEmbedder(n=2, dim=2))
+        # Also when the embedder itself claims one dimension.
+        embedder = NgramEmbedder(n=2, dim=2)
+        monkeypatch.setattr(embedder, "dimension", lambda: 1)
+        assert_target_refused(np.array([1.0]), embedder)
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            Embedding(np.zeros((2, 2)))
+        assert_target_refused(np.zeros((2, 2)), NgramEmbedder(n=2, dim=2))
+        assert_target_refused(np.zeros((1, 2)), NgramEmbedder(n=2, dim=2))
+        assert_target_refused(np.float64(1.0), NgramEmbedder(n=2, dim=2))
+
+    def test_accepts_a_plain_vector(self):
+        embedder = NgramEmbedder(n=2, dim=16)
+        target = embedder.embed("a b")
+        assert type(target) is np.ndarray and target.shape == (16,)
+        assert target.dtype == np.float64
+        assert invert(list(target), embedder, EditMutationGenerator(["a", "b"]),
+                      AttackConfig(("a", "b"), 2, 2, 2)).best.text == "a b"
 
 
 class TestCosine:
@@ -64,10 +103,6 @@ class TestCosine:
         assert cosine(tiny, tiny) == 0.0
         assert cosine(np.stack([tiny, np.ones(3)]), tiny) == [0.0, 0.0]
 
-    def test_accepts_embedding_objects(self):
-        a = Embedding(np.array([1.0, 1.0]))
-        assert cosine(a, a) == pytest.approx(1.0, abs=1e-9)
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16))
     def test_self_similarity_is_one(self, values):
@@ -90,30 +125,30 @@ class TestCosine:
 class TestEmbedNgram:
     def test_empty_text_is_zero_vector(self):
         e = embed_ngram("", NgramConfig(n=2, dim=16, seed=0))
-        assert not e.values.any()
+        assert not e.any()
 
     def test_determinism_bitwise(self):
         config = NgramConfig(n=1, dim=64, seed=7)
         a = embed_ngram("ab", config)
         b = embed_ngram("ab", config)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_order_sensitivity(self):
         # bigram multisets of "ab" and "ba" differ, so the vectors must too
         config = NgramConfig(n=2, dim=256, seed=7)
         a = embed_ngram("ab", config)
         b = embed_ngram("ba", config)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
         assert cosine(a, b) < 1.0
 
     def test_unit_norm(self):
         e = embed_ngram("hello", NgramConfig(n=3, dim=64, seed=0, unit_norm=True))
-        assert np.linalg.norm(e.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_unit_norm_counts(self):
         # "aa" with n=1: gram "a" twice lands in one slot with magnitude 2
         e = embed_ngram("aa", NgramConfig(n=1, dim=8, seed=3, unit_norm=False))
-        assert sorted(np.abs(e.values))[-1] == 2.0
+        assert sorted(np.abs(e))[-1] == 2.0
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -125,17 +160,17 @@ class TestEmbedNgram:
     @given(st.text(max_size=24))
     def test_purity(self, text):
         config = NgramConfig(n=3, dim=32, seed=13)
-        assert embed_ngram(text, config).values.tobytes() == embed_ngram(
+        assert embed_ngram(text, config).tobytes() == embed_ngram(
             text, config
-        ).values.tobytes()
+        ).tobytes()
 
     def test_cross_process_determinism(self):
         config = NgramConfig(n=3, dim=64, seed=99)
-        local = embed_ngram("der die das", config).values.tobytes().hex()
+        local = embed_ngram("der die das", config).tobytes().hex()
         script = (
             "from invlab.embeddings import NgramConfig, embed_ngram;"
             "print(embed_ngram('der die das', NgramConfig(n=3, dim=64, seed=99))"
-            ".values.tobytes().hex())"
+            ".tobytes().hex())"
         )
         remote = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -177,14 +212,14 @@ class TestNgramEmbedder:
 
     def test_concurrent_embeds_deterministic(self):
         embedder = NgramEmbedder(n=3, dim=32, seed=1)
-        reference = embedder.embed("parallel determinism").values.tobytes()
+        reference = embedder.embed("parallel determinism").tobytes()
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(embedder.embed, ["parallel determinism"] * 64))
-        assert all(e.values.tobytes() == reference for e in results)
+        assert all(e.tobytes() == reference for e in results)
 
     def test_shared_dimension(self):
         embedder = NgramEmbedder(n=2, dim=24, seed=0)
-        assert {embedder.embed(t).dim for t in ["a", "bb", ""]} == {24}
+        assert {embedder.embed(t).shape for t in ["a", "bb", ""]} == {(24,)}
         assert embedder.dimension() == 24
 
     def test_config_and_kwargs_conflict(self):
@@ -251,14 +286,13 @@ class TestBlockCosine:
             if kind == "zero":
                 return np.zeros(dim)
             text = "".join(rng.choice(list("ab c"), size=int(rng.integers(0, 9))))
-            return embedder.embed(text).values + scale * rng.standard_normal(dim)
+            return embedder.embed(text) + scale * rng.standard_normal(dim)
 
         block = np.stack([row(k) for k in kinds])
         target = row(target_kind)
         got = cosine(block, target)
         assert [x.hex() for x in got] == [cosine(r, target).hex() for r in block]
         assert got == [reference_cosine(r, target) for r in block]
-        assert got == cosine(block, Embedding(target))
 
     def test_embedded_block_equals_pairs(self):
         embedder = NgramEmbedder(n=3, dim=64, seed=2)
@@ -315,7 +349,7 @@ class TestEmbedManyMatchesReference:
         assert embedder.queries_used() == before + len(texts)
         assert got.shape == (len(texts), config.dim) and got.dtype == np.float64
         assert [row.tobytes() for row in got] == [
-            embed_ngram(t, config).values.tobytes() for t in texts
+            embed_ngram(t, config).tobytes() for t in texts
         ]
 
     @pytest.mark.parametrize("unit_norm", [True, False])
@@ -335,7 +369,7 @@ class TestEmbedManyMatchesReference:
         config = NgramConfig(n=3, dim=32, seed=4)
         embedder = NgramEmbedder(config)
         for text in ["", " ", "héllo wörld", "a a a"]:
-            assert embedder.embed(text).values.tobytes() == embed_ngram(text, config).values.tobytes()
+            assert embedder.embed(text).tobytes() == embed_ngram(text, config).tobytes()
         assert embedder.queries_used() == 4
 
     def test_shared_slot_codes_under_thread_stress(self):
@@ -367,7 +401,7 @@ def embed_under_thread_stress(embedder: NgramEmbedder) -> None:
     assert embedder.queries_used() == 8 * 40
     for batch, got in zip(batches, results):
         assert [row.tobytes() for row in got] == [
-            embed_ngram(t, embedder.config).values.tobytes() for t in batch
+            embed_ngram(t, embedder.config).tobytes() for t in batch
         ]
     assert_memo_bounded(embedder)
 
@@ -402,7 +436,7 @@ class TestChunkMemo:
         for texts in batches:
             got = embedder.embed_many(texts)
             assert [row.tobytes() for row in got] == [
-                embed_ngram(t, config).values.tobytes() for t in texts
+                embed_ngram(t, config).tobytes() for t in texts
             ]
 
     def test_bounded_by_cap_and_reset_keeps_bits(self, monkeypatch):
@@ -417,7 +451,7 @@ class TestChunkMemo:
                 batch = texts[i : i + 3]
                 got = embedder.embed_many(batch)
                 assert [row.tobytes() for row in got] == [
-                    embed_ngram(t, config).values.tobytes() for t in batch
+                    embed_ngram(t, config).tobytes() for t in batch
                 ]
                 assert_memo_bounded(embedder)
                 if embedder._chunks is not memos[-1]:

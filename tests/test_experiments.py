@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
+import invlab.eaas
 import invlab.experiments
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig
 from invlab.corpus import load_jsonl_corpus, save_jsonl_corpus
@@ -472,3 +474,96 @@ class TestDriverContracts:
         assert remote == local
         # Every defense cell ran, the agnostic one with group means on the wire.
         assert [row[4] for row in local[0][0][1:]] == ["none", "noise:0.5", "mask", "agnostic"]
+
+
+class CountingEmbedder(NgramEmbedder):
+    """An ``NgramEmbedder`` that records the texts of each ``embed_many``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return super().embed_many(texts)
+
+
+class TestTargetsEmbeddedOnce:
+    """Every defense cell's targets derive from one raw embedding of each
+    split; remotely a defended cell is one request per split."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The drivers' embedders, and per attack call the service requests
+        and local batches made before it."""
+        embedders: list[CountingEmbedder] = []
+        requests: list[dict] = []
+        before_attack: list[tuple[int, int]] = []
+
+        def embedder(config):
+            embedders.append(CountingEmbedder(config))
+            return embedders[-1]
+
+        real_respond = invlab.eaas._Handler._respond
+
+        def respond(handler, line):
+            requests.append(json.loads(line))
+            return real_respond(handler, line)
+
+        real_grid = invlab.experiments.invert_grid
+
+        def invert_grid(*args):
+            embedded = sum(len(b) for e in embedders for b in e.batches)
+            before_attack.append((len(requests), embedded))
+            return real_grid(*args)
+
+        monkeypatch.setattr(invlab.experiments, "NgramEmbedder", embedder)
+        monkeypatch.setattr(invlab.eaas._Handler, "_respond", respond)
+        monkeypatch.setattr(invlab.experiments, "invert_grid", invert_grid)
+        return embedders, requests, before_attack
+
+    @staticmethod
+    def split_texts(config):
+        return [s.text for lang in sorted(config.corpora)
+                for s in load_jsonl_corpus(config.corpora[lang]).samples[: config.test_size]]
+
+    def test_local_sweep_embeds_each_target_text_once(self, small_config, spies):
+        embedders, _, before_attack = spies
+        run_defense_sweep(small_config)
+        texts = self.split_texts(small_config)
+        assert len(texts) == 10
+        # Five cells, one of them language-agnostic: before the first attack
+        # only the raw splits were embedded, one batch each, in split order.
+        [embedder] = embedders
+        assert before_attack[0][1] == 10
+        assert embedder.batches[:2] == [texts[:5], texts[5:]]
+        # The embedder saw the targets once; the rest is attack and retrieval.
+        assert embedder.queries_used() == 10 + sum(map(len, embedder.batches[2:]))
+
+    def test_remote_sweep_bills_one_raw_pass(self, small_config, spies, tmp_path):
+        embedders, requests, before_attack = spies
+        local = run_defense_sweep(small_config)
+        local_bill = embedders[0].queries_used()
+        before_attack.clear()
+        remote_config = dataclasses.replace(small_config, out_dir=str(tmp_path / "remote"))
+        with eaas_serve(NgramEmbedder(small_config.embedder)) as server:
+            remote = run_defense_sweep(remote_config, remote=server.address)
+            bill = server.queries_used()
+        assert [r.queries for r in remote.rows] == [r.queries for r in local.rows]
+        assert [r.metrics for r in remote.rows] == [r.metrics for r in local.rows]
+        # Before the first attack: the raw splits (for "none", "noise:0" and
+        # the agnostic means), then one request per split for each of the
+        # three defended cells; past that, remote and local embed alike.
+        targets = requests[: before_attack[0][0]]
+        assert ["defense" in r for r in targets] == [False] * 2 + [True] * 6
+        assert bill == local_bill + 3 * 10
+
+    def test_remote_masked_reconstruction_one_request_per_split(self, small_config, spies):
+        _, requests, before_attack = spies
+        defense = DefenseConfig(masking={"en": 1.0, "fr": 2.0})
+        with eaas_serve(NgramEmbedder(small_config.embedder)) as server:
+            run_reconstruction(small_config, defense=defense, remote=server.address)
+        targets = requests[: before_attack[0][0]]
+        assert [(r["defense"]["masking"], len(r["texts"])) for r in targets] == [
+            ({"en": 1.0, "fr": 2.0}, 5)
+        ] * 2

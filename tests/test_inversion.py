@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import invlab.inversion
 from invlab.eaas import MAX_TEXTS, EaasClient, RemoteEmbedder, eaas_serve
-from invlab.embeddings import ConfigError, Embedding, NgramEmbedder, cosine
+from invlab.embeddings import ConfigError, NgramEmbedder, cosine
 from invlab.inversion import (
     BUDGET_EXHAUSTED,
     COMPLETED,
@@ -125,7 +125,7 @@ class TestBaseHypothesis:
         assert first.score == second.score
 
     def test_dimension_mismatch(self, embedder):
-        target = Embedding(np.zeros(8))
+        target = np.zeros(8)
         with pytest.raises(ValueError):
             greedy_base(target, embedder, AttackConfig(vocab=("a",)))
 
@@ -319,14 +319,8 @@ class CountingEmbedder(NgramEmbedder):
         return super().embed_many(texts)
 
 
-def assert_re_embeds(best: Hypothesis, target: Embedding, embedder) -> None:
+def assert_re_embeds(best: Hypothesis, target: np.ndarray, embedder) -> None:
     assert best.score.hex() == cosine(embedder.embed(best.text), target).hex()
-
-
-def matrix(targets):
-    """One ``Embedding`` per sample, as the target matrix ``invert_grid``
-    takes for a config."""
-    return np.stack([t.values for t in targets])
 
 
 def assert_same_attack(lockstep, alone, target, embedder):
@@ -378,7 +372,7 @@ class TestLockstep:
         )
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
         gens = [lockstep_generator(kind, seed) for _, kind, seed in attacks]
-        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
+        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
         assert len(results) == len(attacks)
         for target, gen, result in zip(targets, gens, results):
             assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
@@ -394,7 +388,7 @@ class TestLockstep:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=2) for _ in texts[:3]]
         gens.append(SilentGenerator())
         config = AttackConfig(vocab=vocab, steps=6, beam_width=4, max_tokens=4, query_budget=30)
-        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
+        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
         assert [r.terminated for r in results] == [
             CONVERGED, CONVERGED, BUDGET_EXHAUSTED, COMPLETED
         ]
@@ -409,7 +403,7 @@ class TestLockstep:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
         config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
-        results = invert_grid([matrix(targets)], embedder, gens, [config])[0]
+        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
         cap = invlab.inversion._ROUND_TEXTS
         assert max(embedder.calls) == cap  # rounds were long enough to be cut
         assert sum(embedder.calls) == sum(r.queries_used for r in results)
@@ -431,7 +425,7 @@ class TestLockstep:
         try:
             with EaasClient(*server.address) as client:
                 remote = RemoteEmbedder(client, dim=32)
-                results = invert_grid([matrix(targets)], remote, gens, [config])[0]
+                results = invert_grid([np.stack(targets)], remote, gens, [config])[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
         finally:
             server.stop()
@@ -480,11 +474,11 @@ class TestGrid:
         ]
         embedder = NgramEmbedder(n=3, dim=64, seed=11)
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
-        grid = invert_grid([matrix(targets)] * len(configs), embedder, gens(), configs)
+        grid = invert_grid([np.stack(targets)] * len(configs), embedder, gens(), configs)
         assert len(grid) == len(configs)
         for config, results in zip(configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid([matrix(targets)], fresh, gens(), [config])[0]
+            alone = invert_grid([np.stack(targets)], fresh, gens(), [config])[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -499,7 +493,7 @@ class TestGrid:
         targets = [embedder.embed(t) for t in texts]
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
-        grid = invert_grid([matrix(targets)] * len(configs), embedder, gens, configs)
+        grid = invert_grid([np.stack(targets)] * len(configs), embedder, gens, configs)
         # Reference: each sample's deepest attack per beam width, run alone.
         # A lone attack asks for under _ROUND_TEXTS texts a round, so each of
         # its calls is one round, and a sample's branches run in the same
@@ -511,7 +505,7 @@ class TestGrid:
             for b in beams:
                 alone = CountingEmbedder(n=3, dim=64, seed=11)
                 deepest = AttackConfig(vocab, 8, b, max_tokens=4)
-                invert_grid([matrix([target])], alone, [gen], [deepest])
+                invert_grid([np.stack([target])], alone, [gen], [deepest])
                 assert max(alone.calls) < invlab.inversion._ROUND_TEXTS
                 branches.append(alone.texts)
             rounds = itertools.zip_longest(*branches, fillvalue=[])
@@ -532,10 +526,10 @@ class TestGrid:
         targets = [embedder.embed(t) for t in ("a b", "c c a")]
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
         config = AttackConfig(vocab, steps=2, beam_width=2, max_tokens=4)
-        invert_grid([matrix(targets)], embedder, gens, [config])
+        invert_grid([np.stack(targets)], embedder, gens, [config])
         assert forks == []  # a one-config grid copies nothing
         grid = [dataclasses.replace(config, beam_width=b, steps=s) for b in (1, 2, 3) for s in (0, 2)]
-        invert_grid([matrix(targets)] * len(grid), embedder, gens, grid)
+        invert_grid([np.stack(targets)] * len(grid), embedder, gens, grid)
         assert len(forks) == 2 * 2
 
     @pytest.mark.parametrize(
@@ -553,7 +547,7 @@ class TestGrid:
         target = embedder.embed("a b")
         before = embedder.queries_used()
         with pytest.raises(ValueError, match="differ only in steps and beam_width"):
-            invert_grid([matrix([target])] * 2, embedder, [SilentGenerator()], [config, other])
+            invert_grid([np.stack([target])] * 2, embedder, [SilentGenerator()], [config, other])
         assert embedder.queries_used() == before
 
     def test_list_and_tuple_vocabularies_share_a_grid(self, embedder):
@@ -561,7 +555,7 @@ class TestGrid:
         tupled = AttackConfig(("a", "b", "c"), steps=3, beam_width=2, max_tokens=4)
         target = embedder.embed("c a b")
         gen = EditMutationGenerator(("a", "b", "c"), 4, seed=3)
-        cells = invert_grid([matrix([target])] * 2, embedder, [gen], [listed, tupled])
+        cells = invert_grid([np.stack([target])] * 2, embedder, [gen], [listed, tupled])
         for config, (result,) in zip([listed, tupled], cells):
             fresh = NgramEmbedder(n=3, dim=256, seed=7)
             assert_same_attack(result, invert(target, fresh, gen, config), target, fresh)
@@ -623,11 +617,11 @@ class TestCellTargets:
         configs = [
             AttackConfig(vocab, s, b, max_tokens=4, query_budget=budget) for _, s, b in cells
         ]
-        grid = invert_grid([matrix(t) for t in targets], embedder, gens(), configs)
+        grid = invert_grid([np.stack(t) for t in targets], embedder, gens(), configs)
         assert len(grid) == len(configs)
         for cell_targets, config, results in zip(targets, configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid([matrix(cell_targets)], fresh, gens(), [config])[0]
+            alone = invert_grid([np.stack(cell_targets)], fresh, gens(), [config])[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(cell_targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -643,7 +637,7 @@ class TestCellTargets:
         embedder.texts.clear()
         configs = [AttackConfig(vocab, 6, b, max_tokens=4) for b in (2, 3, 3, 2)]
         gen = EditMutationGenerator(vocab, max_tokens=4, seed=5)
-        grid = invert_grid([matrix(t) for t in targets], embedder, [gen], configs)
+        grid = invert_grid([np.stack(t) for t in targets], embedder, [gen], configs)
         assert max(embedder.calls) < invlab.inversion._ROUND_TEXTS
         assert all(len(set(texts)) == len(texts) for texts in embedder.texts)
         assert sum(embedder.calls) < sum(r.queries_used for results in grid for r in results)
@@ -660,12 +654,12 @@ class TestCellTargets:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
         config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
-        grid = invert_grid([matrix(t) for t in cells], embedder, gens, [config] * 3)
+        grid = invert_grid([np.stack(t) for t in cells], embedder, gens, [config] * 3)
         assert embedder.calls.count(invlab.inversion._ROUND_TEXTS) > 1
         for targets, results in zip(cells, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
             for target, result, alone in zip(
-                targets, results, invert_grid([matrix(targets)], fresh, gens, [config])[0]
+                targets, results, invert_grid([np.stack(targets)], fresh, gens, [config])[0]
             ):
                 assert_same_attack(result, alone, target, fresh)
 
@@ -684,15 +678,46 @@ class TestCellTargets:
         # A slightly noised twin of a target: the two attacks make the same
         # greedy base and early beams, so the same proposals, made once.
         target = embedder.embed("c a b")
-        twin = Embedding(target.values + 1e-6 * np.sin(np.arange(target.dim)))
+        twin = target + 1e-6 * np.sin(np.arange(target.size))
         targets = [[target], [twin]]
-        invert_grid([matrix(t) for t in targets], embedder, [gen], [config, config])
+        invert_grid([np.stack(t) for t in targets], embedder, [gen], [config, config])
         shared = len(proposed)
         assert shared == len(set(proposed)) > 0
         proposed.clear()
         for cell in targets:
-            invert_grid([matrix(cell)], embedder, [gen], [config])
+            invert_grid([np.stack(cell)], embedder, [gen], [config])
         assert shared < len(proposed)
+
+    def test_memo_proposes_each_key_once_across_steps(self, monkeypatch):
+        # Noised twins of each target, as in a defense sweep: a sample's
+        # attacks drift apart and can sit at adjacent steps in one round,
+        # where a memo emptied on every change of step proposed twice.
+        proposed = []
+        real_propose = EditMutationGenerator.propose
+
+        def counting_propose(gen, hypothesis, k):
+            proposed.append((gen.seed, hypothesis.text, hypothesis.step, k))
+            return real_propose(gen, hypothesis, k)
+
+        monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
+        embedder = NgramEmbedder(n=3, dim=64, seed=5)
+        vocab = ("a", "b", "c", "d", "e")
+        raw = embedder.embed_many(["c a b", "e d", "b b a d", "d c e a"])
+        config = AttackConfig(vocab, 8, 3, max_tokens=4)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cells = [raw] + [raw + lam * rng.standard_normal(raw.shape) for lam in (1e-3, 1e-2, 1e-1)]
+
+            def gens():
+                return [EditMutationGenerator(vocab, 4, seed=seed * 10 + i) for i in range(len(raw))]
+
+            proposed.clear()
+            grid = invert_grid(cells, embedder, gens(), [config] * len(cells))
+            assert len(proposed) == len(set(proposed)), seed
+            for targets, results in zip(cells, grid):
+                alone = invert_grid([targets], NgramEmbedder(n=3, dim=64, seed=5), gens(), [config])
+                for target, result, one in zip(targets, results, alone[0]):
+                    assert_same_attack(result, one, target, embedder)
 
     @pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
     def test_one_config_bill_equals_summed_queries(self, remote):
@@ -705,13 +730,13 @@ class TestCellTargets:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s // 2) for s in range(4)]
         config = AttackConfig(vocab=vocab, steps=5, beam_width=4, max_tokens=4)
         if not remote:
-            results = invert_grid([matrix(targets)], local, gens, [config])[0]
+            results = invert_grid([np.stack(targets)], local, gens, [config])[0]
             assert sum(local.calls) == sum(r.queries_used for r in results)
             return
         with eaas_serve(NgramEmbedder(n=3, dim=32, seed=17)) as server:
             with EaasClient(*server.address) as client:
                 remote = RemoteEmbedder(client, dim=32)
-                results = invert_grid([matrix(targets)], remote, gens, [config])[0]
+                results = invert_grid([np.stack(targets)], remote, gens, [config])[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from invlab.datagen import synthetic_retrieval_task
 from invlab.defenses import DefenseConfig, assign_language_ids
-from invlab.embeddings import Embedding, NgramEmbedder, TextSample
+from invlab.embeddings import NgramEmbedder, TextSample
 from invlab.retrieval import (
     Index,
     RetrievalTask,
@@ -65,11 +65,28 @@ class TestSearch:
     def test_dimension_mismatch(self, embedder):
         index = index_of([sample("d1", "a")], embedder)
         with pytest.raises(ValueError):
-            search(index, Embedding(np.zeros(8)), k=1)
+            search(index, np.zeros(8), k=1)
+
+    @pytest.mark.parametrize("query", [np.zeros((1, 2)), np.zeros((2, 2)), np.float64(0.0)],
+                             ids=["row", "matrix", "scalar"])
+    def test_query_not_one_dimensional_refused(self, query):
+        with pytest.raises(ValueError, match="finite query"):
+            search(Index(["a", "b"], np.eye(2)), query, k=2)
+
+    def test_query_of_other_dimension_refused(self):
+        for query in (np.ones(1), np.ones(3)):
+            with pytest.raises(ValueError, match="finite query"):
+                search(Index(["a", "b"], np.eye(2)), query, k=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_refused(self, bad):
+        # Scored, it would rank every document nan in arbitrary order.
+        with pytest.raises(ValueError, match="finite query"):
+            search(Index(["a", "b"], np.eye(2)), np.array([bad, 1.0]), k=2)
 
     def test_zero_query_scores_zero(self, embedder):
         index = index_of([sample("d1", "a")], embedder)
-        result = search(index, Embedding(np.zeros(embedder.dimension())), k=1)
+        result = search(index, np.zeros(embedder.dimension()), k=1)
         assert result[0][1] == 0.0
 
     def test_agrees_with_naive_full_scan(self):
