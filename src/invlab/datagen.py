@@ -15,7 +15,6 @@ from .corpus import Corpus
 from .embeddings import TextSample
 from .retrieval import RetrievalTask
 from .seeding import derive_rng
-from .translate import DictionaryTranslator
 
 _LETTERS = string.ascii_lowercase
 
@@ -81,16 +80,6 @@ def parallel_corpora(
 def bijective_dictionary(src: str, tgt: str, vocab_size: int) -> dict[str, str]:
     """Word map sending token i of ``src`` to token i of ``tgt``."""
     return dict(zip(language_tokens(src, vocab_size), language_tokens(tgt, vocab_size)))
-
-
-def dictionary_translator(langs: list[str], vocab_size: int) -> DictionaryTranslator:
-    """Translator covering every ordered pair of the given languages."""
-    translator = DictionaryTranslator()
-    for src in langs:
-        for tgt in langs:
-            if src != tgt:
-                translator.add_pair(src, tgt, bijective_dictionary(src, tgt, vocab_size))
-    return translator
 
 
 def synthetic_retrieval_task(

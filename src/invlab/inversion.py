@@ -15,6 +15,7 @@ import itertools
 import time
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Generator, Sequence
 
@@ -93,10 +94,11 @@ class MutationGenerator(ABC):
     """Proposes candidate texts derived from a hypothesis.
 
     Stands in for a learned corrector; any generator can be plugged into the
-    search as long as proposals respect the vocabulary and token limit and
-    are deterministic given (hypothesis.text, hypothesis.step, k, seed): a
-    proposal never depends on the hypothesis's score, so the attacks of one
-    sample can share it (see ``invert_grid``).
+    search as long as proposals respect the vocabulary and token limit, are
+    deterministic given (hypothesis.text, hypothesis.step, seed), never read
+    the hypothesis's score, and nest: for k < K, ``propose(h, k) ==
+    propose(h, K)[:k]``. So one sample's attacks, whatever their beam
+    widths, can share each proposal list (see ``invert_grid``).
     """
 
     @abstractmethod
@@ -201,25 +203,28 @@ class EditMutationGenerator(MutationGenerator):
 
 
 class _SharedProposals(MutationGenerator):
-    """One sample's generator, shared by its attacks: each (text, step, k) is
-    proposed once and the list handed to every attack that asks for it. A
-    sample's attacks can sit at adjacent steps in one round, so when a later
-    step than any before is asked for, the memo keeps the previous latest
-    step and drops only older ones; it holds about two rounds' proposals."""
+    """One sample's generator, shared by its attacks: each (text, step) is
+    proposed once, at ``width``, the widest beam among them, and an attack
+    asking for k <= width gets the first k (a prefix, by the nesting
+    contract). A sample's attacks can sit at adjacent steps in one round,
+    so when a later step than any before is asked for, the memo keeps the
+    previous latest step and drops only older ones; it holds about two
+    rounds' proposals."""
 
-    def __init__(self, gen: MutationGenerator):
+    def __init__(self, gen: MutationGenerator, width: int):
         self.gen = gen
+        self.width = width
         self.latest = 0
-        self.memo: dict[tuple[str, int, int], list[str]] = {}
+        self.memo: dict[tuple[str, int], list[str]] = {}
 
     def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
         if hypothesis.step > self.latest:
             self.memo = {key: p for key, p in self.memo.items() if key[1] >= self.latest}
             self.latest = hypothesis.step
-        key = (hypothesis.text, hypothesis.step, k)
+        key = (hypothesis.text, hypothesis.step)
         if key not in self.memo:
-            self.memo[key] = self.gen.propose(hypothesis, k)
-        return self.memo[key]
+            self.memo[key] = self.gen.propose(hypothesis, self.width)
+        return self.memo[key][:k]
 
 
 class _BudgetExhausted(Exception):
@@ -312,13 +317,18 @@ def _drive(
     while requests:
         batch, requests = requests, []
         texts: list[str] = []  # one per distinct (sample, text) pair of the round
-        rows_of: dict[int, dict[str, int]] = {}  # sample -> text -> its row in the round
+        per_sample = Counter(samples[i] for i, _ in batch)
+        # sample -> text -> its row in the round, for a sample with two requests
+        rows_of: dict[int, dict[str, int]] = {s: {} for s, c in per_sample.items() if c > 1}
         wanted: list[range | list[int]] = []  # each request's rows
         for i, fresh in batch:
-            known = rows_of.setdefault(samples[i], {})
             n = len(texts)
-            texts += [t for t in fresh if t not in known]
-            known.update(zip(texts[n:], itertools.count(n)))
+            known = rows_of.get(samples[i])
+            if known is None:
+                texts += fresh
+            else:
+                texts += [t for t in fresh if t not in known]
+                known.update(zip(texts[n:], itertools.count(n)))
             # A request whose texts are all new to the round reads a block.
             fresh_block = len(texts) - n == len(fresh)
             wanted.append(range(n, len(texts)) if fresh_block else [known[t] for t in fresh])
@@ -451,11 +461,8 @@ def _attack_group(
     scorers = [_Scorer(target, config.query_budget) for _, _, target, _ in chains]
     owners = [i for i, *_ in chains]
     based = _drive([_greedy_base(scorer, config) for scorer in scorers], embedder, owners)
-    shared = []
-    for plan, gen in zip(plans, gens):
-        # A branch asks for k = its width, so only equal widths can share.
-        widths = [w for _, ws in plan.values() for w in ws]
-        shared.append(_SharedProposals(gen) if len(set(widths)) < len(widths) else gen)
+    shared = [_SharedProposals(gen, max(w for _, ws in plan.values() for w in ws))
+              for plan, gen in zip(plans, gens)]
     names = [(i, key, w) for i, key, _, widths in chains for w in widths]
     branches = [
         # The last branch goes on with the chain's own scorer.
@@ -488,9 +495,10 @@ def invert_grid(
     Cells that give a sample equal targets share its attack: the greedy base
     runs once, its scorer is then forked per beam width, and each branch
     runs to its width's deepest ``steps``, reading shallower cells off on
-    the way. A sample's branches of equal beam width ask for the same k, so
-    they share its generator through a memo that proposes each (text, step,
-    k) once per round, and each round embeds every text a sample's attacks
+    the way. All of a sample's branches share its generator through a memo
+    that proposes each (text, step) once, at their widest beam, and hands a
+    branch of width k the first k proposals (the nesting contract of
+    ``MutationGenerator``); each round embeds every text a sample's attacks
     ask for once (see ``_drive``). So every result, ``queries_used`` included,
     equals ``invert`` on its target and config alone, yet what the attacks
     share is embedded once. Samples run in groups of ceil(samples / t), t

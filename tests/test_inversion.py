@@ -532,6 +532,34 @@ class TestGrid:
         invert_grid([np.stack(targets)] * len(grid), embedder, gens, grid)
         assert len(forks) == 2 * 2
 
+    def test_beam_widths_share_proposals(self, monkeypatch, embedder):
+        # Branches of widths 1, 4 and 8 take their proposals from one memo
+        # filled at width 8, and each cell still equals its config alone.
+        proposed = []
+        real_propose = EditMutationGenerator.propose
+
+        def counting_propose(gen, hypothesis, k):
+            proposed.append(k)
+            return real_propose(gen, hypothesis, k)
+
+        monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
+        vocab = ("a", "b", "c", "d")
+        # "e" lies outside the vocabulary, so no attack converges.
+        targets = np.stack([embedder.embed(t) for t in ("b c a e", "d e b")])
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
+        configs = [AttackConfig(vocab, s, b, max_tokens=4) for b in (1, 4, 8) for s in (1, 3)]
+        grid = invert_grid([targets] * len(configs), embedder, gens, configs)
+        shared = len(proposed)
+        assert set(proposed) == {8}
+        for config, results in zip(configs, grid):
+            alone = invert_grid([targets], embedder, gens, [config])[0]
+            for target, result, expected in zip(targets, results, alone):
+                assert_same_attack(result, expected, target, embedder)
+        proposed.clear()
+        for b in (1, 4, 8):
+            invert_grid([targets], embedder, gens, [AttackConfig(vocab, 3, b, max_tokens=4)])
+        assert 0 < shared < len(proposed)
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -833,13 +861,37 @@ class TestEditMutationGenerator:
             assert len(tokens) <= 2
             assert all(t in ("a", "b") for t in tokens)
 
-    def test_deterministic_and_nested(self):
-        gen = EditMutationGenerator(("a", "b", "c"), max_tokens=4, seed=3)
-        hyp = Hypothesis("a c", 0.0, 2)
-        four = gen.propose(hyp, 4)
-        eight = gen.propose(hyp, 8)
-        assert four == gen.propose(hyp, 4)
-        assert eight[:4] == four
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vocab=st.lists(st.text("ab!\x01\u00e9", min_size=1, max_size=3), min_size=1,
+                       max_size=8, unique=True),
+        # Indices into the vocabulary, or tokens that may fall outside it.
+        picks=st.lists(st.integers(0, 7) | st.text("abz!", min_size=1, max_size=2), max_size=6),
+        max_tokens=st.integers(1, 6),
+        at_limit=st.booleans(),
+        seed=st.integers(0, 1000),
+        step=st.integers(0, 60),
+        widths=st.lists(st.integers(0, 80), min_size=2, max_size=2),
+    )
+    @example(vocab=["a", "b", "c"], picks=[0, 2], max_tokens=4, at_limit=False, seed=3, step=2,
+             widths=[4, 8])
+    @example(vocab=["a", "b"], picks=[], max_tokens=1, at_limit=False, seed=0, step=0,
+             widths=[1, 2])
+    @example(vocab=["a", "b"], picks=[0, 1], max_tokens=2, at_limit=True, seed=0, step=1,
+             widths=[1, 100])
+    def test_deterministic_and_nested(self, vocab, picks, max_tokens, at_limit, seed, step, widths):
+        """The contract ``_SharedProposals`` relies on: for k <= K,
+        ``propose(h, k) == propose(h, K)[:k]``, whatever the score; a text at
+        its token limit (``at_limit``) allows no insertion."""
+        tokens = [vocab[p % len(vocab)] if isinstance(p, int) else p for p in picks][:max_tokens]
+        if at_limit:
+            max_tokens = max(len(tokens), 1)
+        gen = EditMutationGenerator(vocab, max_tokens=max_tokens, seed=seed)
+        k, wide = sorted(widths)
+        hyp = Hypothesis(" ".join(tokens), 0.0, step)
+        proposals = gen.propose(hyp, wide)
+        assert gen.propose(hyp, k) == proposals[:k]
+        assert gen.propose(Hypothesis(hyp.text, 0.75, step), wide) == proposals
 
     def test_never_proposes_input(self):
         gen = EditMutationGenerator(("a", "b"), max_tokens=3, seed=1)

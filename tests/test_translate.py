@@ -1,6 +1,6 @@
 import pytest
 
-from invlab.datagen import bijective_dictionary, dictionary_translator, parallel_corpora
+from invlab.datagen import bijective_dictionary, parallel_corpora
 from invlab.embeddings import NgramEmbedder
 from invlab.translate import (
     DictionaryTranslator,
@@ -56,7 +56,9 @@ class TestRoundTrip:
             there_and_back("red", "en", "de", en_fr)
 
     def test_generated_bijection_round_trips(self):
-        translator = dictionary_translator(["en", "fr"], 12)
+        translator = DictionaryTranslator()
+        translator.add_pair("en", "fr", bijective_dictionary("en", "fr", 12))
+        translator.add_pair("fr", "en", bijective_dictionary("fr", "en", 12))
         corpora = parallel_corpora(["en", "fr"], 10, vocab_size=12, seed=4)
         for s in corpora["en"]:
             assert there_and_back(s.text, "en", "fr", translator) == s.text
