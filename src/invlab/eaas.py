@@ -1,19 +1,21 @@
 """Simulated embeddings-as-a-service endpoint over TCP.
 
-One JSON object per line in each direction, UTF-8. The server is the only
-component holding the embedder; a client (or an attacker who obtained API
-access) sees vectors and the service's bill, nothing else.
+Requests are one JSON object per line, UTF-8. A reply is one JSON header
+line, followed on success by a raw body. The server is the only component
+holding the embedder; a client (or an attacker who obtained API access) sees
+vectors and the service's bill, nothing else.
 
 Request:  {"op": "embed", "texts": [...], "defense": {...}?, "langs": [...]?,
            "context": {"group_means": {lang: "<rows>"}}?}
-Response: {"embeddings": "<rows>", "dim": N, "queries_used": M}
-Errors:   {"error": "unknown_op" | "bad_request" | "unknown_lang"}
+Response: {"dim": N, "queries_used": M, "bytes": B}, then B raw bytes
+Errors:   {"error": "unknown_op" | "bad_request" | "unknown_lang"}, no body
 
-Every vector travels as ``<rows>``: the standard base64 encoding (with
-padding) of the little-endian float64 bytes of a row-major (n, dim) matrix.
-A response carries one row per text, in request order; a group mean is one
-row. Raw bytes round-trip every float64 exactly, so remote vectors are
-bitwise equal to local ones.
+A success reply's body is exactly ``B = len(texts) * dim * 8`` bytes: the
+little-endian float64 values of the row-major ``(len(texts), dim)`` matrix,
+one row per text, in request order. In a request a group mean travels as
+``<rows>``: the standard base64 encoding (with padding) of the same bytes of
+its one row. Raw bytes round-trip every float64 exactly, so remote vectors
+are bitwise equal to local ones.
 
 ``defense`` is the only stack the service applies, and none when it is
 absent or null; ``langs`` tags each text for masking; ``context`` supplies
@@ -36,12 +38,16 @@ a ``bad_request`` too, and the service then closes the connection without
 reading the rest. ``eaas_embed`` splits a batch that would pass either
 limit into several requests, in order, and refuses with ``ValueError``,
 before sending anything, a text that cannot fit in a request of its own.
-The client refuses, with ``ValueError``, a response whose rows are not a
-base64 string of exactly ``len(texts) * dim * 8`` bytes, whose ``dim`` is
-below 2, or whose components are not all finite; ``RemoteEmbedder`` also
-refuses a ``dim`` other than its own. A batch stays one ``(n, dim)`` matrix:
-the server encodes the one its embedder or defense stack returns, and
-``eaas_embed`` returns the decoded one, rows unwrapped.
+The client reads a reply's header line within ``MAX_LINE_BYTES`` and refuses
+it with ``ValueError``, before reading any body, unless it is a JSON object
+whose ``dim`` is an integer of at least 2, whose ``queries_used`` is an
+integer and whose ``bytes`` is ``len(texts) * dim * 8``; the stream cannot be
+resynchronised after that, so the client's connection is closed. A body cut
+short raises ``ConnectionError``, and one with a component that is not finite
+``ValueError``. ``RemoteEmbedder`` also refuses a ``dim`` other than its own.
+A batch stays one ``(n, dim)`` matrix: the server sends the bytes of the one
+its embedder or defense stack returns, and ``eaas_embed`` returns it read
+back, rows unwrapped.
 Any op other than "embed" is refused: the service never helps the attacker
 beyond embedding.
 """
@@ -81,17 +87,17 @@ MAX_TEXTS = 4096
 IDLE_TIMEOUT_S = 60.0
 
 
-def _encode_rows(rows: np.ndarray) -> str:
-    """Encode a (n, dim) float64 matrix, or one row, as wire ``<rows>``:
-    base64 of its row-major little-endian bytes."""
-    return base64.b64encode(np.asarray(rows, dtype=_WIRE_DTYPE).tobytes()).decode("ascii")
+def _encode_row(vec: np.ndarray) -> str:
+    """Encode one float64 vector as a request's ``<rows>``: base64 of its
+    little-endian bytes."""
+    return base64.b64encode(np.asarray(vec, dtype=_WIRE_DTYPE).tobytes()).decode("ascii")
 
 
-def _decode_rows(data: object, n: int, dim: int) -> np.ndarray:
-    """Decode wire ``<rows>`` into a read-only (n, dim) float64 matrix.
+def _decode_row(data: object, dim: int) -> np.ndarray:
+    """Decode a request's ``<rows>`` into one read-only float64 vector.
 
     Raises ValueError unless ``data`` is a base64 string of exactly
-    ``n * dim * 8`` bytes; finiteness is left to the caller.
+    ``dim * 8`` bytes; finiteness is left to the caller.
     """
     if not isinstance(data, str):
         raise ValueError("vectors must be a base64 string")
@@ -99,9 +105,9 @@ def _decode_rows(data: object, n: int, dim: int) -> np.ndarray:
         raw = base64.b64decode(data, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
         raise ValueError("vectors are not valid base64") from None
-    if len(raw) != n * dim * _WIRE_DTYPE.itemsize:
-        raise ValueError(f"expected {n} x {dim} float64 values, got {len(raw)} bytes")
-    return np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(n, dim)
+    if len(raw) != dim * _WIRE_DTYPE.itemsize:
+        raise ValueError(f"expected {dim} float64 values, got {len(raw)} bytes")
+    return np.frombuffer(raw, dtype=_WIRE_DTYPE)
 
 
 def _parse_context(data: object, dim: int) -> dict[str, np.ndarray] | None:
@@ -117,19 +123,12 @@ def _parse_context(data: object, dim: int) -> dict[str, np.ndarray] | None:
         return None
     if not isinstance(means, dict):
         raise ValueError("group_means must be an object")
-    return {lang: _decode_rows(vec, 1, dim)[0] for lang, vec in means.items()}
+    return {lang: _decode_row(vec, dim) for lang, vec in means.items()}
 
 
-def _error_line(code: str) -> str:
-    """An error reply as one wire line."""
-    return json.dumps({"error": code}) + "\n"
-
-
-def _success_line(rows: str, dim: int, used: int) -> str:
-    """A success reply as one wire line, byte-identical to ``json.dumps`` of
-    the same dict. It is formatted directly: the base64 rows hold nothing to
-    escape, and scanning them costs more than encoding them did."""
-    return f'{{"embeddings": "{rows}", "dim": {dim:d}, "queries_used": {used:d}}}\n'
+def _error_line(code: str) -> bytes:
+    """An error reply: one wire line, no body."""
+    return (json.dumps({"error": code}) + "\n").encode("utf-8")
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -153,11 +152,11 @@ class _Handler(socketserver.StreamRequestHandler):
         except TimeoutError:
             pass  # idle past IDLE_TIMEOUT_S: hang up without a reply
 
-    def _send(self, reply: str) -> None:
-        self.wfile.write(reply.encode("utf-8"))
+    def _send(self, reply: bytes) -> None:
+        self.wfile.write(reply)
         self.wfile.flush()
 
-    def _respond(self, line: bytes) -> str:
+    def _respond(self, line: bytes) -> bytes:
         try:
             request = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
@@ -200,7 +199,9 @@ class _Handler(socketserver.StreamRequestHandler):
             # A malformed defense or context, no group means at all,
             # non-finite ones, or a defended vector or norm that overflowed.
             return _error_line("bad_request")
-        return _success_line(_encode_rows(rows), dim, self.server._charge(len(texts)))
+        body = np.asarray(rows, dtype=_WIRE_DTYPE).tobytes()
+        header = {"dim": dim, "queries_used": self.server._charge(len(texts)), "bytes": len(body)}
+        return (json.dumps(header) + "\n").encode("utf-8") + body
 
 
 class EaasServer(socketserver.ThreadingTCPServer):
@@ -257,7 +258,8 @@ def eaas_serve(embedder: BlackBoxEmbedder, host: str = "127.0.0.1", port: int = 
 
 
 class EaasClient:
-    """Persistent line-oriented connection to the service."""
+    """Persistent connection to the service; it is closed when a reply's
+    header is refused, since the stream cannot be resynchronised."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -265,18 +267,34 @@ class EaasClient:
         self._reader = self._sock.makefile("rb")
         self._lock = threading.Lock()
 
-    def _exchange(self, line: str) -> dict:
-        """Send one wire line and read the reply line."""
+    def _exchange(self, line: str, count: int) -> tuple[np.ndarray, int]:
+        """Send one request line for ``count`` texts; returns the reply's
+        read-only ``(count, dim)`` matrix and the service's bill, or raises
+        EaasError on an error reply. A refused header closes the connection."""
         data = line.encode("utf-8")
         with self._lock:
             self._sock.sendall(data)
-            line = self._reader.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        reply = json.loads(line.decode("utf-8"))
-        if not isinstance(reply, dict):
-            raise ValueError("service reply is not a JSON object")
-        return reply
+            head = self._reader.readline(MAX_LINE_BYTES + 1)
+            try:
+                reply = _reply_header(head, count)
+            except ValueError:
+                self.close()
+                raise
+            if "error" in reply:
+                raise EaasError(reply["error"])
+            # Read in bounded pieces: memory follows the bytes that arrive,
+            # not the size a header claims.
+            parts, left = [], reply["bytes"]
+            while left and (part := self._reader.read(min(left, MAX_LINE_BYTES))):
+                parts.append(part)
+                left -= len(part)
+        if left:
+            raise ConnectionError("service closed the connection mid-reply")
+        rows = np.frombuffer(b"".join(parts), dtype=_WIRE_DTYPE).reshape(count, reply["dim"])
+        # One check per reply, not per vector.
+        if not np.isfinite(rows).all():
+            raise ValueError("service returned non-finite embeddings")
+        return rows, reply["queries_used"]
 
     def close(self) -> None:
         self._reader.close()
@@ -287,6 +305,30 @@ class EaasClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _reply_header(head: bytes, count: int) -> dict:
+    """The reply header line ``head`` to a request of ``count`` texts,
+    checked as the module docstring says: ValueError for a malformed one,
+    ConnectionError for one cut short."""
+    if len(head) > MAX_LINE_BYTES:
+        raise ValueError(f"service reply header is longer than {MAX_LINE_BYTES} bytes")
+    if not head.endswith(b"\n"):
+        raise ConnectionError("service closed the connection")
+    try:
+        reply = json.loads(head.decode("utf-8"))
+    except (ValueError, RecursionError):
+        raise ValueError("service reply header is not JSON") from None
+    if not isinstance(reply, dict):
+        raise ValueError("service reply header is not a JSON object")
+    if "error" in reply:
+        return reply
+    dim, used, size = reply.get("dim"), reply.get("queries_used"), reply.get("bytes")
+    if type(dim) is not int or dim < 2 or type(used) is not int:
+        raise ValueError("service returned a malformed dim or query counter")
+    if type(size) is not int or size != count * dim * _WIRE_DTYPE.itemsize:
+        raise ValueError(f"expected {count} x {dim} float64 values, got a {size!r}-byte body")
+    return reply
 
 
 def _request_lines(texts: list[str], langs: list | None, extra: dict) -> list[tuple[str, int]]:
@@ -334,8 +376,9 @@ def eaas_embed(
 ) -> tuple[np.ndarray, int]:
     """Embed texts through the service; returns the read-only
     ``(len(texts), dim)`` matrix of their vectors, in order, and the
-    service's cumulative query counter. Raises EaasError on an error response.
-    A ``group_means`` key that is not a string raises ValueError before
+    service's cumulative query counter. Raises EaasError on an error response,
+    and ValueError or ConnectionError on a reply the client refuses (see the
+    module docstring). A ``group_means`` key that is not a string raises ValueError before
     anything is sent.
 
     A batch whose request would pass ``MAX_LINE_BYTES`` or ``MAX_TEXTS`` goes
@@ -349,21 +392,12 @@ def eaas_embed(
         if group_means:
             if not all(isinstance(lang, str) for lang in group_means):
                 raise ValueError("group mean languages must be strings to cross the wire")
-            means = {lang: _encode_rows(vec) for lang, vec in group_means.items()}
+            means = {lang: _encode_row(vec) for lang, vec in group_means.items()}
             extra["context"] = {"group_means": means}
     langs = list(langs) if langs is not None else None
     parts, used = [], 0
     for line, count in _request_lines(list(texts), langs, extra):
-        response = client._exchange(line)
-        if "error" in response:
-            raise EaasError(response["error"])
-        dim, used = response.get("dim"), response.get("queries_used")
-        if type(dim) is not int or dim < 2 or type(used) is not int:
-            raise ValueError("service returned a malformed dim or query counter")
-        # One decode and one check per response, not per vector.
-        vectors = _decode_rows(response.get("embeddings"), count, dim)
-        if not np.isfinite(vectors).all():
-            raise ValueError("service returned non-finite embeddings")
+        vectors, used = client._exchange(line, count)
         parts.append(vectors)
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)), used
 

@@ -9,6 +9,7 @@ vector is a one-dimensional float64 array and a batch of vectors an
 ``(n, dim)`` matrix.
 """
 
+import array
 import functools
 import hashlib
 import math
@@ -213,8 +214,9 @@ class NgramEmbedder(BlackBoxEmbedder):
     each run from a token start through the space after it, or to the end
     of the text. The grams starting in a chunk depend only on its key, the
     chunk plus the next ``n - 1`` characters, whose first space marks where
-    the chunk ends; the memo maps each key to the codes of those grams, so a
-    text costs one slice and one lookup per chunk, not per gram. Misses are
+    the chunk ends; the memo maps each key to the codes of those grams, packed
+    as int64, so a text costs one slice and one lookup per chunk, not per
+    gram, and a batch's codes reach numpy as one byte string. Misses are
     filled from a gram -> code dict, one ``blake2b`` per distinct gram. The
     chunks never hold more than ``_MEMO_CAP`` codes: a miss that would pass
     the cap first replaces both dicts with empty ones. Codes are a pure
@@ -227,40 +229,40 @@ class NgramEmbedder(BlackBoxEmbedder):
         self.config = config or NgramConfig(**kwargs)
         self._lock = threading.Lock()
         self._queries = 0
-        # chunk key -> slot codes of the grams starting in the chunk; gram ->
-        # signed slot code (the slot index for a positive sign, dim + the
-        # index for a negative one); and the codes the chunks hold. Misses
+        # chunk key -> packed slot codes of the grams starting in the chunk;
+        # gram -> signed slot code (the slot index for a positive sign, dim +
+        # the index for a negative one); and the codes the chunks hold. Misses
         # update them under _memo_lock and a reset rebinds them, so a batch
         # reading the old dicts keeps a consistent view.
         self._memo_lock = threading.Lock()
-        self._chunks: dict[str, list[int]] = {}
+        self._chunks: dict[str, array.array] = {}
         self._codes: dict[str, int] = {}
         self._held = 0
 
-    def _slot_codes(self, texts: Sequence[str]) -> list[int]:
-        """Slot codes of every gram of every text, text after text."""
+    def _slot_codes(self, texts: Sequence[str]) -> np.ndarray:
+        """Slot codes of every gram of every text, text after text, as int64."""
         chunks, look = self._chunks, self.config.n - 1
-        out: list[int] = []
-        extend = out.extend
+        parts: list[array.array] = []
+        append = parts.append
         for text in texts:
             start = 0
             for token in text.split(" "):
                 end = start + len(token) + 1  # past the space, or the text
                 key = text[start : end + look]
                 try:
-                    extend(chunks[key])
+                    append(chunks[key])
                 except KeyError:
-                    extend(self._chunk_codes(key))
+                    append(self._chunk_codes(key))
                 start = end
-        return out
+        return np.frombuffer(b"".join(parts), dtype=np.int64)
 
-    def _chunk_codes(self, key: str) -> list[int]:
+    def _chunk_codes(self, key: str) -> array.array:
         """Slot codes of the grams starting in the chunk that ``key`` opens,
         memoised; a chunk with more codes than the cap is not kept."""
         codes, n, seed, dim = self._codes, self.config.n, self.config.seed, self.config.dim
         space = key.find(" ")
         stop = space + 1 if space >= 0 else len(key)
-        found: list[int] = []
+        found = array.array("q")
         fresh: dict[str, int] = {}
         for order in range(1, n + 1):
             for i in range(min(stop, len(key) - order + 1)):
@@ -288,7 +290,7 @@ class NgramEmbedder(BlackBoxEmbedder):
         sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         k = np.minimum(sizes, n)
         rows = len(texts)
-        negative, slots = np.divmod(np.asarray(self._slot_codes(texts), dtype=np.int64), dim)
+        negative, slots = np.divmod(self._slot_codes(texts), dim)
         slots += np.repeat(np.arange(0, rows * dim, dim), k * sizes - k * (k - 1) // 2)
         # Sums of +-1.0 are exact, so the scatter order does not matter. An
         # all-empty batch scatters nothing and comes back as int64 zeros.

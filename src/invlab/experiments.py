@@ -12,6 +12,7 @@ wire undefended, so local and remote runs produce identical reports.
 """
 
 import csv
+import dataclasses
 import time
 from pathlib import Path
 
@@ -160,8 +161,20 @@ class _Runtime:
         ]
 
 
-def _pair_reports(results: list[AttackResult], samples: list[TextSample]) -> list[MetricReport]:
-    return [pair_report(r.best.text, s.text, cos=r.best.score) for r, s in zip(results, samples)]
+def _pair_reports(
+    results: list[AttackResult],
+    samples: list[TextSample],
+    memo: dict[tuple[str, str], MetricReport],
+) -> list[MetricReport]:
+    """Each result's metrics against its sample, ``cos`` its best score;
+    ``memo``, one per driver call, scores each (prediction, reference) once."""
+    reports = []
+    for r, s in zip(results, samples):
+        key = (r.best.text, s.text)
+        if key not in memo:
+            memo[key] = pair_report(*key)
+        reports.append(dataclasses.replace(memo[key], cos=r.best.score))
+    return reports
 
 
 def run_reconstruction(
@@ -183,6 +196,7 @@ def run_reconstruction(
     splits = _test_splits(config, corpora)
     defense_label = _defense_label(defense)
     report = ExperimentReport()
+    memo: dict[tuple[str, str], MetricReport] = {}
     with _Runtime(config, remote) as runtime:
         [targets] = runtime.targets(splits, [defense])
         for lang, samples in splits.items():
@@ -192,7 +206,7 @@ def run_reconstruction(
                 ]
                 grid = runtime.attack(samples, vocab, cells, (condition, lang))
                 for (_, steps, beam), (results, queries, wall) in zip(cells, grid):
-                    metrics = aggregate(_pair_reports(results, samples))
+                    metrics = aggregate(_pair_reports(results, samples, memo))
                     report.add(
                         ReportRow(
                             f"recon_{condition}", lang, steps, beam, defense_label,
@@ -356,13 +370,14 @@ def run_defense_sweep(
         sweep = _sweep_cells(config, langs)
         targets = runtime.targets(splits, [defense for _, defense in sweep])
         reports: list[list[MetricReport]] = [[] for _ in sweep]
+        memo: dict[tuple[str, str], MetricReport] = {}
         queries = [0] * len(sweep)
         wall = [0.0] * len(sweep)
         for lang, samples in splits.items():
             cells = [(t[lang], DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM) for t in targets]
             grid = runtime.attack(samples, vocabs[lang], cells, ("defense", lang))
             for c, (results, used, spent) in enumerate(grid):
-                reports[c] += _pair_reports(results, samples)
+                reports[c] += _pair_reports(results, samples, memo)
                 queries[c] += used
                 wall[c] += spent
         raw = [embed_task(task, runtime.attack_embedder) for task in tasks]

@@ -114,13 +114,21 @@ def render_markdown(report: ExperimentReport) -> str:
 
 
 def read_report_csv(path: str | Path) -> ExperimentReport:
-    """Parse a previously emitted CSV back into a report."""
+    """Parse a previously emitted CSV back into a report; raises ValueError
+    for another header or a row with another number of fields."""
     report = ExperimentReport()
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        for rec in reader:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header: {header}")
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            if len(row) != len(CSV_HEADER):
+                line = reader.line_num
+                raise ValueError(f"{path}, line {line}: {len(row)} fields, not {len(CSV_HEADER)}")
+            rec = dict(zip(CSV_HEADER, row))
             metrics = MetricReport(
                 bleu=float(rec["bleu"]),
                 rouge1_recall=float(rec["rouge1"]),

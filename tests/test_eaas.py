@@ -23,7 +23,6 @@ from invlab.eaas import (
     RemoteEmbedder,
     _error_line,
     _request_lines,
-    _success_line,
     eaas_embed,
     eaas_serve,
 )
@@ -45,22 +44,37 @@ def client(server):
         yield c
 
 
-def exchange(server, lines: list[str]) -> list[dict]:
-    """Send each line on one connection; the service must answer every one."""
+def exchange(server, lines: list[str]) -> list[tuple[dict, bytes]]:
+    """Send each line on one connection; the service must answer every one.
+    Returns each reply's header and its body of exactly ``bytes`` bytes (none
+    for an error), and checks that nothing follows the last reply."""
     host, port = server.address
-    responses = []
+    replies = []
     with socket.create_connection((host, port), timeout=10) as sock:
         reader = sock.makefile("rb")
         for line in lines:
             sock.sendall(line.encode("utf-8") + b"\n")
-            reply = reader.readline()
-            assert reply, "the service closed the connection"
-            responses.append(json.loads(reply))
-    return responses
+            head = reader.readline()
+            assert head.endswith(b"\n"), "the service closed the connection"
+            header = json.loads(head)
+            body = reader.read(header["bytes"]) if "bytes" in header else b""
+            assert len(body) == header.get("bytes", 0)
+            replies.append((header, body))
+        sock.shutdown(socket.SHUT_WR)
+        assert reader.read() == b""
+        reader.close()
+    return replies
 
 
 def raw_request(server, line: str) -> dict:
-    return exchange(server, [line])[0]
+    """The header of the service's reply to ``line``."""
+    return exchange(server, [line])[0][0]
+
+
+def raw_rows(server, request: dict, dim: int = 32) -> tuple[dict, np.ndarray]:
+    """The header and rows of the service's reply to ``request``."""
+    [(header, body)] = exchange(server, [json.dumps(request)])
+    return header, decode_rows(body, dim)
 
 
 def encode_rows(rows) -> str:
@@ -68,8 +82,9 @@ def encode_rows(rows) -> str:
     return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
 
 
-def decode_rows(data: str, dim: int) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").reshape(-1, dim)
+def decode_rows(body: bytes, dim: int) -> np.ndarray:
+    """A reply body's rows, read independently of invlab.eaas."""
+    return np.frombuffer(body, dtype="<f8").reshape(-1, dim)
 
 
 def sent_lines(client, monkeypatch) -> list[str]:
@@ -77,9 +92,9 @@ def sent_lines(client, monkeypatch) -> list[str]:
     lines: list[str] = []
     exchange_line = client._exchange
 
-    def spy(line: str) -> dict:
+    def spy(line: str, count: int):
         lines.append(line)
-        return exchange_line(line)
+        return exchange_line(line, count)
 
     monkeypatch.setattr(client, "_exchange", spy)
     return lines
@@ -144,15 +159,26 @@ class TestWireProtocol:
     @pytest.mark.parametrize("rows", [1, 2, 10, 64])
     @pytest.mark.parametrize("dim", [2, 3, 32, 192])
     def test_success_line_equals_json_dumps(self, rows, dim):
-        rng = np.random.default_rng(rows * 1000 + dim)
-        for used in (rows, 2**40 + rows):
-            encoded = encode_rows(rng.standard_normal((rows, dim)))
-            response = {"embeddings": encoded, "dim": dim, "queries_used": used}
-            assert _success_line(encoded, dim, used) == json.dumps(response) + "\n"
+        # A success reply is json.dumps of its header, a newline, then the
+        # rows' raw bytes.
+        embedder = NgramEmbedder(n=3, dim=dim, seed=17)
+        texts = [f"text {i}" for i in range(rows)]
+        with eaas_serve(NgramEmbedder(n=3, dim=dim, seed=17)) as srv:
+            srv._bill = 2**40  # a bill past 32 bits
+            host, port = srv.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall((json.dumps({"op": "embed", "texts": texts}) + "\n").encode())
+                sock.shutdown(socket.SHUT_WR)
+                reader = sock.makefile("rb")
+                head, body = reader.readline(), reader.read()
+                reader.close()
+        header = {"dim": dim, "queries_used": 2**40 + rows, "bytes": rows * dim * 8}
+        assert head == (json.dumps(header) + "\n").encode()
+        assert body == embedder.embed_many(texts).astype("<f8").tobytes()
 
     @pytest.mark.parametrize("code", ["unknown_op", "bad_request", "unknown_lang"])
     def test_error_line_equals_json_dumps(self, code):
-        assert _error_line(code) == json.dumps({"error": code}) + "\n"
+        assert _error_line(code) == (json.dumps({"error": code}) + "\n").encode()
 
 
 class TestRequestLineLimit:
@@ -273,7 +299,7 @@ class TestTextsPerRequestLimit:
         monkeypatch.setattr(invlab.eaas, "MAX_TEXTS", 4)
         too_many = json.dumps({"op": "embed", "texts": ["a", "b", "c", "d", "e"]})
         at_limit = json.dumps({"op": "embed", "texts": ["a", "b", "c", "d"]})
-        refused, served = exchange(server, [too_many, at_limit])
+        (refused, _), (served, _) = exchange(server, [too_many, at_limit])
         assert refused == {"error": "bad_request"}
         assert served["queries_used"] == server.queries_used() == 4
 
@@ -436,7 +462,7 @@ class TestNoChargeOnError:
     )
     def test_refused_and_still_serving(self, server, line):
         before = server.queries_used()
-        refused, served = exchange(server, [line, '{"op": "embed", "texts": ["a"]}'])
+        (refused, _), (served, _) = exchange(server, [line, '{"op": "embed", "texts": ["a"]}'])
         assert refused == {"error": "bad_request"}
         assert served["queries_used"] == before + 1
 
@@ -472,12 +498,12 @@ class TestNoChargeOnError:
     )
     def test_empty_context_served(self, server, context):
         request = {"op": "embed", "texts": ["a", "b"], "defense": self.NOISE, **context}
-        response = raw_request(server, json.dumps(request))
+        response, rows = raw_rows(server, request)
         local = apply_defense_stack(
             NgramEmbedder(n=3, dim=32, seed=17).embed_many(["a", "b"]), [None, None], ["a", "b"],
             DefenseConfig.from_dict(self.NOISE),
         )
-        assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
+        assert rows.tobytes() == local.tobytes()
         assert response["queries_used"] == server.queries_used() == 2
 
     def test_valid_request_still_charges_every_text(self, server):
@@ -487,8 +513,8 @@ class TestNoChargeOnError:
             "defense": self.AGNOSTIC,
             "context": {"group_means": self.EN_MEAN},
         }
-        response = raw_request(server, json.dumps({"op": "embed", **request}))
-        assert decode_rows(response["embeddings"], 32).shape == (3, 32)
+        response, rows = raw_rows(server, {"op": "embed", **request})
+        assert rows.shape == (3, 32)
         assert response["queries_used"] == server.queries_used() == 3
 
     # A noise level near the float maximum overflows the vectors of some
@@ -514,43 +540,84 @@ class TestNoChargeOnError:
 
     def test_finite_noise_near_float_max_served_as_locally(self, server):
         defense = DefenseConfig(**self.OVERFLOWING, noise_seed=1)
-        response = raw_request(
-            server, json.dumps({"op": "embed", "texts": ["a"], "defense": defense.to_dict()})
+        response, rows = raw_rows(
+            server, {"op": "embed", "texts": ["a"], "defense": defense.to_dict()}
         )
         local_embedder = NgramEmbedder(n=3, dim=32, seed=17)
         local = apply_defense_stack(local_embedder.embed_many(["a"]), [None], ["a"], defense)
-        assert decode_rows(response["embeddings"], 32).tobytes() == local.tobytes()
+        assert rows.tobytes() == local.tobytes()
         assert response["queries_used"] == server.queries_used() == 1
 
 
-def refuse_reply(reply: str, texts: list[str]) -> None:
-    """Serve ``reply`` to one request; the client must raise ValueError."""
+def refuse_reply(
+    reply: bytes,
+    texts: list[str],
+    error: type = ValueError,
+    hang_up: bool = False,
+    header_refused: bool = True,
+) -> None:
+    """Answer one request with the raw bytes ``reply``; ``eaas_embed`` must
+    raise exactly ``error``. Unless ``hang_up``, the stand-in service then
+    sends nothing more and waits for the client to hang up, which a
+    ``ValueError`` for a ``header_refused`` must make it do at once."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def reply_once():
         conn, _ = listener.accept()
         with conn:
-            conn.makefile("rb").readline()
-            conn.sendall(reply.encode() + b"\n")
+            conn.settimeout(10)
+            reader = conn.makefile("rb")
+            reader.readline()
+            conn.sendall(reply)
+            if not hang_up:
+                try:
+                    reader.read()  # until the client hangs up
+                except ConnectionResetError:  # it left part of the reply unread
+                    pass
+            reader.close()
 
     thread = threading.Thread(target=reply_once, daemon=True)
     thread.start()
     try:
-        with EaasClient(*listener.getsockname()[:2]) as client:
-            with pytest.raises(ValueError) as err:
+        with EaasClient(*listener.getsockname()[:2], timeout=10) as client:
+            with pytest.raises(error) as err:
                 eaas_embed(client, texts)
-        assert type(err.value) is ValueError
+            assert type(err.value) is error
+            if error is ValueError and header_refused:
+                # The client hung up without reading on.
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+                assert client._sock.fileno() == -1
     finally:
         thread.join(timeout=10)
         listener.close()
     assert not thread.is_alive()
 
 
+def header(**fields) -> bytes:
+    return (json.dumps(fields) + "\n").encode()
+
+
 class TestMalformedResponse:
+    """The client checks a reply's header before reading any body: the
+    stand-in service below sends a header and no body, so a client that read
+    on would wait for its timeout instead of raising ValueError."""
+
+    @pytest.mark.parametrize(
+        "size", [8, 24, 0, -16, "16", 16.0, True, None],
+        ids=["short", "long", "zero", "negative", "string", "float", "true", "null"],
+    )
+    def test_client_refuses_bad_bytes(self, size):
+        refuse_reply(header(dim=2, queries_used=1, bytes=size), ["x"])
+
+    def test_client_refuses_missing_bytes(self):
+        refuse_reply(header(dim=2, queries_used=1), ["x"])
+
     @pytest.mark.parametrize(
         "embeddings",
         [
-            # The old nested-list vectors are not the wire format.
+            # Vectors inside the header, as nested lists or base64, are not
+            # the wire format: such a reply has no byte count.
             "[[1.0, NaN]]", "[[1.0, Infinity]]", "[[1.0]]", "[1.0, 2.0]", "[[1.0, 2.0], [3.0]]",
             pytest.param(json.dumps(encode_rows([[1.0, float("nan")]])), id="nan-bits"),
             pytest.param(json.dumps(encode_rows([[1.0, float("inf")]])), id="inf-bits"),
@@ -563,20 +630,86 @@ class TestMalformedResponse:
         ],
     )
     def test_client_refuses(self, embeddings):
-        refuse_reply(f'{{"embeddings": {embeddings}, "dim": 2, "queries_used": 1}}', ["x"])
+        head = f'{{"embeddings": {embeddings}, "dim": 2, "queries_used": 1}}\n'
+        refuse_reply(head.encode(), ["x"])
 
     def test_client_refuses_fewer_rows_than_texts(self):
-        # One well-formed row answering two texts.
-        rows = json.dumps(encode_rows([[1.0, 2.0]]))
-        refuse_reply(f'{{"embeddings": {rows}, "dim": 2, "queries_used": 2}}', ["x", "y"])
+        # A well-formed header for one row, answering two texts.
+        refuse_reply(header(dim=2, queries_used=2, bytes=16), ["x", "y"])
 
     @pytest.mark.parametrize("dim", ["1", "0", "-2", "2.0", '"2"', "true", "null"])
     def test_client_refuses_bad_dim(self, dim):
-        rows = json.dumps(encode_rows([1.0, 2.0]))
-        refuse_reply(f'{{"embeddings": {rows}, "dim": {dim}, "queries_used": 1}}', ["x"])
+        refuse_reply(f'{{"dim": {dim}, "queries_used": 1, "bytes": 16}}\n'.encode(), ["x"])
+
+    @pytest.mark.parametrize("used", [1.0, "1", True, None])
+    def test_client_refuses_bad_queries_used(self, used):
+        refuse_reply(header(dim=2, queries_used=used, bytes=16), ["x"])
 
     def test_client_refuses_non_object_reply(self):
-        refuse_reply("[1, 2]", ["x"])
+        refuse_reply(b"[1, 2]\n", ["x"])
+
+    @pytest.mark.parametrize(
+        "head", [b"not json\n", b"\xff\n", b"[" * 100_000 + b"\n"],
+        ids=["not-json", "not-utf8", "nesting"],
+    )
+    def test_client_refuses_header_not_json(self, head):
+        refuse_reply(head, ["x"])
+
+    def test_client_refuses_header_past_line_limit(self, monkeypatch):
+        monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", 64)
+        head = header(dim=2, queries_used=1, bytes=16)
+        refuse_reply(head[:-2] + b" " * (65 - len(head)) + b"}\n", ["x"])
+
+    def test_client_reads_header_at_line_limit(self, monkeypatch):
+        monkeypatch.setattr(invlab.eaas, "MAX_LINE_BYTES", 64)
+        head = header(dim=2, queries_used=1, bytes=16)
+        head = head[:-2] + b" " * (64 - len(head)) + b"}\n"
+        body = np.array([[1.0, float("nan")]], dtype="<f8").tobytes()
+        # Past the header check: the body is read, and refused for its NaN.
+        refuse_reply(head + body, ["x"], header_refused=False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_client_refuses_non_finite_body(self, bad):
+        body = np.array([[1.0, bad]], dtype="<f8").tobytes()
+        refuse_reply(header(dim=2, queries_used=1, bytes=16) + body, ["x"], header_refused=False)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [b"", b'{"dim": 2, "queries_used": 1, "bytes": 16}',
+         header(dim=2, queries_used=1, bytes=16),
+         header(dim=2, queries_used=1, bytes=16) + b"\0" * 15,
+         # Past any buffer the client could allocate up front.
+         header(dim=2**61, queries_used=1, bytes=2**64)],
+        ids=["nothing", "header-cut", "no-body", "body-cut", "huge-body-claimed"],
+    )
+    def test_client_raises_connection_error_on_cut_reply(self, reply):
+        refuse_reply(reply, ["x"], error=ConnectionError, hang_up=True)
+
+    def test_connection_closed_after_refused_header(self):
+        # The next request on the same client fails rather than read the
+        # unread body as its reply.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reply_twice():
+            conn, _ = listener.accept()
+            with conn:
+                reader = conn.makefile("rb")
+                reader.readline()
+                conn.sendall(header(dim=2, queries_used=1, bytes=8) + b"\0" * 8)
+                reader.close()
+
+        thread = threading.Thread(target=reply_twice, daemon=True)
+        thread.start()
+        try:
+            with EaasClient(*listener.getsockname()[:2], timeout=10) as client:
+                with pytest.raises(ValueError):
+                    eaas_embed(client, ["x"])
+                with pytest.raises(OSError):
+                    eaas_embed(client, ["x"])
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestDefenseOverWire:
@@ -654,9 +787,9 @@ class TestDefenseOverWire:
     def test_request_names_the_only_stack(self, server, defense):
         # The request's defense is the only stack: all-off or null gives raw vectors.
         request = {"op": "embed", "texts": ["secret text"], "defense": defense}
-        reply = raw_request(server, json.dumps(request))
+        _, rows = raw_rows(server, request)
         local = NgramEmbedder(n=3, dim=32, seed=17).embed("secret text")
-        assert decode_rows(reply["embeddings"], 32).tobytes() == local.tobytes()
+        assert rows.tobytes() == local.tobytes()
 
 
 class TestRemoteEmbedder:
@@ -665,6 +798,12 @@ class TestRemoteEmbedder:
         remote = RemoteEmbedder(client, dim=32)
         for text in ["", "a", "some longer text"]:
             assert remote.embed(text).tobytes() == local.embed(text).tobytes()
+
+    def test_embed_many_matches_local_bitwise(self, client):
+        texts = ["", "a", "some longer text", "é\U0001F600 x", "a"]
+        remote = RemoteEmbedder(client, dim=32).embed_many(texts)
+        local = NgramEmbedder(n=3, dim=32, seed=17).embed_many(texts)
+        assert remote.shape == local.shape and remote.tobytes() == local.tobytes()
 
     def test_counts_own_queries(self, client):
         remote = RemoteEmbedder(client, dim=32)
@@ -813,25 +952,28 @@ def fuzz_server():
 
 
 class TestHandlerFuzz:
-    """Arbitrary JSON bodies: every one gets an embeddings response or a
-    documented error code, the handler never drops the connection, and an
-    error response charges nothing."""
+    """Arbitrary JSON bodies: every one gets a documented error line, or a
+    header and exactly its ``bytes`` of body (``exchange`` checks that
+    nothing follows), the handler never drops the connection, and an error
+    response charges nothing."""
 
     @settings(max_examples=150, deadline=None)
     @given(body=request_bodies)
     def test_documented_response_and_no_charge_on_error(self, fuzz_server, body):
         line = _to_line(body)
         before = fuzz_server.queries_used()
-        (response,) = exchange(fuzz_server, [line])
+        [(response, raw)] = exchange(fuzz_server, [line])
         after = fuzz_server.queries_used()
         if "error" in response:
             assert set(response) == {"error"}
             assert response["error"] in ERROR_CODES
+            assert raw == b""
             assert after == before
         else:
-            assert set(response) == {"embeddings", "dim", "queries_used"}
-            rows = decode_rows(response["embeddings"], FUZZ_DIM)
+            assert set(response) == {"dim", "queries_used", "bytes"}
+            rows = decode_rows(raw, FUZZ_DIM)
             assert len(rows) == len(body["texts"]) == after - before
+            assert response["bytes"] == len(rows) * FUZZ_DIM * 8
             assert np.isfinite(rows).all()
             assert response["dim"] == FUZZ_DIM
             assert response["queries_used"] == after

@@ -96,6 +96,31 @@ class TestRunReconstruction:
         assert all(r.wall_ms > 0 for r in report.rows)
 
 
+class TestPairReportsOncePerPair:
+    """Each driver call scores every distinct (prediction, reference) pair
+    once, through the module name ``benchmarks/tracing.py`` patches, and a
+    later call scores its pairs again."""
+
+    @pytest.mark.parametrize("driver", [run_reconstruction, run_defense_sweep])
+    def test_each_distinct_pair_scored_once_per_call(self, small_config, monkeypatch, driver):
+        calls: list[tuple] = []
+        real = invlab.experiments.pair_report
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(invlab.experiments, "pair_report", spy)
+        report = driver(small_config)
+        first = list(calls)
+        pairs = [args for args, _ in first]
+        assert 0 < len(pairs) == len(set(pairs)) < sum(r.metrics.num_pairs for r in report.rows)
+        calls.clear()
+        again = driver(small_config)
+        assert calls == first
+        assert [r.metrics for r in again.rows] == [r.metrics for r in report.rows]
+
+
 class TestReconstructionGrid:
     """Each (language, condition) split runs its steps x beams grid as one
     attack call; its rows must equal the cells run one at a time."""

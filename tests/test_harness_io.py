@@ -336,6 +336,17 @@ class TestReport:
             else:
                 assert restored.ndcg == pytest.approx(original.ndcg, abs=5e-7)
 
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_row_with_wrong_field_count_refused(self, tmp_path, change):
+        path = emit_report(make_report(), tmp_path / "r.csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        lines[2] = ",".join(fields[:-1] if change < 0 else fields + ["1"])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        count = len(CSV_HEADER) + change
+        with pytest.raises(ValueError, match=rf"r\.csv, line 3: {count} fields"):
+            read_report_csv(path)
+
     def test_markdown_groups_by_language(self, tmp_path):
         text = render_markdown(make_report())
         assert "## en" in text
