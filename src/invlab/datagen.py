@@ -28,25 +28,6 @@ def language_tokens(lang: str, size: int) -> list[str]:
     return [f"{_LETTERS[i]}{lang}{_LETTERS[i]}" for i in range(size)]
 
 
-def synthetic_corpus(
-    lang: str,
-    size: int,
-    vocab_size: int = 20,
-    min_len: int = 3,
-    max_len: int = 6,
-    seed: int = 0,
-) -> Corpus:
-    """Random token sequences in one language."""
-    rng = derive_rng("corpus", lang, size, vocab_size, min_len, max_len, seed)
-    pool = language_tokens(lang, vocab_size)
-    samples = []
-    for i in range(size):
-        length = int(rng.integers(min_len, max_len + 1))
-        words = [pool[int(j)] for j in rng.integers(0, vocab_size, size=length)]
-        samples.append(TextSample(id=f"{lang}-{i:04d}", text=" ".join(words), lang=lang))
-    return Corpus(tuple(samples))
-
-
 def parallel_corpora(
     langs: list[str],
     size: int,

@@ -140,7 +140,7 @@ class _Runtime:
         cell's targets are a matrix, one row per sample. Each sample's generator
         is seeded from the run seed, ``labels`` and the sample id, never from
         a cell. Returns, per cell, the results, their summed queries and the
-        cell's attack wall time in seconds.
+        time in seconds until the cell's last attack finished.
         """
         seed, sweep = self.config.seed, self.config.attack
         attack_configs = [
@@ -156,7 +156,7 @@ class _Runtime:
         targets = [cell_targets for cell_targets, _, _ in cells]
         grid = invert_grid(targets, self.attack_embedder, gens, attack_configs)
         return [
-            (results, sum(r.queries_used for r in results), sum(r.wall_time for r in results))
+            (results, sum(r.queries_used for r in results), max(r.wall_time for r in results))
             for results in grid
         ]
 

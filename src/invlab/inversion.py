@@ -227,10 +227,6 @@ class _SharedProposals(MutationGenerator):
         return self.memo[key][:k]
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 # Most texts in one embed_many call of a lockstep round. A larger cap saves
 # few calls for more peak memory; it stays below eaas.MAX_TEXTS.
 _ROUND_TEXTS = 64
@@ -247,41 +243,45 @@ class _Scorer:
 
     Fresh texts are requested in sorted order so results are independent of
     scheduling; ties on score break toward the lexicographically smaller text.
-    The cache keeps scores only, so no vector outlives its scoring.
+    A batch the budget cannot pay for in full is scored up to its affordable
+    sorted prefix and sets ``exhausted``, which ends the attack. The cache
+    keeps scores only, so no vector outlives its scoring.
     """
 
     def __init__(self, target: np.ndarray, budget: int | None):
         self.target = target
         self.budget = budget
         self.queries = 0
+        self.exhausted = False
         self.cache: dict[str, float] = {}
         self.best: Hypothesis | None = None
 
     def fork(self) -> "_Scorer":
-        """A scorer that goes on from this one's cache, best and queries."""
+        """A scorer that goes on from this one's cache, best, queries and
+        exhaustion."""
         twin = copy.copy(self)
         twin.cache = dict(self.cache)
         return twin
 
-    def score_batch(self, texts: Sequence[str], step: int) -> _Step:
-        fresh = sorted({t for t in texts if t not in self.cache})
-        exhausted = False
-        if self.budget is not None:
-            remaining = self.budget - self.queries
-            if len(fresh) > remaining:
-                fresh = fresh[:remaining]
-                exhausted = True
+    def score_batch(self, texts: Sequence[str], step: int, k: int) -> _Step:
+        """The top ``k`` scored distinct ``texts`` by (-score, text), as
+        hypotheses at ``step``; the same order keeps the best-so-far."""
+        distinct = set(texts)
+        fresh = sorted(distinct.difference(self.cache))
+        paid = len(fresh) if self.budget is None else self.budget - self.queries
+        if len(fresh) > paid:
+            self.exhausted = True
+            distinct.difference_update(fresh[paid:])
+            fresh = fresh[:paid]
         if fresh:
             rows = yield fresh
             self.queries += len(fresh)
-            for text, score in zip(fresh, cosine(rows, self.target)):
-                self.cache[text] = score
-                best = self.best
-                if best is None or score > best.score or (score == best.score and text < best.text):
-                    self.best = Hypothesis(text, score, step)
-        if exhausted:
-            raise _BudgetExhausted
-        return [Hypothesis(text, self.cache[text], step) for text in dict.fromkeys(texts)]
+            self.cache.update(zip(fresh, cosine(rows, self.target)))
+        rank = lambda text: (-self.cache[text], text)
+        top = [Hypothesis(t, self.cache[t], step) for t in sorted(distinct, key=rank)[:k]]
+        if top and (self.best is None or rank(top[0].text) < rank(self.best.text)):
+            self.best = top[0]
+        return top
 
 
 def _drive(
@@ -361,38 +361,28 @@ def _check_targets(rows: np.ndarray, n: int, embedder: BlackBoxEmbedder) -> np.n
 
 
 def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
-    """Append the best-scoring token until none improves the score; False if
-    the budget ran out first. The kept text ends as ``scorer.best`` (set by
-    the first query, "", which any budget fits): it beats every earlier
-    round's score and wins later ties, as every later text extends it."""
-    try:
-        current = (yield from scorer.score_batch([""], step=0))[0]
-        tokens: list[str] = []
-        while len(tokens) < config.max_tokens:
-            candidates = [" ".join(tokens + [v]) for v in config.vocab]
-            scored = yield from scorer.score_batch(candidates, step=0)
-            nxt = min(scored, key=lambda h: (-h.score, h.text))
-            if nxt.score <= current.score:
-                break
-            current = nxt
-            tokens = nxt.text.split()
-    except _BudgetExhausted:
-        return False
-    return True
+    """Append the best-scoring token until none improves the score or the
+    budget runs out. The kept text ends as ``scorer.best`` (set by the first
+    query, "", which any budget fits): it beats every earlier round's score
+    and wins later ties, as every later text extends it."""
+    (current,) = yield from scorer.score_batch([""], step=0, k=1)
+    tokens: list[str] = []
+    while len(tokens) < config.max_tokens:
+        candidates = [" ".join(tokens + [v]) for v in config.vocab]
+        top = yield from scorer.score_batch(candidates, step=0, k=1)
+        if scorer.exhausted or top[0].score <= current.score:
+            break
+        (current,) = top
+        tokens = current.text.split()
 
 
 def _correction_step(
     beam: Sequence[Hypothesis], gen: MutationGenerator, scorer: _Scorer, b: int, step: int
 ) -> _Step:
-    proposals: list[str] = []
-    for h in beam:
-        proposals.extend(gen.propose(h, b))
-    unique = sorted(set(proposals))
-    if not unique:
+    proposals = [text for h in beam for text in gen.propose(h, b)]
+    if not proposals:
         return list(beam)
-    scored = yield from scorer.score_batch(unique, step)
-    scored.sort(key=lambda h: (-h.score, h.text))
-    return scored[:b]
+    return (yield from scorer.score_batch(proposals, step, b))
 
 
 def correction_step(
@@ -422,28 +412,28 @@ def correction_step(
 
 
 def _corrections(
-    scorer: _Scorer, gen: MutationGenerator, width: int, stops: list[int], based: bool
+    scorer: _Scorer, gen: MutationGenerator, width: int, stops: list[int], start: float
 ) -> _Step:
     """Correction steps at beam ``width`` from the greedy base that ``scorer``
-    holds (``based`` is False if the base ran out of budget), up to the last
-    of the ascending ``stops``. Returns, per stop, the result of the attack
-    that runs that many steps alone (``wall_time`` 0) and the clock when it
-    was reached; after convergence or budget exhaustion that state is final.
+    holds, up to the last of the ascending ``stops``. Returns, per stop, the
+    result of the attack that runs that many steps alone, with the time from
+    ``start`` until the stop was reached as its ``wall_time``; after
+    convergence or budget exhaustion that state is final.
     """
     history = [scorer.best.score]
-    beam, step, ended = [scorer.best], 0, None if based else BUDGET_EXHAUSTED
+    beam, step = [scorer.best], 0
     reached = {}
     for stop in stops:
-        try:
-            while ended is None and scorer.best.score < _CONVERGENCE and step < stop:
-                step += 1
-                beam = yield from _correction_step(beam, gen, scorer, width, step)
+        while not scorer.exhausted and scorer.best.score < _CONVERGENCE and step < stop:
+            step += 1
+            beam = yield from _correction_step(beam, gen, scorer, width, step)
+            if not scorer.exhausted:
                 history.append(scorer.best.score)
-        except _BudgetExhausted:
-            ended = BUDGET_EXHAUSTED
-        terminated = ended or (CONVERGED if scorer.best.score >= _CONVERGENCE else COMPLETED)
-        result = AttackResult(scorer.best, history.copy(), scorer.queries, 0.0, terminated)
-        reached[stop] = (result, time.perf_counter())
+        terminated = BUDGET_EXHAUSTED if scorer.exhausted else (
+            CONVERGED if scorer.best.score >= _CONVERGENCE else COMPLETED)
+        reached[stop] = AttackResult(
+            scorer.best, history.copy(), scorer.queries, time.perf_counter() - start, terminated
+        )
     return reached
 
 
@@ -452,23 +442,25 @@ def _attack_group(
     gens: Sequence[MutationGenerator],
     config: AttackConfig,
     embedder: BlackBoxEmbedder,
+    start: float,
 ) -> list[dict[tuple[bytes, int], dict]]:
     """Run the attacks of a group of samples, given per sample its distinct
-    targets and each one's beam widths and step counts. Returns per sample,
-    for each (target key, width), what ``_corrections`` returns."""
+    targets and each one's beam widths and step counts, timed from ``start``.
+    Returns per sample, for each (target key, width), what ``_corrections``
+    returns."""
     chains = [(i, key, target, widths) for i, plan in enumerate(plans)
               for key, (target, widths) in plan.items()]
     scorers = [_Scorer(target, config.query_budget) for _, _, target, _ in chains]
     owners = [i for i, *_ in chains]
-    based = _drive([_greedy_base(scorer, config) for scorer in scorers], embedder, owners)
+    _drive([_greedy_base(scorer, config) for scorer in scorers], embedder, owners)
     shared = [_SharedProposals(gen, max(w for _, ws in plan.values() for w in ws))
               for plan, gen in zip(plans, gens)]
     names = [(i, key, w) for i, key, _, widths in chains for w in widths]
     branches = [
         # The last branch goes on with the chain's own scorer.
         _corrections(scorer if n == len(widths) - 1 else scorer.fork(), shared[i], w,
-                     sorted(stops), ok)
-        for (i, _, _, widths), scorer, ok in zip(chains, scorers, based)
+                     sorted(stops), start)
+        for (i, _, _, widths), scorer in zip(chains, scorers)
         for n, (w, stops) in enumerate(widths.items())
     ]
     del scorers  # so each cache is freed when its chain's last branch ends
@@ -505,9 +497,9 @@ def invert_grid(
     the most distinct targets a sample has, so about as many attacks are
     live at once as a grid with one target per sample has.
 
-    A cell's ``wall_time`` is the time from the grid's start until the last
-    of its attacks reached its step count, over the number of attacks;
-    cells share the time of the work they share."""
+    An attack's ``wall_time`` is the time from the grid's start until it
+    reached its step count, so attacks share the time of the work they
+    share and a cell's time is its results' largest."""
     if len(targets) != len(configs):
         raise ValueError(f"need one target matrix per config: {len(targets)} for {len(configs)}")
     if not configs:
@@ -526,13 +518,12 @@ def invert_grid(
     start = time.perf_counter()
     reached = []
     for lo in range(0, len(gens), size):
-        reached += _attack_group(plans[lo : lo + size], gens[lo : lo + size], base, embedder)
-    grid = []
-    for cell_keys, c in zip(keys, configs):
-        cells = [sample[key, c.beam_width][c.steps] for sample, key in zip(reached, cell_keys)]
-        wall = max(max((t for _, t in cells), default=start) - start, 1e-9) / max(len(cells), 1)
-        grid.append([replace(result, wall_time=wall) for result, _ in cells])
-    return grid
+        reached += _attack_group(plans[lo : lo + size], gens[lo : lo + size], base, embedder,
+                                 start)
+    return [
+        [sample[key, c.beam_width][c.steps] for sample, key in zip(reached, cell_keys)]
+        for cell_keys, c in zip(keys, configs)
+    ]
 
 
 def invert(

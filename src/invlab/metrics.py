@@ -12,6 +12,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+# The highest relevance grade a task may hold. NDCG's gain 2**grade - 1 then
+# stays far below float64's overflow at 2**1024, so every DCG is finite.
+MAX_GRADE = 64
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, NFC-normalize, isolate punctuation, split on whitespace."""
@@ -104,7 +108,9 @@ def exact_match(pairs: Sequence[tuple[str, str]]) -> float:
 def ndcg_at_k(ranking: Sequence[str], qrels: Mapping[str, int], k: int) -> float:
     """Normalized discounted cumulative gain with exponential relevance gain.
 
-    Returns 0 when no relevant documents exist for the query.
+    Returns 0 when no relevant documents exist for the query. Grades above
+    ``MAX_GRADE`` are refused where judgments enter, by ``load_qrels_tsv``
+    and ``RetrievalTask``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .defenses import DefenseConfig, apply_defense_stack, compute_group_means
 from .embeddings import BlackBoxEmbedder, TextSample, cosine
-from .metrics import ndcg_at_k
+from .metrics import MAX_GRADE, ndcg_at_k
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +36,8 @@ class RetrievalTask:
                 raise ValueError(f"qrel references unknown query id {qid!r}")
             if did not in doc_ids:
                 raise ValueError(f"qrel references unknown doc id {did!r}")
-            if grade < 1:
-                raise ValueError(f"relevance grade must be >= 1, got {grade}")
+            if not 1 <= grade <= MAX_GRADE:
+                raise ValueError(f"relevance grade must be in 1..{MAX_GRADE}, got {grade}")
 
     def qrels_for(self, query_id: str) -> dict[str, int]:
         return {did: g for (qid, did), g in self.qrels.items() if qid == query_id}
@@ -115,7 +115,9 @@ def evaluate_task(
 
 
 def load_qrels_tsv(path: str | Path) -> dict[tuple[str, str], int]:
-    """Parse judgments from 'query_id<TAB>doc_id<TAB>grade' lines."""
+    """Parse judgments from 'query_id<TAB>doc_id<TAB>grade' lines; a grade
+    that is not an integer or is above ``MAX_GRADE`` raises ValueError citing
+    the path and line."""
     qrels: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -130,10 +132,6 @@ def load_qrels_tsv(path: str | Path) -> dict[tuple[str, str], int]:
                 qrels[(qid, did)] = int(grade)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad relevance grade {grade!r}") from exc
+            if qrels[(qid, did)] > MAX_GRADE:
+                raise ValueError(f"{path}:{lineno}: relevance grade {grade} above {MAX_GRADE}")
     return qrels
-
-
-def save_qrels_tsv(qrels: dict[tuple[str, str], int], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (qid, did), grade in qrels.items():
-            fh.write(f"{qid}\t{did}\t{grade}\n")

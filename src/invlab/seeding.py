@@ -1,8 +1,12 @@
 """Deterministic seed derivation shared across the package.
 
 Every stochastic component derives its generator from explicit labels via a
-keyed hash, so runs reproduce bit-for-bit across processes and machines.
-Python's builtin ``hash()`` is salted per process and is never used here.
+keyed hash, so every process draws the same streams. Python's builtin
+``hash()`` is salted per process and is never used here. Runs reproduce bit
+for bit on one family of OpenBLAS kernels: numpy's OpenBLAS picks its
+kernels by CPU at load time, and the dot products behind cosine scores and
+the renormalize stage sum in the order the kernel chooses, so another
+family can change a score's last bits.
 """
 
 import hashlib

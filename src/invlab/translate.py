@@ -38,7 +38,8 @@ class DictionaryTranslator:
 
 
 def load_dictionary_tsv(path: str | Path) -> dict[str, str]:
-    """Parse a word map from 'src_word<TAB>tgt_word' lines."""
+    """Parse a word map from 'src_word<TAB>tgt_word' lines; a second line for
+    one source word raises ValueError citing the path and line."""
     table: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -48,6 +49,8 @@ def load_dictionary_tsv(path: str | Path) -> dict[str, str]:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
+            if fields[0] in table:
+                raise ValueError(f"{path}:{lineno}: duplicate source word {fields[0]!r}")
             table[fields[0]] = fields[1]
     return table
 

@@ -14,7 +14,6 @@ from invlab.datagen import (
     bijective_dictionary,
     language_tokens,
     parallel_corpora,
-    synthetic_corpus,
 )
 from invlab.defenses import DefenseConfig
 from invlab.eaas import eaas_serve
@@ -27,6 +26,8 @@ from invlab.experiments import (
 )
 from invlab.report import csv_rows_without_wall, emit_report
 from invlab.translate import DictionaryTranslator, save_dictionary_tsv
+
+from helpers import save_qrels_tsv, synthetic_corpus
 
 
 def write_corpora(tmp_path, langs, size, vocab_size, min_len, max_len, seed):
@@ -272,7 +273,6 @@ class TestFileBackedRetrievalTasks:
         from invlab.corpus import Corpus
         from invlab.datagen import synthetic_retrieval_task
         from invlab.experiments import build_retrieval_tasks
-        from invlab.retrieval import save_qrels_tsv
 
         task = synthetic_retrieval_task("filetask", "en", "en", n_docs=6, seed=2)
         queries_path = tmp_path / "q.jsonl"

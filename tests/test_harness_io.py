@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from invlab.config import AttackSweep, DefenseSweep, ExperimentConfig, load_config, save_config
 from invlab.corpus import Corpus, CorpusFormatError, load_jsonl_corpus, save_jsonl_corpus
-from invlab.datagen import language_tokens, parallel_corpora, synthetic_corpus
+from invlab.datagen import language_tokens, parallel_corpora
 from invlab.defenses import DefenseConfig
 from invlab.embeddings import ConfigError, NgramConfig, TextSample
 from invlab.inversion import AttackConfig
@@ -20,6 +20,8 @@ from invlab.report import (
     read_report_csv,
     render_markdown,
 )
+
+from helpers import synthetic_corpus
 
 
 json_values = st.recursive(

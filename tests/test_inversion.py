@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import invlab.inversion
 from invlab.eaas import MAX_TEXTS, EaasClient, RemoteEmbedder, eaas_serve
-from invlab.embeddings import ConfigError, NgramEmbedder, cosine
+from invlab.embeddings import BlackBoxEmbedder, ConfigError, NgramEmbedder, cosine
 from invlab.inversion import (
     BUDGET_EXHAUSTED,
     COMPLETED,
@@ -57,6 +57,29 @@ class ListGenerator(MutationGenerator):
 
     def propose(self, hypothesis, k):
         return list(self.texts)[:k]
+
+
+class TableGenerator(MutationGenerator):
+    """Proposes a fixed list per hypothesis text."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def propose(self, hypothesis, k):
+        return self.table[hypothesis.text][:k]
+
+
+class BucketEmbedder(BlackBoxEmbedder):
+    """Maps a text to one of three vectors by its length, so most scores tie."""
+
+    def embed_many(self, texts):
+        return np.array([[1.0, len(t) % 3, 0.5] for t in texts])
+
+    def dimension(self):
+        return 3
+
+    def queries_used(self):
+        return 0
 
 
 @pytest.fixture
@@ -175,6 +198,29 @@ class TestCorrectionStep:
             constant_embedder, b=3,
         )
         assert [h.text for h in beam] == ["alpha", "casa", "delta"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        table=st.dictionaries(
+            st.sampled_from(["", "a", "b c"]),
+            st.lists(st.text("abc ", max_size=4), max_size=6),
+            min_size=1,
+        ),
+        b=st.integers(1, 6),
+        target=st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
+    )
+    def test_keeps_first_b_distinct_proposals_by_score_then_text(self, table, b, target):
+        # An independent ranking of the pooled proposals under shared vectors.
+        embedder, target = BucketEmbedder(), np.array(target, dtype=float)
+        beam = [Hypothesis(text, 0.0, 0) for text in table]
+        kept = correction_step(beam, target, TableGenerator(table), embedder, b)
+        pool = sorted({p for text in table for p in table[text][:b]})
+        if not pool:
+            assert kept == beam
+            return
+        scores = dict(zip(pool, cosine(embedder.embed_many(pool), target)))
+        ranked = sorted(pool, key=lambda t: (-scores[t], t))[:b]
+        assert [(h.text, h.score, h.step) for h in kept] == [(t, scores[t], 1) for t in ranked]
 
     def test_no_duplicate_texts_in_beam(self, embedder):
         target = embedder.embed("a b")

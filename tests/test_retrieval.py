@@ -7,14 +7,16 @@ import pytest
 from invlab.datagen import synthetic_retrieval_task
 from invlab.defenses import DefenseConfig, assign_language_ids
 from invlab.embeddings import NgramEmbedder, TextSample
+from invlab.metrics import MAX_GRADE, ndcg_at_k
 from invlab.retrieval import (
     Index,
     RetrievalTask,
     evaluate_task,
     load_qrels_tsv,
-    save_qrels_tsv,
     search,
 )
+
+from helpers import save_qrels_tsv
 
 
 def sample(sid, text, lang="en"):
@@ -41,6 +43,19 @@ class TestRetrievalTask:
     def test_grades_must_be_positive(self):
         with pytest.raises(ValueError):
             RetrievalTask("t", [sample("q1", "x")], [sample("d1", "y")], {("q1", "d1"): 0})
+
+    @pytest.mark.parametrize("grade", [MAX_GRADE + 1, 1023, 1024])
+    def test_grades_above_cap_refused(self, grade):
+        # 2.0**1024 overflows, and three gains of 2.0**1023 sum to inf/inf.
+        docs = [sample(f"d{i}", "y") for i in range(3)]
+        qrels = {("q1", d.id): grade for d in docs}
+        with pytest.raises(ValueError, match=f"1..{MAX_GRADE}"):
+            RetrievalTask("t", [sample("q1", "x")], docs, qrels)
+
+    def test_grades_at_cap_give_finite_ndcg(self):
+        docs = [sample(f"d{i}", "y") for i in range(3)]
+        task = RetrievalTask("t", [sample("q1", "x")], docs, {("q1", d.id): MAX_GRADE for d in docs})
+        assert ndcg_at_k(["d2", "d1", "d0"], task.qrels_for("q1"), k=10) == 1.0
 
 
 class TestSearch:
@@ -182,4 +197,11 @@ class TestQrelsIO:
         path = tmp_path / "bad.tsv"
         path.write_text("q1\td1\thigh\n", encoding="utf-8")
         with pytest.raises(ValueError, match="grade"):
+            load_qrels_tsv(path)
+
+    @pytest.mark.parametrize("grade", [MAX_GRADE + 1, 1023, 1024])
+    def test_grade_above_cap_cites_line(self, tmp_path, grade):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"q1\td1\t{MAX_GRADE}\nq1\td2\t{grade}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"big.tsv:2: relevance grade {grade} above {MAX_GRADE}"):
             load_qrels_tsv(path)

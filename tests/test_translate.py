@@ -125,3 +125,9 @@ class TestDictionaryIO:
         path.write_text("word_without_target\n", encoding="utf-8")
         with pytest.raises(ValueError, match="2 tab-separated"):
             load_dictionary_tsv(path)
+
+    def test_second_line_for_a_source_word_cites_line(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("red\trouge\ncat\tchat\nred\tvermeil\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="dup.tsv:3: duplicate source word 'red'"):
+            load_dictionary_tsv(path)
