@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
+from .corpus import CorpusFormatError
 from .defenses import DefenseConfig, assign_language_ids
 from .eaas import EaasClient, EaasServer, eaas_embed
 from .embeddings import ConfigError, NgramEmbedder
@@ -199,8 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a malformed config or corpus file is one line on
+    stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CorpusFormatError) as exc:
+        print(f"invlab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

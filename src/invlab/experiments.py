@@ -129,35 +129,31 @@ class _Runtime:
         ]
 
     def attack(
-        self,
-        samples: list[TextSample],
-        vocab: list[str],
-        cells: list[tuple[np.ndarray, int, int]],
-        labels: tuple[str, ...],
+        self, cells: list[tuple[list[TextSample], np.ndarray, list[str], int, int, tuple[str, ...]]]
     ) -> list[tuple[list[AttackResult], int, float]]:
-        """Invert the samples' target embeddings with the given vocabulary once
-        per (targets, steps, beam) cell, all in one ``invert_grid`` call; a
-        cell's targets are a matrix, one row per sample. Each sample's generator
-        is seeded from the run seed, ``labels`` and the sample id, never from
-        a cell. Returns, per cell, the results, their summed queries and the
-        time in seconds until the cell's last attack finished.
-        """
+        """Run every (samples, targets, vocab, steps, beam, labels) cell's
+        attacks, row ``i`` of ``targets`` sample ``i``'s, in one ``invert_grid``
+        call. A sample's generator is built once per ``labels``, which must
+        name one sample list and vocabulary, and seeded from the run seed,
+        ``labels`` and the sample id, never from a cell. Returns, per cell,
+        the results, their summed queries and the time in seconds until the
+        cell's last attack finished."""
         seed, sweep = self.config.seed, self.config.attack
-        attack_configs = [
-            AttackConfig(tuple(vocab), steps, beam, sweep.max_tokens, sweep.query_budget)
-            for _, steps, beam in cells
-        ]
-        gens = [
-            EditMutationGenerator(
-                vocab, sweep.max_tokens, seed=stable_seed(seed, "gen", *labels, sample.id)
-            )
-            for sample in samples
-        ]
-        targets = [cell_targets for cell_targets, _, _ in cells]
-        grid = invert_grid(targets, self.attack_embedder, gens, attack_configs)
+        gens: dict[tuple[str, ...], list[EditMutationGenerator]] = {}
+        grid = []
+        for samples, targets, vocab, steps, beam, labels in cells:
+            if labels not in gens:
+                gens[labels] = [
+                    EditMutationGenerator(
+                        vocab, sweep.max_tokens, seed=stable_seed(seed, "gen", *labels, s.id)
+                    )
+                    for s in samples
+                ]
+            config = AttackConfig(tuple(vocab), steps, beam, sweep.max_tokens, sweep.query_budget)
+            grid.append((samples, targets, gens[labels], config))
         return [
             (results, sum(r.queries_used for r in results), max(r.wall_time for r in results))
-            for results in grid
+            for results in invert_grid(grid, self.attack_embedder)
         ]
 
 
@@ -187,7 +183,9 @@ def run_reconstruction(
 
     The "mono" condition restricts the attack vocabulary to the test
     language; "multi" attacks every language with the union vocabulary.
-    Each (language, condition) split runs its whole grid as one attack call.
+    All splits run in one attack call, where a sample's mono and multi
+    attacks share each round's embeds; read ``queries`` and ``wall_ms`` as
+    in ``run_defense_sweep``.
     """
     languages = sorted(languages if languages is not None else config.corpora)
     corpora = _load_corpora(config, languages)
@@ -199,20 +197,23 @@ def run_reconstruction(
     memo: dict[tuple[str, str], MetricReport] = {}
     with _Runtime(config, remote) as runtime:
         [targets] = runtime.targets(splits, [defense])
-        for lang, samples in splits.items():
-            for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab)):
-                cells = [
-                    (targets[lang], s, b) for s in config.attack.steps for b in config.attack.beams
-                ]
-                grid = runtime.attack(samples, vocab, cells, (condition, lang))
-                for (_, steps, beam), (results, queries, wall) in zip(cells, grid):
-                    metrics = aggregate(_pair_reports(results, samples, memo))
-                    report.add(
-                        ReportRow(
-                            f"recon_{condition}", lang, steps, beam, defense_label,
-                            metrics, queries, _ms(wall),
-                        )
-                    )
+        cells = [
+            (samples, targets[lang], vocab, s, b, (condition, lang))
+            for lang, samples in splits.items()
+            for condition, vocab in (("mono", vocabs[lang]), ("multi", union_vocab))
+            for s in config.attack.steps
+            for b in config.attack.beams
+        ]
+        for (samples, _, _, steps, beam, (condition, lang)), (results, queries, wall) in zip(
+            cells, runtime.attack(cells)
+        ):
+            metrics = aggregate(_pair_reports(results, samples, memo))
+            report.add(
+                ReportRow(
+                    f"recon_{condition}", lang, steps, beam, defense_label,
+                    metrics, queries, _ms(wall),
+                )
+            )
     return report
 
 
@@ -263,7 +264,7 @@ def run_crosslingual(
     with _Runtime(config, remote) as runtime:
         targets = runtime.targets({tgt: samples}, [None])[0][tgt]
         [(results, queries, attack_wall)] = runtime.attack(
-            samples, vocab, [(targets, steps, beam)], ("xling", src, tgt)
+            [(samples, targets, vocab, steps, beam, ("xling", src, tgt))]
         )
         rescore_start = time.perf_counter()
         rescored = [
@@ -347,8 +348,7 @@ def run_defense_sweep(
     mean NDCG@10 across the configured tasks. Also writes a plot-ready CSV
     (defense, level, ndcg, bleu) into the configured output directory.
 
-    A cell's attacks differ from another cell's only in their targets, so
-    each split attacks every cell's targets in one attack call (see
+    Every cell's attacks on every split run in one attack call (see
     ``invert_grid``): a row's ``queries`` is what its attacks cost alone,
     while the embedder serves each sample's shared texts once, so a remote
     run's bill falls below the summed ``queries``. A row's ``wall_ms`` is
@@ -369,28 +369,30 @@ def run_defense_sweep(
     with _Runtime(config, remote) as runtime:
         sweep = _sweep_cells(config, langs)
         targets = runtime.targets(splits, [defense for _, defense in sweep])
-        reports: list[list[MetricReport]] = [[] for _ in sweep]
+        cells = [
+            (samples, t[lang], vocabs[lang], DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM,
+             ("defense", lang))
+            for t in targets
+            for lang, samples in splits.items()
+        ]
+        grid = runtime.attack(cells)
         memo: dict[tuple[str, str], MetricReport] = {}
-        queries = [0] * len(sweep)
-        wall = [0.0] * len(sweep)
-        for lang, samples in splits.items():
-            cells = [(t[lang], DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM) for t in targets]
-            grid = runtime.attack(samples, vocabs[lang], cells, ("defense", lang))
-            for c, (results, used, spent) in enumerate(grid):
-                reports[c] += _pair_reports(results, samples, memo)
-                queries[c] += used
-                wall[c] += spent
         raw = [embed_task(task, runtime.attack_embedder) for task in tasks]
         for c, (label, defense) in enumerate(sweep):
             ndcg = sum(
                 evaluate_task(task, runtime.attack_embedder, defense, rows=rows)
                 for task, rows in zip(tasks, raw)
             ) / len(tasks)
-            metrics = aggregate(reports[c])
+            attacked = grid[c * len(splits) : (c + 1) * len(splits)]  # in language order
+            metrics = aggregate([
+                m for (results, _, _), samples in zip(attacked, splits.values())
+                for m in _pair_reports(results, samples, memo)
+            ])
             report.add(
                 ReportRow(
-                    "defense", "all", DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM, label,
-                    metrics, queries[c], _ms(wall[c]), ndcg,
+                    "defense", "all", DEFENSE_SWEEP_STEPS, DEFENSE_SWEEP_BEAM, label, metrics,
+                    sum(used for _, used, _ in attacked),
+                    _ms(max(spent for _, _, spent in attacked)), ndcg,
                 )
             )
             level = f"{defense.noise_lambda:g}" if label.startswith("noise") or label == "none" else ""

@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Generator, Sequence
+from typing import Generator, Hashable, Sequence
 
 import numpy as np
 
@@ -438,91 +438,87 @@ def _corrections(
 
 
 def _attack_group(
-    plans: list[dict[bytes, tuple[np.ndarray, dict[int, set[int]]]]],
-    gens: Sequence[MutationGenerator],
-    config: AttackConfig,
+    plans: list[dict[tuple, tuple[np.ndarray, MutationGenerator, AttackConfig, dict]]],
     embedder: BlackBoxEmbedder,
     start: float,
-) -> list[dict[tuple[bytes, int], dict]]:
-    """Run the attacks of a group of samples, given per sample its distinct
-    targets and each one's beam widths and step counts, timed from ``start``.
-    Returns per sample, for each (target key, width), what ``_corrections``
-    returns."""
-    chains = [(i, key, target, widths) for i, plan in enumerate(plans)
-              for key, (target, widths) in plan.items()]
-    scorers = [_Scorer(target, config.query_budget) for _, _, target, _ in chains]
-    owners = [i for i, *_ in chains]
-    _drive([_greedy_base(scorer, config) for scorer in scorers], embedder, owners)
-    shared = [_SharedProposals(gen, max(w for _, ws in plan.values() for w in ws))
-              for plan, gen in zip(plans, gens)]
-    names = [(i, key, w) for i, key, _, widths in chains for w in widths]
+) -> None:
+    """Run the attacks of a group of samples, given per sample its chains,
+    each a target, generator, config and a map of beam widths to step
+    counts, timed from ``start``. Each width's step counts are replaced by
+    what ``_corrections`` returns for them."""
+    chains = [(i, *chain) for i, plan in enumerate(plans) for chain in plan.values()]
+    scorers = [_Scorer(target, config.query_budget) for _, target, _, config, _ in chains]
+    _drive([_greedy_base(scorer, chain[3]) for scorer, chain in zip(scorers, chains)], embedder,
+           [i for i, *_ in chains])
+    shared: dict[tuple[int, int], _SharedProposals] = {}  # per (sample, generator)
+    for i, _, gen, _, widths in chains:
+        memo = shared.setdefault((i, id(gen)), _SharedProposals(gen, 0))
+        memo.width = max(memo.width, *widths)
+    names = [(i, widths, w) for i, _, _, _, widths in chains for w in widths]
     branches = [
         # The last branch goes on with the chain's own scorer.
-        _corrections(scorer if n == len(widths) - 1 else scorer.fork(), shared[i], w,
+        _corrections(scorer if n == len(widths) - 1 else scorer.fork(), shared[i, id(gen)], w,
                      sorted(stops), start)
-        for (i, _, _, widths), scorer in zip(chains, scorers)
+        for (i, _, gen, _, widths), scorer in zip(chains, scorers)
         for n, (w, stops) in enumerate(widths.items())
     ]
     del scorers  # so each cache is freed when its chain's last branch ends
-    reached: list[dict] = [{} for _ in plans]
-    for (i, key, w), stops in zip(names, _drive(branches, embedder, [i for i, _, _ in names])):
-        reached[i][key, w] = stops
-    return reached
+    for (_, widths, w), stops in zip(names, _drive(branches, embedder, [i for i, *_ in names])):
+        widths[w] = stops
 
 
-def invert_grid(
-    targets: Sequence[np.ndarray],
-    embedder: BlackBoxEmbedder,
-    gens: Sequence[MutationGenerator],
-    configs: Sequence[AttackConfig],
-) -> list[list[AttackResult]]:
-    """Run one attack per sample (one generator each) and config, all in
-    lockstep rounds; returns one result list per config. The configs may
-    differ only in ``steps`` and ``beam_width``. ``targets`` holds one
-    ``(len(gens), dim)`` matrix per config, row ``i`` sample ``i``'s target,
-    so that a cell is a (targets, steps, beam) triple. Before any query, a
-    matrix of another shape or with a non-finite component, or a list whose
-    length is not the number of configs, raises ValueError.
+Cell = tuple[Sequence[Hashable], np.ndarray, Sequence[MutationGenerator], AttackConfig]
 
-    Cells that give a sample equal targets share its attack: the greedy base
-    runs once, its scorer is then forked per beam width, and each branch
-    runs to its width's deepest ``steps``, reading shallower cells off on
-    the way. All of a sample's branches share its generator through a memo
-    that proposes each (text, step) once, at their widest beam, and hands a
-    branch of width k the first k proposals (the nesting contract of
-    ``MutationGenerator``); each round embeds every text a sample's attacks
-    ask for once (see ``_drive``). So every result, ``queries_used`` included,
-    equals ``invert`` on its target and config alone, yet what the attacks
-    share is embedded once. Samples run in groups of ceil(samples / t), t
-    the most distinct targets a sample has, so about as many attacks are
-    live at once as a grid with one target per sample has.
+
+def invert_grid(cells: Sequence[Cell], embedder: BlackBoxEmbedder) -> list[list[AttackResult]]:
+    """Run every attack of every cell in lockstep rounds; returns one result
+    list per cell, in row order. A cell is ``(samples, targets, gens,
+    config)``: row ``i`` of the ``(len(gens), dim)`` matrix ``targets`` is
+    attacked by ``gens[i]`` under ``config``, for the sample with hashable
+    key ``samples[i]``. Cells may differ in every field of their configs.
+    Before any query, a target matrix of another shape or with a non-finite
+    component, or a cell with more or fewer sample keys than generators,
+    raises ValueError.
+
+    A sample's attacks with equal target bytes, one generator object and
+    configs equal but for ``steps`` and ``beam_width`` form a chain: the
+    greedy base runs once, its scorer is then forked per beam width, and
+    each branch runs to its width's deepest ``steps``, reading shallower
+    attacks off on the way. A sample's branches with one generator share a
+    memo that proposes each (text, step) once, at their widest beam, and
+    hands a branch of width k the first k proposals (the nesting contract
+    of ``MutationGenerator``); each round embeds every text a sample's
+    attacks ask for once (see ``_drive``). So every result, ``queries_used``
+    included, equals ``invert`` on its target, generator and config alone,
+    yet what the attacks share is embedded once. Samples run in groups of
+    ceil(r / t), r the most rows a cell has and t the most chains a sample
+    has, so about as many chains are live at once as in a one-cell grid.
 
     An attack's ``wall_time`` is the time from the grid's start until it
     reached its step count, so attacks share the time of the work they
     share and a cell's time is its results' largest."""
-    if len(targets) != len(configs):
-        raise ValueError(f"need one target matrix per config: {len(targets)} for {len(configs)}")
-    if not configs:
-        return []
-    base = configs[0]
-    if any(replace(c, steps=base.steps, beam_width=base.beam_width) != base for c in configs):
-        raise ValueError("grid configs may differ only in steps and beam_width")
-    per_config = [_check_targets(rows, len(gens), embedder) for rows in targets]
-    keys = [[target.tobytes() for target in cell] for cell in per_config]
-    plans: list[dict[bytes, tuple[np.ndarray, dict[int, set[int]]]]] = [{} for _ in gens]
-    for cell, cell_keys, c in zip(per_config, keys, configs):
-        for plan, target, key in zip(plans, cell, cell_keys):
-            widths = plan.setdefault(key, (target, {}))[1]
-            widths.setdefault(c.beam_width, set()).add(c.steps)
-    size = -(-len(gens) // max(map(len, plans), default=1))
+    matrices = [_check_targets(targets, len(gens), embedder) for _, targets, gens, _ in cells]
+    if any(len(samples) != len(gens) for samples, _, gens, _ in cells):
+        raise ValueError("need one sample key per generator in every cell")
+    plans: dict[Hashable, dict[tuple, tuple]] = {}  # per sample, its chains by key
+    cell_widths = []  # per cell, each row's chain's map of beam widths to steps
+    for (samples, _, gens, config), targets in zip(cells, matrices):
+        base = replace(config, steps=0, beam_width=1)  # per cell: it checks the config
+        row_widths = []
+        for sample, target, gen in zip(samples, targets, gens):
+            chain = plans.setdefault(sample, {}).setdefault(
+                (target.tobytes(), id(gen), base), (target, gen, config, {}))
+            chain[3].setdefault(config.beam_width, set()).add(config.steps)
+            row_widths.append(chain[3])
+        cell_widths.append(row_widths)
+    groups = list(plans.values())
+    size = max(-(-max(map(len, matrices), default=0) // max(map(len, groups), default=1)), 1)
     start = time.perf_counter()
-    reached = []
-    for lo in range(0, len(gens), size):
-        reached += _attack_group(plans[lo : lo + size], gens[lo : lo + size], base, embedder,
-                                 start)
+    for lo in range(0, len(groups), size):
+        _attack_group(groups[lo : lo + size], embedder, start)
     return [
-        [sample[key, c.beam_width][c.steps] for sample, key in zip(reached, cell_keys)]
-        for cell_keys, c in zip(keys, configs)
+        [widths[c.beam_width][c.steps] for widths in row_widths]
+        for row_widths, (_, _, _, c) in zip(cell_widths, cells)
     ]
 
 
@@ -542,7 +538,7 @@ def invert(
     is not one finite vector of the embedder's dimension raises ValueError
     before any query.
     """
-    return invert_grid([np.asarray(target)[None]], embedder, [gen], [config])[0][0]
+    return invert_grid([((0,), np.asarray(target)[None], (gen,), config)], embedder)[0][0]
 
 
 def exhaustive_oracle(

@@ -150,10 +150,3 @@ def read_report_csv(path: str | Path) -> ExperimentReport:
                 )
             )
     return report
-
-
-def csv_rows_without_wall(path: str | Path) -> list[list[str]]:
-    """All CSV cells except the wall-clock column, for determinism checks."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        return [row[:-1] for row in reader]

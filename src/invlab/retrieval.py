@@ -116,8 +116,8 @@ def evaluate_task(
 
 def load_qrels_tsv(path: str | Path) -> dict[tuple[str, str], int]:
     """Parse judgments from 'query_id<TAB>doc_id<TAB>grade' lines; a grade
-    that is not an integer or is above ``MAX_GRADE`` raises ValueError citing
-    the path and line."""
+    that is not an integer or is above ``MAX_GRADE``, or a second line for
+    one (query id, doc id) pair, raises ValueError citing the path and line."""
     qrels: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -128,6 +128,8 @@ def load_qrels_tsv(path: str | Path) -> dict[tuple[str, str], int]:
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
             qid, did, grade = fields
+            if (qid, did) in qrels:
+                raise ValueError(f"{path}:{lineno}: duplicate judgment for ({qid!r}, {did!r})")
             try:
                 qrels[(qid, did)] = int(grade)
             except ValueError as exc:

@@ -1,5 +1,6 @@
-"""Data builders that only the tests use."""
+"""Data builders and readers that only the tests use."""
 
+import csv
 from pathlib import Path
 
 from invlab.corpus import Corpus
@@ -33,3 +34,10 @@ def save_qrels_tsv(qrels: dict[tuple[str, str], int], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (qid, did), grade in qrels.items():
             fh.write(f"{qid}\t{did}\t{grade}\n")
+
+
+def csv_rows_without_wall(path: str | Path) -> list[list[str]]:
+    """All CSV cells except the wall-clock column, for determinism checks."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        return [row[:-1] for row in reader]

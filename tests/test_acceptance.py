@@ -29,11 +29,12 @@ from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
 from invlab.inversion import AttackConfig, EditMutationGenerator, exhaustive_oracle, invert
 from invlab.metrics import bleu, exact_match, ndcg_at_k, rouge1_recall, token_f1
-from invlab.report import csv_rows_without_wall, emit_report
+from invlab.report import emit_report
 from invlab.retrieval import evaluate_task
 from invlab.seeding import derive_rng
 from invlab.translate import bleu_gain_pct, save_dictionary_tsv
 
+from helpers import csv_rows_without_wall
 from test_metrics import naive_bleu
 
 

@@ -174,6 +174,22 @@ class TestParsing:
         with pytest.raises(SystemExit, match="--remote expects host:port"):
             main(["--config", str(config_path), "attack", "--remote", remote])
 
+    def test_config_error_is_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpora": {"en": 5}}), encoding="utf-8")
+        assert main(["--config", str(path), "attack"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invlab: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_corpus_format_error_is_one_line_exit_2(self, config_path, capsys):
+        corpus = load_config(config_path).corpora["en"]
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        assert main(["--config", str(config_path), "attack", "--langs", "en"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invlab: {corpus}:5: invalid JSON") and err.count("\n") == 1
+
     def test_seed_override_accepted(self, config_path, tmp_path, capsys):
         assert main(["--config", str(config_path), "--seed", "99", "attack", "--langs", "en"]) == 0
         assert (tmp_path / "out" / "reconstruction.csv").exists()

@@ -24,10 +24,10 @@ from invlab.experiments import (
     run_defense_sweep,
     run_reconstruction,
 )
-from invlab.report import csv_rows_without_wall, emit_report
+from invlab.report import emit_report
 from invlab.translate import DictionaryTranslator, save_dictionary_tsv
 
-from helpers import save_qrels_tsv, synthetic_corpus
+from helpers import csv_rows_without_wall, save_qrels_tsv, synthetic_corpus
 
 
 def write_corpora(tmp_path, langs, size, vocab_size, min_len, max_len, seed):
@@ -123,7 +123,7 @@ class TestPairReportsOncePerPair:
 
 
 class TestReconstructionGrid:
-    """Each (language, condition) split runs its steps x beams grid as one
+    """Every (language, condition) split's steps x beams grid runs in one
     attack call; its rows must equal the cells run one at a time."""
 
     @pytest.fixture
@@ -148,6 +148,36 @@ class TestReconstructionGrid:
         splits = len(alone[cells[0]])  # (language, condition) pairs, in driver order
         expected = [alone[cell][split] for split in range(splits) for cell in cells]
         assert grid[1:] == expected
+
+    def test_remote_bill_below_split_grids(self, grid_config, monkeypatch, tmp_path):
+        # A sample's mono and multi attacks share each round's embeds, which
+        # separate calls per (language, condition) split could not.
+        def run(name):
+            with eaas_serve(NgramEmbedder(grid_config.embedder)) as server:
+                report = run_reconstruction(grid_config, remote=server.address)
+                bill = server.queries_used()
+            return bill, csv_rows_without_wall(emit_report(report, tmp_path / f"{name}.csv"))
+
+        local = csv_rows_without_wall(emit_report(run_reconstruction(grid_config),
+                                                  tmp_path / "local.csv"))
+        joint_bill, joint = run("joint")
+        real_grid = invlab.experiments.invert_grid
+
+        def split_grids(cells, embedder):
+            # One call per split: its cells share one generator list.
+            splits: dict[int, list[int]] = {}
+            for j, (_, _, gens, _) in enumerate(cells):
+                splits.setdefault(id(gens), []).append(j)
+            results = [None] * len(cells)
+            for js in splits.values():
+                for j, cell in zip(js, real_grid([cells[j] for j in js], embedder)):
+                    results[j] = cell
+            return results
+
+        monkeypatch.setattr(invlab.experiments, "invert_grid", split_grids)
+        split_bill, split = run("split")
+        assert joint == split == local
+        assert joint_bill < split_bill
 
     def test_wall_time_does_not_fall_with_steps(self, grid_config):
         walls: dict[tuple, list] = {}
@@ -455,6 +485,30 @@ class TestDriverContracts:
             out_dir=str(tmp_path / "out"),
             test_size=4,
         )
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            run_reconstruction,
+            lambda config: run_crosslingual(config, "fr", "en"),
+            run_defense_sweep,
+        ],
+        ids=["reconstruction", "crosslingual", "defense_sweep"],
+    )
+    def test_one_attack_call_per_run(self, xling_config, monkeypatch, driver):
+        calls = []
+        real_grid = invlab.experiments.invert_grid
+
+        def invert_grid(cells, embedder):
+            calls.append(len(cells))
+            return real_grid(cells, embedder)
+
+        monkeypatch.setattr(invlab.experiments, "invert_grid", invert_grid)
+        report = driver(xling_config)
+        assert len(calls) == 1
+        # A cell per attack row and language: a defense row covers both.
+        attacks = [r for r in report.rows if r.queries]
+        assert calls[0] == len(attacks) * (2 if attacks[0].experiment_id == "defense" else 1)
 
     @pytest.mark.parametrize(
         "driver",

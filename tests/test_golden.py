@@ -22,8 +22,10 @@ from invlab.defenses import DefenseConfig, assign_language_ids
 from invlab.eaas import eaas_serve
 from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import run_crosslingual, run_defense_sweep, run_reconstruction
-from invlab.report import csv_rows_without_wall, emit_report
+from invlab.report import emit_report
 from invlab.translate import save_dictionary_tsv
+
+from helpers import csv_rows_without_wall
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.csv"
 

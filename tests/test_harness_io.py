@@ -15,13 +15,12 @@ from invlab.report import (
     CSV_HEADER,
     ExperimentReport,
     ReportRow,
-    csv_rows_without_wall,
     emit_report,
     read_report_csv,
     render_markdown,
 )
 
-from helpers import synthetic_corpus
+from helpers import csv_rows_without_wall, synthetic_corpus
 
 
 json_values = st.recursive(

@@ -379,6 +379,12 @@ def assert_same_attack(lockstep, alone, target, embedder):
     assert lockstep.terminated == alone.terminated
 
 
+def grid_cells(targets, gens, configs):
+    """``invert_grid`` cells in which row ``i`` of every target matrix is
+    sample ``i``'s, attacked by ``gens[i]``."""
+    return [(range(len(gens)), rows, gens, config) for rows, config in zip(targets, configs)]
+
+
 LOCKSTEP_VOCAB = ("a", "b", "c", "d")
 
 
@@ -418,7 +424,7 @@ class TestLockstep:
         )
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
         gens = [lockstep_generator(kind, seed) for _, kind, seed in attacks]
-        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
+        results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), embedder)[0]
         assert len(results) == len(attacks)
         for target, gen, result in zip(targets, gens, results):
             assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
@@ -434,7 +440,7 @@ class TestLockstep:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=2) for _ in texts[:3]]
         gens.append(SilentGenerator())
         config = AttackConfig(vocab=vocab, steps=6, beam_width=4, max_tokens=4, query_budget=30)
-        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
+        results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), embedder)[0]
         assert [r.terminated for r in results] == [
             CONVERGED, CONVERGED, BUDGET_EXHAUSTED, COMPLETED
         ]
@@ -449,7 +455,7 @@ class TestLockstep:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
         config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
-        results = invert_grid([np.stack(targets)], embedder, gens, [config])[0]
+        results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), embedder)[0]
         cap = invlab.inversion._ROUND_TEXTS
         assert max(embedder.calls) == cap  # rounds were long enough to be cut
         assert sum(embedder.calls) == sum(r.queries_used for r in results)
@@ -459,7 +465,8 @@ class TestLockstep:
 
     def test_mismatched_generators_refused(self, embedder):
         with pytest.raises(ValueError):
-            invert_grid([embedder.embed_many(["a"])], embedder, [], [AttackConfig(vocab=("a",))])
+            cells = grid_cells([embedder.embed_many(["a"])], [], [AttackConfig(vocab=("a",))])
+            invert_grid(cells, embedder)
 
     def test_remote_bill_equals_summed_queries(self):
         local = NgramEmbedder(n=3, dim=32, seed=17)
@@ -471,7 +478,7 @@ class TestLockstep:
         try:
             with EaasClient(*server.address) as client:
                 remote = RemoteEmbedder(client, dim=32)
-                results = invert_grid([np.stack(targets)], remote, gens, [config])[0]
+                results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), remote)[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
         finally:
             server.stop()
@@ -520,11 +527,13 @@ class TestGrid:
         ]
         embedder = NgramEmbedder(n=3, dim=64, seed=11)
         targets = [embedder.embed(" ".join(tokens)) for tokens, _, _ in attacks]
-        grid = invert_grid([np.stack(targets)] * len(configs), embedder, gens(), configs)
+        grid = invert_grid(
+            grid_cells([np.stack(targets)] * len(configs), gens(), configs), embedder
+        )
         assert len(grid) == len(configs)
         for config, results in zip(configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid([np.stack(targets)], fresh, gens(), [config])[0]
+            alone = invert_grid(grid_cells([np.stack(targets)], gens(), [config]), fresh)[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(targets, results, alone):
                 assert_same_attack(result, expected, target, fresh)
@@ -539,7 +548,8 @@ class TestGrid:
         targets = [embedder.embed(t) for t in texts]
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(4)]
-        grid = invert_grid([np.stack(targets)] * len(configs), embedder, gens, configs)
+        grid = invert_grid(grid_cells([np.stack(targets)] * len(configs), gens, configs),
+                           embedder)
         # Reference: each sample's deepest attack per beam width, run alone.
         # A lone attack asks for under _ROUND_TEXTS texts a round, so each of
         # its calls is one round, and a sample's branches run in the same
@@ -551,7 +561,7 @@ class TestGrid:
             for b in beams:
                 alone = CountingEmbedder(n=3, dim=64, seed=11)
                 deepest = AttackConfig(vocab, 8, b, max_tokens=4)
-                invert_grid([np.stack([target])], alone, [gen], [deepest])
+                invert_grid(grid_cells([np.stack([target])], [gen], [deepest]), alone)
                 assert max(alone.calls) < invlab.inversion._ROUND_TEXTS
                 branches.append(alone.texts)
             rounds = itertools.zip_longest(*branches, fillvalue=[])
@@ -572,10 +582,10 @@ class TestGrid:
         targets = [embedder.embed(t) for t in ("a b", "c c a")]
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
         config = AttackConfig(vocab, steps=2, beam_width=2, max_tokens=4)
-        invert_grid([np.stack(targets)], embedder, gens, [config])
+        invert_grid(grid_cells([np.stack(targets)], gens, [config]), embedder)
         assert forks == []  # a one-config grid copies nothing
         grid = [dataclasses.replace(config, beam_width=b, steps=s) for b in (1, 2, 3) for s in (0, 2)]
-        invert_grid([np.stack(targets)] * len(grid), embedder, gens, grid)
+        invert_grid(grid_cells([np.stack(targets)] * len(grid), gens, grid), embedder)
         assert len(forks) == 2 * 2
 
     def test_beam_widths_share_proposals(self, monkeypatch, embedder):
@@ -594,16 +604,17 @@ class TestGrid:
         targets = np.stack([embedder.embed(t) for t in ("b c a e", "d e b")])
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(2)]
         configs = [AttackConfig(vocab, s, b, max_tokens=4) for b in (1, 4, 8) for s in (1, 3)]
-        grid = invert_grid([targets] * len(configs), embedder, gens, configs)
+        grid = invert_grid(grid_cells([targets] * len(configs), gens, configs), embedder)
         shared = len(proposed)
         assert set(proposed) == {8}
         for config, results in zip(configs, grid):
-            alone = invert_grid([targets], embedder, gens, [config])[0]
+            alone = invert_grid(grid_cells([targets], gens, [config]), embedder)[0]
             for target, result, expected in zip(targets, results, alone):
                 assert_same_attack(result, expected, target, embedder)
         proposed.clear()
         for b in (1, 4, 8):
-            invert_grid([targets], embedder, gens, [AttackConfig(vocab, 3, b, max_tokens=4)])
+            config = AttackConfig(vocab, 3, b, max_tokens=4)
+            invert_grid(grid_cells([targets], gens, [config]), embedder)
         assert 0 < shared < len(proposed)
 
     @pytest.mark.parametrize(
@@ -615,21 +626,25 @@ class TestGrid:
             {"vocab": ("b", "a", "c")},
         ],
     )
-    def test_configs_differing_beyond_steps_and_beam_refused(self, embedder, change):
+    def test_configs_differing_beyond_steps_and_beam_equal_alone(self, embedder, change):
+        # Such configs run separate chains of one sample, sharing its memo
+        # and each round's embeds.
         config = AttackConfig(("a", "b", "c"), steps=2, beam_width=2, max_tokens=4)
         other = dataclasses.replace(config, steps=3, beam_width=1, **change)
-        target = embedder.embed("a b")
-        before = embedder.queries_used()
-        with pytest.raises(ValueError, match="differ only in steps and beam_width"):
-            invert_grid([np.stack([target])] * 2, embedder, [SilentGenerator()], [config, other])
-        assert embedder.queries_used() == before
+        target = embedder.embed("c a d b")  # "d" is out of vocabulary: no convergence
+        gen = EditMutationGenerator(("a", "b", "c"), 4, seed=3)
+        grid = invert_grid(grid_cells([np.stack([target])] * 2, [gen], [config, other]), embedder)
+        for c, (result,) in zip([config, other], grid):
+            fresh = NgramEmbedder(n=3, dim=256, seed=7)
+            assert_same_attack(result, invert(target, fresh, gen, c), target, fresh)
 
     def test_list_and_tuple_vocabularies_share_a_grid(self, embedder):
         listed = AttackConfig(["a", "b", "c"], steps=1, beam_width=2, max_tokens=4)
         tupled = AttackConfig(("a", "b", "c"), steps=3, beam_width=2, max_tokens=4)
         target = embedder.embed("c a b")
         gen = EditMutationGenerator(("a", "b", "c"), 4, seed=3)
-        cells = invert_grid([np.stack([target])] * 2, embedder, [gen], [listed, tupled])
+        cells = invert_grid(grid_cells([np.stack([target])] * 2, [gen], [listed, tupled]),
+                            embedder)
         for config, (result,) in zip([listed, tupled], cells):
             fresh = NgramEmbedder(n=3, dim=256, seed=7)
             assert_same_attack(result, invert(target, fresh, gen, config), target, fresh)
@@ -637,8 +652,8 @@ class TestGrid:
     def test_mismatched_generators_refused_and_empty_grid(self, embedder):
         config = AttackConfig(vocab=("a",))
         with pytest.raises(ValueError):
-            invert_grid([embedder.embed_many(["a"])], embedder, [], [config])
-        assert invert_grid([], embedder, [SilentGenerator()], []) == []
+            invert_grid(grid_cells([embedder.embed_many(["a"])], [], [config]), embedder)
+        assert invert_grid([], embedder) == []
 
 
 class TestCellTargets:
@@ -691,13 +706,77 @@ class TestCellTargets:
         configs = [
             AttackConfig(vocab, s, b, max_tokens=4, query_budget=budget) for _, s, b in cells
         ]
-        grid = invert_grid([np.stack(t) for t in targets], embedder, gens(), configs)
+        grid = invert_grid(grid_cells([np.stack(t) for t in targets], gens(), configs),
+                           embedder)
         assert len(grid) == len(configs)
         for cell_targets, config, results in zip(targets, configs, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
-            alone = invert_grid([np.stack(cell_targets)], fresh, gens(), [config])[0]
+            alone = invert_grid(grid_cells([np.stack(cell_targets)], gens(), [config]), fresh)[0]
             assert len(results) == len(alone)
             for target, result, expected in zip(cell_targets, results, alone):
+                assert_same_attack(result, expected, target, fresh)
+                assert result.wall_time > 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        # Few vocabularies and budgets, so that cells often differ in only
+        # one of vocabulary, generator and budget.
+        families=st.lists(
+            st.tuples(
+                st.sampled_from([("a", "b", "c"), ("a", "b", "c", "d")]),
+                st.sampled_from(["edit", "edit", "identity", "silent"]),
+                st.integers(0, 1000),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        n_samples=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_cells_with_own_vocab_and_generators_equal_each_alone(
+        self, families, n_samples, data
+    ):
+        # A family is a vocabulary with one generator per sample, as a
+        # (language, condition) split has; cells of different families share
+        # only their samples' rounds, cells of one family also their chains.
+        # Two target texts per sample, so cells often share a target.
+        texts = st.lists(st.sampled_from(GRID_TOKENS), max_size=4).map(" ".join)
+        pool = data.draw(st.lists(st.tuples(texts, texts), min_size=n_samples,
+                                  max_size=n_samples))
+        cells = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(families) - 1),
+                    st.integers(0, 1),
+                    st.lists(st.integers(0, n_samples - 1), min_size=1, unique=True),
+                    st.integers(0, 6),
+                    st.integers(1, 4),
+                    st.sampled_from([None, 6, 30]),
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        gens = [
+            [
+                EditMutationGenerator(vocab, max_tokens=4, seed=seed + i)
+                if kind == "edit"
+                else lockstep_generator(kind, seed)
+                for i in range(n_samples)
+            ]
+            for vocab, kind, seed in families
+        ]
+        embedder = NgramEmbedder(n=3, dim=64, seed=11)
+        grid = []
+        for f, t, keys, steps, beam, budget in cells:
+            rows = np.stack([embedder.embed(pool[i][t]) for i in keys])
+            config = AttackConfig(families[f][0], steps, beam, 4, budget)
+            grid.append((keys, rows, [gens[f][i] for i in keys], config))
+        for cell, results in zip(grid, invert_grid(grid, embedder)):
+            fresh = NgramEmbedder(n=3, dim=64, seed=11)
+            alone = invert_grid([cell], fresh)[0]
+            assert len(results) == len(alone) == len(cell[0])
+            for target, result, expected in zip(cell[1], results, alone):
                 assert_same_attack(result, expected, target, fresh)
                 assert result.wall_time > 0
 
@@ -711,7 +790,7 @@ class TestCellTargets:
         embedder.texts.clear()
         configs = [AttackConfig(vocab, 6, b, max_tokens=4) for b in (2, 3, 3, 2)]
         gen = EditMutationGenerator(vocab, max_tokens=4, seed=5)
-        grid = invert_grid([np.stack(t) for t in targets], embedder, [gen], configs)
+        grid = invert_grid(grid_cells([np.stack(t) for t in targets], [gen], configs), embedder)
         assert max(embedder.calls) < invlab.inversion._ROUND_TEXTS
         assert all(len(set(texts)) == len(texts) for texts in embedder.texts)
         assert sum(embedder.calls) < sum(r.queries_used for results in grid for r in results)
@@ -728,12 +807,15 @@ class TestCellTargets:
         embedder.calls.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
         config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
-        grid = invert_grid([np.stack(t) for t in cells], embedder, gens, [config] * 3)
+        grid = invert_grid(grid_cells([np.stack(t) for t in cells], gens, [config] * 3),
+                           embedder)
         assert embedder.calls.count(invlab.inversion._ROUND_TEXTS) > 1
         for targets, results in zip(cells, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
             for target, result, alone in zip(
-                targets, results, invert_grid([np.stack(targets)], fresh, gens, [config])[0]
+                targets,
+                results,
+                invert_grid(grid_cells([np.stack(targets)], gens, [config]), fresh)[0],
             ):
                 assert_same_attack(result, alone, target, fresh)
 
@@ -754,12 +836,13 @@ class TestCellTargets:
         target = embedder.embed("c a b")
         twin = target + 1e-6 * np.sin(np.arange(target.size))
         targets = [[target], [twin]]
-        invert_grid([np.stack(t) for t in targets], embedder, [gen], [config, config])
+        invert_grid(grid_cells([np.stack(t) for t in targets], [gen], [config, config]),
+                    embedder)
         shared = len(proposed)
         assert shared == len(set(proposed)) > 0
         proposed.clear()
         for cell in targets:
-            invert_grid([np.stack(cell)], embedder, [gen], [config])
+            invert_grid(grid_cells([np.stack(cell)], [gen], [config]), embedder)
         assert shared < len(proposed)
 
     def test_memo_proposes_each_key_once_across_steps(self, monkeypatch):
@@ -786,10 +869,11 @@ class TestCellTargets:
                 return [EditMutationGenerator(vocab, 4, seed=seed * 10 + i) for i in range(len(raw))]
 
             proposed.clear()
-            grid = invert_grid(cells, embedder, gens(), [config] * len(cells))
+            grid = invert_grid(grid_cells(cells, gens(), [config] * len(cells)), embedder)
             assert len(proposed) == len(set(proposed)), seed
             for targets, results in zip(cells, grid):
-                alone = invert_grid([targets], NgramEmbedder(n=3, dim=64, seed=5), gens(), [config])
+                fresh = NgramEmbedder(n=3, dim=64, seed=5)
+                alone = invert_grid(grid_cells([targets], gens(), [config]), fresh)
                 for target, result, one in zip(targets, results, alone[0]):
                     assert_same_attack(result, one, target, embedder)
 
@@ -804,39 +888,42 @@ class TestCellTargets:
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s // 2) for s in range(4)]
         config = AttackConfig(vocab=vocab, steps=5, beam_width=4, max_tokens=4)
         if not remote:
-            results = invert_grid([np.stack(targets)], local, gens, [config])[0]
+            results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), local)[0]
             assert sum(local.calls) == sum(r.queries_used for r in results)
             return
         with eaas_serve(NgramEmbedder(n=3, dim=32, seed=17)) as server:
             with EaasClient(*server.address) as client:
                 remote = RemoteEmbedder(client, dim=32)
-                results = invert_grid([np.stack(targets)], remote, gens, [config])[0]
+                results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), remote)[0]
             assert server.queries_used() == sum(r.queries_used for r in results)
 
     @pytest.mark.parametrize(
-        "targets, match",
+        "cells, match",
         [
-            (lambda rows: [rows], "one target matrix per config"),
-            (lambda rows: [rows, rows[:0]], "target matrix"),
-            (lambda rows: [rows, np.vstack([rows, rows])], "target matrix"),
-            (lambda rows: [rows, rows[:, :-1]], "target matrix"),
-            (lambda rows: [rows, rows.ravel()], "target matrix"),
-            (lambda rows: [rows, np.where(np.arange(rows.shape[1]) == 3, np.nan, rows)],
+            (lambda rows: [((0, 1), rows)], "one sample key per generator"),
+            (lambda rows: [((0,), rows), ((0,), rows[:0])], "target matrix"),
+            (lambda rows: [((0,), rows), ((0,), np.vstack([rows, rows]))], "target matrix"),
+            (lambda rows: [((0,), rows), ((0,), rows[:, :-1])], "target matrix"),
+            (lambda rows: [((0,), rows), ((0,), rows.ravel())], "target matrix"),
+            (lambda rows: [((0,), np.where(np.arange(rows.shape[1]) == 3, np.nan, rows))],
              "finite"),
-            (lambda rows: [rows, np.where(np.arange(rows.shape[1]) == 3, -np.inf, rows)],
+            (lambda rows: [((0,), np.where(np.arange(rows.shape[1]) == 3, -np.inf, rows))],
              "finite"),
         ],
-        ids=["fewer_matrices_than_configs", "no_rows", "rows_not_generators", "width",
+        ids=["sample_keys_not_generators", "no_rows", "rows_not_generators", "width",
              "one_dimensional", "nan", "inf"],
     )
-    def test_targets_per_config_must_match_configs_and_generators(self, embedder, targets, match):
-        # Refused before any query: a target matrix per config, of
-        # (len(gens), dim) finite components.
+    def test_targets_per_config_must_match_configs_and_generators(self, embedder, cells, match):
+        # Refused before any query: per cell, one sample key per generator
+        # and a target matrix of (len(gens), dim) finite components.
         config = AttackConfig(vocab=("a", "b"))
         rows = embedder.embed_many(["a"])
         before = embedder.queries_used()
         with pytest.raises(ValueError, match=match):
-            invert_grid(targets(rows), embedder, [SilentGenerator()], [config, config])
+            invert_grid(
+                [(keys, targets, [SilentGenerator()], config) for keys, targets in cells(rows)],
+                embedder,
+            )
         assert embedder.queries_used() == before
 
 

@@ -44,6 +44,12 @@ class TestRetrievalTask:
         with pytest.raises(ValueError):
             RetrievalTask("t", [sample("q1", "x")], [sample("d1", "y")], {("q1", "d1"): 0})
 
+    def test_second_line_for_a_pair_cites_line(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("q1\td1\t3\nq1\td2\t1\nq1\td1\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="twice.tsv:3: duplicate judgment"):
+            load_qrels_tsv(path)
+
     @pytest.mark.parametrize("grade", [MAX_GRADE + 1, 1023, 1024])
     def test_grades_above_cap_refused(self, grade):
         # 2.0**1024 overflows, and three gains of 2.0**1023 sum to inf/inf.
@@ -197,6 +203,12 @@ class TestQrelsIO:
         path = tmp_path / "bad.tsv"
         path.write_text("q1\td1\thigh\n", encoding="utf-8")
         with pytest.raises(ValueError, match="grade"):
+            load_qrels_tsv(path)
+
+    def test_second_line_for_a_pair_cites_line(self, tmp_path):
+        path = tmp_path / "twice.tsv"
+        path.write_text("q1\td1\t3\nq1\td2\t1\nq1\td1\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="twice.tsv:3: duplicate judgment"):
             load_qrels_tsv(path)
 
     @pytest.mark.parametrize("grade", [MAX_GRADE + 1, 1023, 1024])
