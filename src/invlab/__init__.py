@@ -9,6 +9,7 @@ with a TCP embedding service.
 from .embeddings import (
     BlackBoxEmbedder,
     ConfigError,
+    InputFormatError,
     NgramConfig,
     NgramEmbedder,
     TextSample,

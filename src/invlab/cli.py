@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .corpus import CorpusFormatError
 from .defenses import DefenseConfig, assign_language_ids
 from .eaas import EaasClient, EaasServer, eaas_embed
-from .embeddings import ConfigError, NgramEmbedder
+from .embeddings import ConfigError, InputFormatError, NgramEmbedder
 from .experiments import (
     build_retrieval_tasks,
     run_crosslingual,
@@ -200,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a malformed config or corpus file is one line on
-    stderr and exit status 2."""
+    """Run one subcommand; a malformed config or input file (a corpus,
+    qrels, dictionary or report) is one line on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusFormatError) as exc:
+    except (ConfigError, InputFormatError) as exc:
         print(f"invlab: {exc}", file=sys.stderr)
         return 2
 

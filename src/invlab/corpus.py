@@ -5,10 +5,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .embeddings import TextSample
+from .embeddings import InputFormatError, TextSample
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(InputFormatError):
     """A corpus file violates the one-object-per-line schema."""
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import ConfigError, from_json
-from .seeding import derive_rng
+from .seeding import default_rngs, stable_seed
 
 
 class UnknownLanguageError(ValueError):
@@ -64,14 +64,19 @@ class DefenseConfig:
         return from_json(cls, data, "defense")
 
 
+def _noise_seed(noise_seed: int, key: str) -> int:
+    return stable_seed("noise", noise_seed, key)
+
+
 def derive_noise_rng(noise_seed: int, key: str) -> np.random.Generator:
     """Noise stream for one embedding, keyed by (seed, sample key).
 
     Keying on the embedded text keeps the transform a pure function, so the
     same text always receives the same perturbation regardless of where or
-    in what order it is embedded.
+    in what order it is embedded. ``apply_defense_stack`` seeds a batch's
+    streams together, each bit-equal to this one.
     """
-    return derive_rng("noise", noise_seed, key)
+    return np.random.default_rng(_noise_seed(noise_seed, key))
 
 
 def assign_language_ids(langs: Iterable[str], scale: float = 1.0) -> dict[str, float]:
@@ -137,7 +142,7 @@ def apply_defense_stack(
         if config.language_agnostic:
             out = out - np.stack([group_means[lang] for lang in langs])
         if config.noise_lambda > 0:
-            rngs = [derive_noise_rng(config.noise_seed, key) for key in keys]
+            rngs = default_rngs([_noise_seed(config.noise_seed, key) for key in keys])
             out = out + config.noise_lambda * np.stack([rng.standard_normal(dim) for rng in rngs])
     if not np.isfinite(out).all():
         raise ValueError("defended embedding components must be finite")

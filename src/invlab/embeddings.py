@@ -12,11 +12,13 @@ vector is a one-dimensional float64 array and a batch of vectors an
 import array
 import functools
 import hashlib
+import io
 import math
 import threading
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
@@ -25,6 +27,23 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Invalid configuration value."""
+
+
+class InputFormatError(ValueError):
+    """An input file that its loader refuses; the message cites the path and
+    line."""
+
+
+def open_text(path: str | Path, newline: str | None = None) -> io.StringIO:
+    """The file as ``open(path, encoding="utf-8", newline=newline)`` reads
+    it, but read whole and decoded first, so undecodable bytes raise
+    InputFormatError citing the line."""
+    data = Path(path).read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputFormatError(f"{path}:{line}: not UTF-8 text") from exc
 
 
 def from_json(cls: type, data: Any, name: str) -> Any:

@@ -22,7 +22,7 @@ from typing import Generator, Hashable, Sequence
 import numpy as np
 
 from .embeddings import BlackBoxEmbedder, ConfigError, cosine
-from .seeding import derive_rng
+from .seeding import default_rngs, derive_rng, stable_seed
 
 COMPLETED = "completed"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -105,6 +105,14 @@ class MutationGenerator(ABC):
     def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
         """Up to k candidate texts."""
 
+    def stream_seed(self, hypothesis: Hypothesis) -> int | None:
+        """The seed of the one ``np.random.default_rng`` stream that
+        ``propose(hypothesis, k)`` draws from, if it draws one; then
+        ``propose(hypothesis, k, rng)``, given that stream unused, returns
+        the same list, and ``invert_grid`` seeds a round's streams together.
+        None (the default) means ``propose`` takes no stream."""
+        return None
+
 
 class EditMutationGenerator(MutationGenerator):
     """Token-level edits over a fixed vocabulary: swaps of two positions,
@@ -117,15 +125,17 @@ class EditMutationGenerator(MutationGenerator):
     on (seed, text, step), of its distinct members in string order; k only
     truncates, so narrower requests are prefixes of wider ones, and
     revisiting a text at a later step explores a different slice of its
-    neighborhood. The families are disjoint, and only returned members are
-    built: insertions and substitutions are counted, and a drawn rank is
-    turned into its edit by walking the positions. At position i of tokens
-    t, the family sorts as the edits there whose token v has key(v) <
-    key(t[i]), then every edit at a later position, then those with
-    key(v) > key(t[i]). key(v) is ``v + " "`` when a space follows v
-    (whitespace-free tokens make these keys prefix-free, so they order the
-    strings) and plain ``v`` for a text's last token. Inserting t[i] before
-    position i equals inserting it after, so only the latter is a member.
+    neighborhood. That stream is ``stream_seed``'s: ``propose`` seeds it
+    unless handed it already seeded. The families are disjoint, and only
+    returned members are built: insertions and substitutions are counted,
+    and a drawn rank is turned into its edit by walking the positions. At
+    position i of tokens t, the family sorts as the edits there whose token
+    v has key(v) < key(t[i]), then every edit at a later position, then
+    those with key(v) > key(t[i]). key(v) is ``v + " "`` when a space
+    follows v (whitespace-free tokens make these keys prefix-free, so they
+    order the strings) and plain ``v`` for a text's last token. Inserting
+    t[i] before position i equals inserting it after, so only the latter is
+    a member.
     """
 
     def __init__(self, vocab: Sequence[str], max_tokens: int = 32, seed: int = 0):
@@ -163,8 +173,17 @@ class EditMutationGenerator(MutationGenerator):
             token = self._plain[rank]
         return " ".join(tokens[:i] + [token] + tokens[i + (not insert) :])
 
-    def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
-        rng = derive_rng("mutate", self.seed, hypothesis.text, hypothesis.step)
+    def _labels(self, hypothesis: Hypothesis) -> tuple:
+        return ("mutate", self.seed, hypothesis.text, hypothesis.step)
+
+    def stream_seed(self, hypothesis: Hypothesis) -> int:
+        return stable_seed(*self._labels(hypothesis))
+
+    def propose(
+        self, hypothesis: Hypothesis, k: int, rng: np.random.Generator | None = None
+    ) -> list[str]:
+        if rng is None:
+            rng = derive_rng(*self._labels(hypothesis))
         tokens = hypothesis.text.split()
         n = len(tokens)
         # A swap changes exactly positions i and j, so swaps are distinct;
@@ -202,14 +221,14 @@ class EditMutationGenerator(MutationGenerator):
         return [build[family](rank) for family, rank in itertools.islice(picks, max(k, 0))]
 
 
-class _SharedProposals(MutationGenerator):
-    """One sample's generator, shared by its attacks: each (text, step) is
-    proposed once, at ``width``, the widest beam among them, and an attack
-    asking for k <= width gets the first k (a prefix, by the nesting
-    contract). A sample's attacks can sit at adjacent steps in one round,
-    so when a later step than any before is asked for, the memo keeps the
-    previous latest step and drops only older ones; it holds about two
-    rounds' proposals."""
+class _SharedProposals:
+    """One sample's proposals from one generator, shared by its attacks:
+    each (text, step) is proposed once, at ``width``, the widest beam among
+    them, and an attack of beam k <= width takes the first k (a prefix, by
+    the nesting contract). A sample's attacks can sit at adjacent steps in
+    one round, so when a later step than any before is asked for, the memo
+    keeps the previous latest step and drops only older ones; it holds about
+    two rounds' proposals."""
 
     def __init__(self, gen: MutationGenerator, width: int):
         self.gen = gen
@@ -217,14 +236,35 @@ class _SharedProposals(MutationGenerator):
         self.latest = 0
         self.memo: dict[tuple[str, int], list[str]] = {}
 
-    def propose(self, hypothesis: Hypothesis, k: int) -> list[str]:
+    def get(self, hypothesis: Hypothesis, missing: list) -> list[str]:
+        """The proposal list of the hypothesis's (text, step). One not yet
+        made is a new empty list, appended with the memo and hypothesis to
+        ``missing`` for ``_propose`` to fill; the caller holds the list, so
+        a later eviction cannot take it away."""
         if hypothesis.step > self.latest:
             self.memo = {key: p for key, p in self.memo.items() if key[1] >= self.latest}
             self.latest = hypothesis.step
         key = (hypothesis.text, hypothesis.step)
         if key not in self.memo:
-            self.memo[key] = self.gen.propose(hypothesis, self.width)
-        return self.memo[key][:k]
+            self.memo[key] = []
+            missing.append((self, hypothesis, self.memo[key]))
+        return self.memo[key]
+
+
+def _propose(wants: list[tuple[_SharedProposals, Sequence[Hypothesis]]]) -> list[list[list[str]]]:
+    """Per ``(memo, beam)`` want, the proposal list of each beam member at
+    the memo's width. The streams of every proposal not yet made are seeded
+    in one ``default_rngs`` call."""
+    missing: list[tuple[_SharedProposals, Hypothesis, list[str]]] = []
+    lists = [[memo.get(h, missing) for h in beam] for memo, beam in wants]
+    seeds = [memo.gen.stream_seed(h) for memo, h, _ in missing]
+    rngs = default_rngs([seed for seed in seeds if seed is not None])
+    for (memo, h, out), seed in zip(missing, seeds):
+        if seed is None:
+            out += memo.gen.propose(h, memo.width)
+        else:
+            out += memo.gen.propose(h, memo.width, next(rngs))
+    return lists
 
 
 # Most texts in one embed_many call of a lockstep round. A larger cap saves
@@ -233,8 +273,9 @@ _ROUND_TEXTS = 64
 
 # An attack step: a generator that yields the fresh texts it needs embedded,
 # in sorted order, receives their rows as one (len(texts), dim) matrix in
-# that order, and returns its result.
-_Step = Generator[list[str], np.ndarray, object]
+# that order, and returns its result. Before texts it may yield a (memo,
+# beam) pair and receive each beam member's proposals (see ``_propose``).
+_Step = Generator[list[str] | tuple, np.ndarray | list, object]
 
 
 class _Scorer:
@@ -290,7 +331,10 @@ def _drive(
     """Run attack steps in lockstep rounds; returns their results in order.
 
     ``samples[i]`` is the sample step ``i`` attacks (each step is its own by
-    default). Each round embeds every distinct (sample, text) pair that live
+    default). A round first hands every step that asks for proposals its
+    lists, the round's missing ones made in one ``_propose`` call, and runs
+    it on to its next request, in its place; it repeats while any step asks
+    again. It then embeds every distinct (sample, text) pair that live
     steps request once, in step order, in ``embed_many`` calls of at most
     ``_ROUND_TEXTS`` texts, and hands each step its rows as soon as they
     exist; rows that no later request of the round needs are dropped, so a
@@ -304,17 +348,25 @@ def _drive(
     if samples is None:
         samples = range(len(attacks))
     results: list = [None] * len(attacks)
-    requests: list[tuple[int, list[str]]] = []
+    requests: list[tuple[int, list[str] | tuple]] = []
 
-    def advance(i: int, rows: np.ndarray | None) -> None:
+    def advance(i: int, sent: np.ndarray | list | None) -> None:
         try:
-            requests.append((i, attacks[i].send(rows)))
+            requests.append((i, attacks[i].send(sent)))
         except StopIteration as stop:
             results[i] = stop.value
 
     for i in range(len(attacks)):
         advance(i, None)
     while requests:
+        while any(isinstance(request, tuple) for _, request in requests):
+            batch, requests = requests, []
+            lists = iter(_propose([want for _, want in batch if isinstance(want, tuple)]))
+            for i, request in batch:
+                if isinstance(request, tuple):
+                    advance(i, next(lists))
+                else:
+                    requests.append((i, request))
         batch, requests = requests, []
         texts: list[str] = []  # one per distinct (sample, text) pair of the round
         per_sample = Counter(samples[i] for i, _ in batch)
@@ -377,9 +429,10 @@ def _greedy_base(scorer: _Scorer, config: AttackConfig) -> _Step:
 
 
 def _correction_step(
-    beam: Sequence[Hypothesis], gen: MutationGenerator, scorer: _Scorer, b: int, step: int
+    beam: Sequence[Hypothesis], memo: _SharedProposals, scorer: _Scorer, b: int, step: int
 ) -> _Step:
-    proposals = [text for h in beam for text in gen.propose(h, b)]
+    lists = yield memo, beam
+    proposals = [text for made in lists for text in made[:b]]
     if not proposals:
         return list(beam)
     return (yield from scorer.score_batch(proposals, step, b))
@@ -408,11 +461,11 @@ def correction_step(
     if step is None:
         step = max(h.step for h in beam) + 1
     scorer = _Scorer(target, None)
-    return _drive([_correction_step(beam, gen, scorer, b, step)], embedder)[0]
+    return _drive([_correction_step(beam, _SharedProposals(gen, b), scorer, b, step)], embedder)[0]
 
 
 def _corrections(
-    scorer: _Scorer, gen: MutationGenerator, width: int, stops: list[int], start: float
+    scorer: _Scorer, memo: _SharedProposals, width: int, stops: list[int], start: float
 ) -> _Step:
     """Correction steps at beam ``width`` from the greedy base that ``scorer``
     holds, up to the last of the ascending ``stops``. Returns, per stop, the
@@ -426,7 +479,7 @@ def _corrections(
     for stop in stops:
         while not scorer.exhausted and scorer.best.score < _CONVERGENCE and step < stop:
             step += 1
-            beam = yield from _correction_step(beam, gen, scorer, width, step)
+            beam = yield from _correction_step(beam, memo, scorer, width, step)
             if not scorer.exhausted:
                 history.append(scorer.best.score)
         terminated = BUDGET_EXHAUSTED if scorer.exhausted else (

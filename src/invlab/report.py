@@ -9,6 +9,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .embeddings import InputFormatError, open_text
 from .metrics import MetricReport
 
 CSV_HEADER = [
@@ -113,40 +114,49 @@ def render_markdown(report: ExperimentReport) -> str:
     return "\n".join(lines)
 
 
+def _parse_row(row: list[str]) -> ReportRow:
+    rec = dict(zip(CSV_HEADER, row))
+    metrics = MetricReport(
+        bleu=float(rec["bleu"]),
+        rouge1_recall=float(rec["rouge1"]),
+        token_f1=float(rec["token_f1"]),
+        exact_match=float(rec["exact"]),
+        cos=float(rec["cos"]),
+    )
+    return ReportRow(
+        experiment_id=rec["experiment_id"],
+        lang=rec["lang"],
+        steps=int(rec["steps"]),
+        beam=int(rec["beam"]),
+        defense=rec["defense"],
+        metrics=metrics,
+        queries=int(rec["queries"]),
+        wall_ms=float(rec["wall_ms"]),
+        ndcg=float(rec["ndcg"]) if rec["ndcg"] != "" else None,
+    )
+
+
 def read_report_csv(path: str | Path) -> ExperimentReport:
-    """Parse a previously emitted CSV back into a report; raises ValueError
-    for another header or a row with another number of fields."""
+    """Parse a previously emitted CSV back into a report. Undecodable bytes,
+    malformed CSV, another header, a row with another number of fields or a
+    field that is not its column's number raise InputFormatError citing the
+    path and line."""
     report = ExperimentReport()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(open_text(path, newline=""))
+    try:
         header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
+            raise InputFormatError(f"{path}:1: unexpected CSV header: {header}")
         for row in reader:
             if not row:
                 continue  # a blank line
             if len(row) != len(CSV_HEADER):
-                line = reader.line_num
-                raise ValueError(f"{path}, line {line}: {len(row)} fields, not {len(CSV_HEADER)}")
-            rec = dict(zip(CSV_HEADER, row))
-            metrics = MetricReport(
-                bleu=float(rec["bleu"]),
-                rouge1_recall=float(rec["rouge1"]),
-                token_f1=float(rec["token_f1"]),
-                exact_match=float(rec["exact"]),
-                cos=float(rec["cos"]),
-            )
-            report.add(
-                ReportRow(
-                    experiment_id=rec["experiment_id"],
-                    lang=rec["lang"],
-                    steps=int(rec["steps"]),
-                    beam=int(rec["beam"]),
-                    defense=rec["defense"],
-                    metrics=metrics,
-                    queries=int(rec["queries"]),
-                    wall_ms=float(rec["wall_ms"]),
-                    ndcg=float(rec["ndcg"]) if rec["ndcg"] != "" else None,
-                )
-            )
+                count = f"{len(row)} fields, not {len(CSV_HEADER)}"
+                raise InputFormatError(f"{path}:{reader.line_num}: {count}")
+            try:
+                report.add(_parse_row(row))
+            except ValueError as exc:
+                raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from exc
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return report

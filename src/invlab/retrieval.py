@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .defenses import DefenseConfig, apply_defense_stack, compute_group_means
-from .embeddings import BlackBoxEmbedder, TextSample, cosine
+from .embeddings import BlackBoxEmbedder, InputFormatError, TextSample, cosine, open_text
 from .metrics import MAX_GRADE, ndcg_at_k
 
 log = logging.getLogger(__name__)
@@ -39,8 +39,13 @@ class RetrievalTask:
             if not 1 <= grade <= MAX_GRADE:
                 raise ValueError(f"relevance grade must be in 1..{MAX_GRADE}, got {grade}")
 
-    def qrels_for(self, query_id: str) -> dict[str, int]:
-        return {did: g for (qid, did), g in self.qrels.items() if qid == query_id}
+    def qrels_by_query(self) -> dict[str, dict[str, int]]:
+        """Each judged query's ``{doc_id: grade}``, in qrels order, from one
+        pass over the judgments."""
+        by_query: dict[str, dict[str, int]] = {}
+        for (qid, did), grade in self.qrels.items():
+            by_query.setdefault(qid, {})[did] = grade
+        return by_query
 
 
 @dataclass(eq=False)
@@ -103,10 +108,11 @@ def evaluate_task(
         means = compute_group_means(rows, langs)
     defended = apply_defense_stack(rows, langs, [s.text for s in samples], defense, means)
     index = Index([d.id for d in task.docs], defended[:n_docs])
+    judged = task.qrels_by_query()
     total = 0.0
     for query, qvec in zip(task.queries, defended[n_docs:]):
         ranking = [doc_id for doc_id, _ in search(index, qvec, k)]
-        rels = task.qrels_for(query.id)
+        rels = judged.get(query.id)
         if not rels:
             log.warning("query %s in task %s has no judgments; scored 0", query.id, task.name)
             continue
@@ -115,25 +121,28 @@ def evaluate_task(
 
 
 def load_qrels_tsv(path: str | Path) -> dict[tuple[str, str], int]:
-    """Parse judgments from 'query_id<TAB>doc_id<TAB>grade' lines; a grade
-    that is not an integer or is above ``MAX_GRADE``, or a second line for
-    one (query id, doc id) pair, raises ValueError citing the path and line."""
+    """Parse judgments from 'query_id<TAB>doc_id<TAB>grade' lines;
+    undecodable bytes, another field count, a grade that is not an integer
+    in 1..``MAX_GRADE``, or a second line for one (query id, doc id)
+    pair raises InputFormatError citing the path and line."""
     qrels: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            qid, did, grade = fields
-            if (qid, did) in qrels:
-                raise ValueError(f"{path}:{lineno}: duplicate judgment for ({qid!r}, {did!r})")
-            try:
-                qrels[(qid, did)] = int(grade)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad relevance grade {grade!r}") from exc
-            if qrels[(qid, did)] > MAX_GRADE:
-                raise ValueError(f"{path}:{lineno}: relevance grade {grade} above {MAX_GRADE}")
+    for lineno, line in enumerate(open_text(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise InputFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        qid, did, grade = fields
+        if (qid, did) in qrels:
+            raise InputFormatError(f"{path}:{lineno}: duplicate judgment for ({qid!r}, {did!r})")
+        try:
+            value = int(grade)
+        except ValueError as exc:
+            raise InputFormatError(f"{path}:{lineno}: bad relevance grade {grade!r}") from exc
+        if value > MAX_GRADE:
+            raise InputFormatError(f"{path}:{lineno}: relevance grade {value} above {MAX_GRADE}")
+        if value < 1:
+            raise InputFormatError(f"{path}:{lineno}: relevance grade {value} below 1")
+        qrels[(qid, did)] = value
     return qrels

@@ -10,7 +10,7 @@ degradation comes only from genuine coverage gaps.
 from dataclasses import dataclass
 from pathlib import Path
 
-from .embeddings import BlackBoxEmbedder, cosine
+from .embeddings import BlackBoxEmbedder, InputFormatError, cosine, open_text
 from .metrics import MetricReport, pair_report
 
 
@@ -38,20 +38,20 @@ class DictionaryTranslator:
 
 
 def load_dictionary_tsv(path: str | Path) -> dict[str, str]:
-    """Parse a word map from 'src_word<TAB>tgt_word' lines; a second line for
-    one source word raises ValueError citing the path and line."""
+    """Parse a word map from 'src_word<TAB>tgt_word' lines; undecodable
+    bytes, another field count or a second line for one source word raise
+    InputFormatError citing the path and line."""
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            if fields[0] in table:
-                raise ValueError(f"{path}:{lineno}: duplicate source word {fields[0]!r}")
-            table[fields[0]] = fields[1]
+    for lineno, line in enumerate(open_text(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise InputFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
+        if fields[0] in table:
+            raise InputFormatError(f"{path}:{lineno}: duplicate source word {fields[0]!r}")
+        table[fields[0]] = fields[1]
     return table
 
 

@@ -11,7 +11,7 @@ from invlab.corpus import save_jsonl_corpus
 from invlab.datagen import bijective_dictionary, parallel_corpora
 from invlab.embeddings import NgramConfig, NgramEmbedder
 from invlab.experiments import build_retrieval_tasks
-from invlab.report import read_report_csv
+from invlab.report import CSV_HEADER, read_report_csv
 from invlab.retrieval import evaluate_task
 from invlab.translate import save_dictionary_tsv
 
@@ -134,6 +134,22 @@ class TestReportCommand:
         capsys.readouterr()
         assert main(["report", "--input", str(csv_path), "--format", "markdown"]) == 0
         assert "## en" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"a,b\n", ":1: unexpected CSV header"),
+            (",".join(CSV_HEADER).encode() + b"\n" + b"x," * 12 + b"x\n", ":2: "),
+            (b"\xff\n", ":1: not UTF-8 text"),
+        ],
+        ids=["header", "not-a-number", "not-utf8"],
+    )
+    def test_refused_input_is_one_line_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert main(["report", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invlab: {path}{message}") and err.count("\n") == 1
 
 
 class TestServeCommand:

@@ -170,6 +170,17 @@ class TestNoiseInsert:
         independent = np.random.default_rng(int.from_bytes(digest, "little"))
         assert np.array_equal(out[0], independent.standard_normal(8))
 
+    def test_batch_rows_equal_per_row_streams(self):
+        # The stage seeds a batch's streams together; each row still gets
+        # the bits of its own derive_noise_rng stream, repeated keys too.
+        keys = [f"text {i}" for i in range(60)] + ["text 3", ""]
+        config = DefenseConfig(noise_lambda=0.25, noise_seed=-5)
+        rows = np.linspace(-1.0, 1.0, 6 * len(keys)).reshape(len(keys), 6)
+        out = apply_defense_stack(rows, [None] * len(keys), keys, config)
+        for got, raw, key in zip(out, rows, keys):
+            noise = derive_noise_rng(-5, key).standard_normal(6)
+            assert got.tobytes() == (raw + 0.25 * noise).tobytes()
+
     def test_noise_is_unit_variance(self):
         # Monte Carlo: 10_000 draws, sample std close to 1
         rows = row(*[0.0] * 10_000)

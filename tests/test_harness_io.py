@@ -345,7 +345,7 @@ class TestReport:
         lines[2] = ",".join(fields[:-1] if change < 0 else fields + ["1"])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         count = len(CSV_HEADER) + change
-        with pytest.raises(ValueError, match=rf"r\.csv, line 3: {count} fields"):
+        with pytest.raises(ValueError, match=rf"r\.csv:3: {count} fields"):
             read_report_csv(path)
 
     def test_markdown_groups_by_language(self, tmp_path):

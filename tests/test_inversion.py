@@ -594,9 +594,9 @@ class TestGrid:
         proposed = []
         real_propose = EditMutationGenerator.propose
 
-        def counting_propose(gen, hypothesis, k):
+        def counting_propose(gen, hypothesis, k, *rng):
             proposed.append(k)
-            return real_propose(gen, hypothesis, k)
+            return real_propose(gen, hypothesis, k, *rng)
 
         monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
         vocab = ("a", "b", "c", "d")
@@ -823,9 +823,9 @@ class TestCellTargets:
         proposed = []
         real_propose = EditMutationGenerator.propose
 
-        def counting_propose(gen, hypothesis, k):
+        def counting_propose(gen, hypothesis, k, *rng):
             proposed.append((hypothesis.text, hypothesis.step, k))
-            return real_propose(gen, hypothesis, k)
+            return real_propose(gen, hypothesis, k, *rng)
 
         monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
         vocab = ("a", "b", "c")
@@ -845,6 +845,40 @@ class TestCellTargets:
             invert_grid(grid_cells([np.stack(cell)], [gen], [config]), embedder)
         assert shared < len(proposed)
 
+    def test_round_streams_seeded_together(self, monkeypatch, embedder):
+        # No proposal stream goes through the single-stream derive_rng: each
+        # round's are seeded by one default_rngs call, once per (sample,
+        # text, step), and every call to propose is handed its stream.
+        labels, batches, handed = [], [], []
+        real_derive, real_bulk = invlab.inversion.derive_rng, invlab.inversion.default_rngs
+        real_propose = EditMutationGenerator.propose
+
+        def spy_derive(*parts):
+            labels.append(parts)
+            return real_derive(*parts)
+
+        def spy_bulk(seeds):
+            batches.append(list(seeds))
+            return real_bulk(seeds)
+
+        def spy_propose(gen, hypothesis, k, *rng):
+            handed.append((gen.seed, hypothesis.text, hypothesis.step, len(rng)))
+            return real_propose(gen, hypothesis, k, *rng)
+
+        monkeypatch.setattr(invlab.inversion, "derive_rng", spy_derive)
+        monkeypatch.setattr(invlab.inversion, "default_rngs", spy_bulk)
+        monkeypatch.setattr(EditMutationGenerator, "propose", spy_propose)
+        vocab = ("a", "b", "c", "d")
+        targets = np.stack([embedder.embed(t) for t in ("b c a e", "d e b", "a a c")])
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=s) for s in range(3)]
+        configs = [AttackConfig(vocab, 3, b, max_tokens=4) for b in (2, 4)]
+        invert_grid(grid_cells([targets] * 2, gens, configs), embedder)
+        assert labels == []
+        seeds = [seed for batch in batches for seed in batch]
+        assert len(seeds) == len(set(seeds)) == len(handed) == len(set(handed))
+        assert {n for *_, n in handed} == {1}
+        assert max(map(len, batches)) > 1
+
     def test_memo_proposes_each_key_once_across_steps(self, monkeypatch):
         # Noised twins of each target, as in a defense sweep: a sample's
         # attacks drift apart and can sit at adjacent steps in one round,
@@ -852,9 +886,9 @@ class TestCellTargets:
         proposed = []
         real_propose = EditMutationGenerator.propose
 
-        def counting_propose(gen, hypothesis, k):
+        def counting_propose(gen, hypothesis, k, *rng):
             proposed.append((gen.seed, hypothesis.text, hypothesis.step, k))
-            return real_propose(gen, hypothesis, k)
+            return real_propose(gen, hypothesis, k, *rng)
 
         monkeypatch.setattr(EditMutationGenerator, "propose", counting_propose)
         embedder = NgramEmbedder(n=3, dim=64, seed=5)

@@ -61,7 +61,17 @@ class TestRetrievalTask:
     def test_grades_at_cap_give_finite_ndcg(self):
         docs = [sample(f"d{i}", "y") for i in range(3)]
         task = RetrievalTask("t", [sample("q1", "x")], docs, {("q1", d.id): MAX_GRADE for d in docs})
-        assert ndcg_at_k(["d2", "d1", "d0"], task.qrels_for("q1"), k=10) == 1.0
+        assert ndcg_at_k(["d2", "d1", "d0"], task.qrels_by_query()["q1"], k=10) == 1.0
+
+    def test_qrels_by_query_keeps_each_querys_judgments_in_order(self):
+        docs = [sample(f"d{i}", "y") for i in range(4)]
+        queries = [sample(f"q{i}", "x") for i in range(3)]
+        qrels = {("q1", "d3"): 2, ("q0", "d1"): 1, ("q1", "d0"): 5, ("q0", "d2"): 3}
+        by_query = RetrievalTask("t", queries, docs, qrels).qrels_by_query()
+        assert list(by_query) == ["q1", "q0"]  # q2 has no judgments
+        for qid, rels in by_query.items():
+            expected = {did: g for (q, did), g in qrels.items() if q == qid}
+            assert list(rels.items()) == list(expected.items())
 
 
 class TestSearch:
