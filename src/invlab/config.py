@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .embeddings import ConfigError, NgramConfig, from_json
+from .embeddings import ConfigError, InputFormatError, NgramConfig, from_json, open_text
 from .inversion import AttackConfig
 
 
@@ -75,10 +75,17 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a config; a corpus, dictionary or task file it names that does
-    not exist raises ConfigError."""
-    with open(path, encoding="utf-8") as fh:
-        config = ExperimentConfig.from_dict(json.load(fh))
+    """Read a config; a file that is not UTF-8 JSON raises InputFormatError,
+    and a corpus, dictionary or task file it names that does not exist
+    raises ConfigError."""
+    text = open_text(path).read()
+    # ValueError: bad JSON or an over-long integer; RecursionError: too deep nesting
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        line = exc.lineno if isinstance(exc, json.JSONDecodeError) else 1
+        raise InputFormatError(f"{path}:{line}: invalid JSON: {exc}") from exc
+    config = ExperimentConfig.from_dict(data)
     paths = [*config.corpora.values(), *config.dictionaries.values()]
     paths += [task[key] for task in config.retrieval_tasks for key in _TASK_FILES]
     missing = [path for path in paths if not Path(path).exists()]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .embeddings import InputFormatError, TextSample
+from .embeddings import InputFormatError, TextSample, open_text
 
 
 class CorpusFormatError(InputFormatError):
@@ -38,29 +38,30 @@ class Corpus:
 def load_jsonl_corpus(path: str | Path) -> Corpus:
     """One TextSample per line from {"id":…,"text":…,"lang":…} objects.
 
-    Rejects malformed lines, missing or non-string fields and duplicate ids,
-    citing the line number; preserves file order. Blank lines are ignored.
+    Rejects bytes that are not UTF-8, malformed lines, missing or non-string
+    fields and duplicate ids, citing the line number; preserves file order.
+    Blank lines are ignored.
     """
     samples: list[TextSample] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            for key in ("id", "text", "lang"):
-                if not isinstance(obj.get(key), str):
-                    raise CorpusFormatError(f"{path}:{lineno}: {key!r} missing or not a string")
-            sample = TextSample(id=obj["id"], text=obj["text"], lang=obj["lang"])
-            if sample.id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate id {sample.id!r}")
-            seen.add(sample.id)
-            samples.append(sample)
+    for lineno, line in enumerate(open_text(path), start=1):
+        if not line.strip():
+            continue
+        # ValueError: bad JSON or an over-long integer; RecursionError: too deep nesting
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        for key in ("id", "text", "lang"):
+            if not isinstance(obj.get(key), str):
+                raise CorpusFormatError(f"{path}:{lineno}: {key!r} missing or not a string")
+        sample = TextSample(id=obj["id"], text=obj["text"], lang=obj["lang"])
+        if sample.id in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate id {sample.id!r}")
+        seen.add(sample.id)
+        samples.append(sample)
     return Corpus(tuple(samples))
 
 

@@ -15,7 +15,6 @@ import itertools
 import time
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Generator, Hashable, Sequence
 
@@ -267,8 +266,8 @@ def _propose(wants: list[tuple[_SharedProposals, Sequence[Hypothesis]]]) -> list
     return lists
 
 
-# Most texts in one embed_many call of a lockstep round. A larger cap saves
-# few calls for more peak memory; it stays below eaas.MAX_TEXTS.
+# The texts at which an embed_many call of a lockstep round closes, at the
+# next sample boundary. A higher floor saves few calls for more peak memory.
 _ROUND_TEXTS = 64
 
 # An attack step: a generator that yields the fresh texts it needs embedded,
@@ -325,28 +324,26 @@ class _Scorer:
         return top
 
 
-def _drive(
-    attacks: list[_Step], embedder: BlackBoxEmbedder, samples: Sequence[int] | None = None
-) -> list:
+def _drive(attacks: list[_Step], embedder: BlackBoxEmbedder, samples: Sequence[int]) -> list:
     """Run attack steps in lockstep rounds; returns their results in order.
 
-    ``samples[i]`` is the sample step ``i`` attacks (each step is its own by
-    default). A round first hands every step that asks for proposals its
+    ``samples[i]`` is the sample step ``i`` attacks, and a sample's steps
+    must sit next to each other in ``attacks`` (``_attack_group`` lists
+    them so). A round first hands every step that asks for proposals its
     lists, the round's missing ones made in one ``_propose`` call, and runs
     it on to its next request, in its place; it repeats while any step asks
-    again. It then embeds every distinct (sample, text) pair that live
-    steps request once, in step order, in ``embed_many`` calls of at most
-    ``_ROUND_TEXTS`` texts, and hands each step its rows as soon as they
-    exist; rows that no later request of the round needs are dropped, so a
-    round's vectors are not all alive at once. The step then makes its
-    request for the next round. Vectors do not depend on their batch, so
-    only the calls differ from running steps one at a time. Sharing never
-    reaches across samples or rounds, and a step never asks for a text twice
-    (its scorer requests only unscored texts), so with one step per sample
-    every requested text is embedded.
+    again. It then embeds the texts the live steps request in
+    ``embed_many`` calls that take whole samples, in step order, and close
+    at the first sample boundary at or past ``_ROUND_TEXTS`` texts. A
+    sample with one request reads a slice of its call's rows; one with
+    several embeds each distinct text once and each request reads its rows
+    by index. Each step gets its rows once its call returns and makes its
+    request for the next round; no rows are kept across calls. Vectors do
+    not depend on their batch, so only the calls differ from running steps
+    one at a time. Sharing never reaches across samples or rounds, and a
+    step never asks for a text twice (its scorer requests only unscored
+    texts), so with one step per sample every requested text is embedded.
     """
-    if samples is None:
-        samples = range(len(attacks))
     results: list = [None] * len(attacks)
     requests: list[tuple[int, list[str] | tuple]] = []
 
@@ -368,37 +365,26 @@ def _drive(
                 else:
                     requests.append((i, request))
         batch, requests = requests, []
-        texts: list[str] = []  # one per distinct (sample, text) pair of the round
-        per_sample = Counter(samples[i] for i, _ in batch)
-        # sample -> text -> its row in the round, for a sample with two requests
-        rows_of: dict[int, dict[str, int]] = {s: {} for s, c in per_sample.items() if c > 1}
-        wanted: list[range | list[int]] = []  # each request's rows
-        for i, fresh in batch:
-            n = len(texts)
-            known = rows_of.get(samples[i])
-            if known is None:
+        calls: list[tuple[list[str], list]] = []  # per call, its texts and (step, rows) readers
+        for _, run in itertools.groupby(batch, lambda request: samples[request[0]]):
+            if not calls or len(calls[-1][0]) >= _ROUND_TEXTS:
+                calls.append(([], []))
+            texts, readers = calls[-1]
+            lo = len(texts)
+            run = list(run)
+            if len(run) == 1:
+                (i, fresh), = run
                 texts += fresh
+                readers.append((i, slice(lo, len(texts))))
             else:
-                texts += [t for t in fresh if t not in known]
-                known.update(zip(texts[n:], itertools.count(n)))
-            # A request whose texts are all new to the round reads a block.
-            fresh_block = len(texts) - n == len(fresh)
-            wanted.append(range(n, len(texts)) if fresh_block else [known[t] for t in fresh])
-        # keep[j]: the first row that request j or a later one needs
-        keep = list(itertools.accumulate(map(min, reversed(wanted)), min))[::-1]
-        held, first, j = None, 0, 0  # embedded rows from row ``first`` on
-        for lo in range(0, len(texts), _ROUND_TEXTS):
-            rows = embedder.embed_many(texts[lo : lo + _ROUND_TEXTS])
-            held = rows if held is None else np.concatenate([held, rows])
-            while j < len(batch) and max(wanted[j]) < lo + len(rows):
-                w = wanted[j]
-                if isinstance(w, range):
-                    advance(batch[j][0], held[w.start - first : w.stop - first])
-                else:
-                    advance(batch[j][0], held[np.subtract(w, first)])
-                j += 1
-            if j < len(batch):
-                held, first = held[keep[j] - first :], keep[j]
+                row: dict[str, int] = {}  # the sample's text -> its row in the call
+                for i, fresh in run:
+                    readers.append((i, [row.setdefault(t, lo + len(row)) for t in fresh]))
+                texts += row
+        for texts, readers in calls:
+            rows = embedder.embed_many(texts)
+            for i, wanted in readers:
+                advance(i, rows[wanted])
     return results
 
 
@@ -460,8 +446,8 @@ def correction_step(
     (target,) = _check_targets(np.asarray(target)[None], 1, embedder)
     if step is None:
         step = max(h.step for h in beam) + 1
-    scorer = _Scorer(target, None)
-    return _drive([_correction_step(beam, _SharedProposals(gen, b), scorer, b, step)], embedder)[0]
+    attack = _correction_step(beam, _SharedProposals(gen, b), _Scorer(target, None), b, step)
+    return _drive([attack], embedder, [0])[0]
 
 
 def _corrections(

@@ -93,15 +93,12 @@ def token_f1(pred: str, ref: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
-
-
 def exact_match(pairs: Sequence[tuple[str, str]]) -> float:
     """Percentage of pairs identical after NFC normalization (case-sensitive)."""
     if not pairs:
         raise ValueError("exact_match needs at least one pair")
-    hits = sum(1 for pred, ref in pairs if _nfc(pred) == _nfc(ref))
+    nfc = lambda text: unicodedata.normalize("NFC", text)
+    hits = sum(1 for pred, ref in pairs if nfc(pred) == nfc(ref))
     return 100.0 * hits / len(pairs)
 
 
@@ -144,7 +141,7 @@ def pair_report(pred: str, ref: str, cos: float = 0.0) -> MetricReport:
         bleu=bleu(pred, ref),
         rouge1_recall=rouge1_recall(pred, ref),
         token_f1=token_f1(pred, ref),
-        exact_match=100.0 if _nfc(pred) == _nfc(ref) else 0.0,
+        exact_match=exact_match([(pred, ref)]),
         cos=cos,
     )
 

@@ -206,6 +206,40 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"invlab: {corpus}:5: invalid JSON") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"seed": ', ":1: invalid JSON: Expecting value"),
+            (b'{"seed": 1}\n\xff\n', ":2: not UTF-8 text"),
+            (b"[" * 100_000 + b"]" * 100_000, ":1: invalid JSON: "),
+            (b'{"seed": ' + b"9" * 5000 + b"}", ":1: invalid JSON: "),
+        ],
+        ids=["truncated", "not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_malformed_config_is_one_line_exit_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main(["--config", str(path), "attack"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invlab: {path}{message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"\xff", ":5: not UTF-8 text"),
+            (b"[" * 100_000 + b"]" * 100_000, ":5: invalid JSON: "),
+            (b'{"id": ' + b"9" * 5000 + b"}", ":5: invalid JSON: "),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_malformed_corpus_line_is_one_line_exit_2(self, config_path, capsys, line, message):
+        corpus = load_config(config_path).corpora["en"]
+        with open(corpus, "ab") as fh:
+            fh.write(line + b"\n")
+        assert main(["--config", str(config_path), "attack", "--langs", "en"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invlab: {corpus}{message}") and err.count("\n") == 1
+
     def test_seed_override_accepted(self, config_path, tmp_path, capsys):
         assert main(["--config", str(config_path), "--seed", "99", "attack", "--langs", "en"]) == 0
         assert (tmp_path / "out" / "reconstruction.csv").exists()

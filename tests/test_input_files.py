@@ -1,5 +1,6 @@
 """The file loaders either load an input or refuse it with InputFormatError,
-citing the path and line, whatever the bytes."""
+citing the path and line, whatever the bytes (a config may also be refused
+with ConfigError)."""
 
 import re
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invlab.corpus import CorpusFormatError
-from invlab.embeddings import InputFormatError
+from invlab.config import ExperimentConfig, load_config
+from invlab.corpus import CorpusFormatError, load_jsonl_corpus
+from invlab.embeddings import ConfigError, InputFormatError
 from invlab.metrics import MAX_GRADE
 from invlab.report import CSV_HEADER, ExperimentReport, read_report_csv
 from invlab.retrieval import load_qrels_tsv
@@ -59,15 +61,61 @@ def report_files(draw):
     return encoded(draw, [",".join(row) for row in rows])
 
 
+# JSON texts of values near the valid ones, and of two the decoder refuses:
+# nesting past its recursion limit and an integer of more than 4,300 digits.
+JSON_VALUES = st.sampled_from(
+    ['"a"', '"en"', '""', '"x y"', '"é"', "0", "1", "-1", "2.5", "1e999", "NaN", "true", "null",
+     "[]", "[1, 4]", "[0.0, 0.001]", "{}", '{"en": "a"}', "[" * 5000 + "]" * 5000, "9" * 5000]
+)
+CONFIG_KEYS = st.sampled_from(
+    ["seed", "test_size", "out_dir", "corpora", "dictionaries", "retrieval_tasks", "atack",
+     "attack", "defense", "embedder"]
+)
+SECTION_KEYS = st.sampled_from(
+    ["steps", "beams", "max_tokens", "query_budget", "n", "dim", "seed", "unit_norm",
+     "lambdas", "masking", "language_agnostic", "mask_scale"]
+)
+
+
+def objects(keys, values):
+    """JSON texts of objects of up to four members."""
+    return st.dictionaries(keys, values, max_size=4).map(
+        lambda members: "{" + ", ".join(f'"{k}": {v}' for k, v in members.items()) + "}"
+    )
+
+
+def cut(draw, text: str) -> str:
+    """The text, now and then cut short."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def config_files(draw):
+    """A config of near-valid values at known and unknown keys."""
+    config = draw(objects(CONFIG_KEYS, JSON_VALUES | objects(SECTION_KEYS, JSON_VALUES)))
+    return encoded(draw, [cut(draw, config)])
+
+
+@st.composite
+def corpus_files(draw):
+    """A few records of near-valid fields, some lines blank or cut short."""
+    fields = st.sampled_from(["id", "text", "lang", "extra"])
+    strings = st.sampled_from(['"a"', '"b"', '"x y"', '"en"'])
+    records = draw(st.lists(objects(fields, strings | JSON_VALUES), max_size=5))
+    return encoded(draw, [cut(draw, record) for record in records] + [""])
+
+
 @pytest.fixture(scope="module")
 def inputs_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("inputs")
 
 
-def load_or_refuse(loader, path, data: bytes):
+def load_or_refuse(loader, path, data: bytes, refusals=()):
     """The loader's result, or None after checking that it refused with
-    InputFormatError citing ``path`` and a line on one line of text; any
-    other exception fails the test."""
+    InputFormatError citing ``path`` and a line on one line of text, or with
+    one of ``refusals``; any other exception fails the test."""
     path.write_bytes(data)
     try:
         return loader(path)
@@ -75,6 +123,8 @@ def load_or_refuse(loader, path, data: bytes):
         message = str(exc)
         assert re.match(re.escape(str(path)) + r":\d+: ", message), message
         assert "\n" not in message
+        return None
+    except refusals:
         return None
 
 
@@ -101,6 +151,21 @@ class TestLoaderFuzz:
         report = load_or_refuse(read_report_csv, inputs_dir / "report.csv", data)
         if report is not None:
             assert isinstance(report, ExperimentReport)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=config_files() | st.binary(max_size=120))
+    def test_config(self, inputs_dir, data):
+        config = load_or_refuse(load_config, inputs_dir / "config.json", data, ConfigError)
+        if config is not None:
+            assert isinstance(config, ExperimentConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=corpus_files() | st.binary(max_size=120))
+    def test_corpus(self, inputs_dir, data):
+        corpus = load_or_refuse(load_jsonl_corpus, inputs_dir / "corpus.jsonl", data)
+        if corpus is not None:
+            for sample in corpus:
+                assert all(isinstance(f, str) for f in (sample.id, sample.text, sample.lang))
 
 
 class TestRefusals:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -385,6 +386,58 @@ def grid_cells(targets, gens, configs):
     return [(range(len(gens)), rows, gens, config) for rows, config in zip(targets, configs)]
 
 
+@pytest.fixture
+def drive_rounds(monkeypatch):
+    """Per ``_drive`` call, per lockstep round, each live step's (sample,
+    texts) request, in step order. A live step makes one request a round,
+    so a step's k-th request is in round k."""
+    drives: list[list[list[tuple]]] = []
+    real_drive = invlab.inversion._drive
+
+    def tracked(step, sample, rounds):
+        sent, k = None, 0
+        while True:
+            try:
+                request = step.send(sent)
+            except StopIteration as stop:
+                return stop.value
+            if isinstance(request, list):
+                if k == len(rounds):
+                    rounds.append([])
+                rounds[k].append((sample, request))
+                k += 1
+            sent = yield request
+
+    def drive(attacks, embedder, samples):
+        drives.append([])
+        steps = [tracked(step, sample, drives[-1]) for step, sample in zip(attacks, samples)]
+        return real_drive(steps, embedder, samples)
+
+    monkeypatch.setattr(invlab.inversion, "_drive", drive)
+    return drives
+
+
+def round_calls(requests) -> list[list[set[str]]]:
+    """Per ``embed_many`` call of a round with these requests, the distinct
+    texts of each of its samples: a call takes whole samples, in order, and
+    closes at the first sample boundary at or past ``_ROUND_TEXTS`` texts."""
+    calls: list[list[set[str]]] = []
+    for _, run in itertools.groupby(requests, lambda request: request[0]):
+        if not calls or sum(map(len, calls[-1])) >= invlab.inversion._ROUND_TEXTS:
+            calls.append([])
+        calls[-1].append(set().union(*(texts for _, texts in run)))
+    return calls
+
+
+def assert_calls_follow_rounds(drives, embedded: list[list[str]]) -> None:
+    """Each round's calls embed, per sample, each text its steps ask for
+    once, in calls cut as ``round_calls`` says."""
+    expected = [call for rounds in drives for requests in rounds for call in round_calls(requests)]
+    assert len(embedded) == len(expected)
+    for texts, samples in zip(embedded, expected):
+        assert Counter(texts) == sum(map(Counter, samples), Counter())
+
+
 LOCKSTEP_VOCAB = ("a", "b", "c", "d")
 
 
@@ -448,17 +501,38 @@ class TestLockstep:
         for target, gen, result in zip(targets, gens, results):
             assert_same_attack(result, invert(target, embedder, gen, config), target, embedder)
 
-    def test_no_call_exceeds_round_cap(self):
+    def test_calls_close_at_first_sample_boundary_past_floor(self, drive_rounds):
         embedder = CountingEmbedder(n=3, dim=64, seed=11)
         vocab = tuple("abcdefgh")
         targets = [embedder.embed(" ".join(vocab[i : i + 3])) for i in range(6)]
-        embedder.calls.clear()
+        embedder.texts.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(6)]
         config = AttackConfig(vocab=vocab, steps=4, beam_width=8, max_tokens=4)
         results = invert_grid(grid_cells([np.stack(targets)], gens, [config]), embedder)[0]
+        assert_calls_follow_rounds(drive_rounds, embedder.texts)
+        # Rounds were long enough to take several calls, each past the floor
+        # but the round's last.
+        rounds = sum(map(len, drive_rounds))
+        assert len(embedder.texts) > rounds
+        assert max(map(len, embedder.texts)) > invlab.inversion._ROUND_TEXTS
+        assert sum(map(len, embedder.texts)) == sum(r.queries_used for r in results)
+
+    def test_call_closes_at_first_sample_boundary_at_floor(self):
+        # Sample 0 leaves the call two texts short of the floor; sample 1's
+        # two requests share a text and bring it to the floor exactly, so
+        # sample 2 opens the next call. Each step gets its texts' rows.
+        def step(texts):
+            rows = yield texts
+            return rows
+
         cap = invlab.inversion._ROUND_TEXTS
-        assert max(embedder.calls) == cap  # rounds were long enough to be cut
-        assert sum(embedder.calls) == sum(r.queries_used for r in results)
+        requests = [[f"t{i}" for i in range(cap - 2)], ["x", "y"], ["y"], ["t0"]]
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        results = invlab.inversion._drive([step(t) for t in requests], embedder, [0, 1, 1, 2])
+        assert embedder.calls == [cap, 1]
+        fresh = NgramEmbedder(n=3, dim=64, seed=11)
+        for texts, rows in zip(requests, results):
+            np.testing.assert_array_equal(rows, fresh.embed_many(texts))
 
     def test_round_cap_below_service_text_cap(self):
         assert invlab.inversion._ROUND_TEXTS < MAX_TEXTS
@@ -551,10 +625,9 @@ class TestGrid:
         grid = invert_grid(grid_cells([np.stack(targets)] * len(configs), gens, configs),
                            embedder)
         # Reference: each sample's deepest attack per beam width, run alone.
-        # A lone attack asks for under _ROUND_TEXTS texts a round, so each of
-        # its calls is one round, and a sample's branches run in the same
-        # rounds: the bill is, per sample and round, the union of what its
-        # branches asked for.
+        # A lone attack is one sample, so each of its calls is one round, and
+        # a sample's branches run in the same rounds: the bill is, per sample
+        # and round, the union of what its branches asked for.
         expected = 0
         for target, gen in zip(targets, gens):
             branches = []
@@ -562,7 +635,6 @@ class TestGrid:
                 alone = CountingEmbedder(n=3, dim=64, seed=11)
                 deepest = AttackConfig(vocab, 8, b, max_tokens=4)
                 invert_grid(grid_cells([np.stack([target])], [gen], [deepest]), alone)
-                assert max(alone.calls) < invlab.inversion._ROUND_TEXTS
                 branches.append(alone.texts)
             rounds = itertools.zip_longest(*branches, fillvalue=[])
             expected += sum(len(set().union(*requests)) for requests in rounds)
@@ -781,8 +853,8 @@ class TestCellTargets:
                 assert result.wall_time > 0
 
     def test_no_round_embeds_a_text_twice(self):
-        # One sample, so every (sample, text) pair is a text; every round
-        # stays below the cap, so each call is one round.
+        # One sample, so every (sample, text) pair is a text and each call is
+        # one round.
         embedder = CountingEmbedder(n=3, dim=64, seed=11)
         vocab = ("a", "b", "c", "d")
         targets = [[embedder.embed(t)] for t in ("b c a", "b c a d", "d a", "c c b a")]
@@ -791,25 +863,25 @@ class TestCellTargets:
         configs = [AttackConfig(vocab, 6, b, max_tokens=4) for b in (2, 3, 3, 2)]
         gen = EditMutationGenerator(vocab, max_tokens=4, seed=5)
         grid = invert_grid(grid_cells([np.stack(t) for t in targets], [gen], configs), embedder)
-        assert max(embedder.calls) < invlab.inversion._ROUND_TEXTS
         assert all(len(set(texts)) == len(texts) for texts in embedder.texts)
         assert sum(embedder.calls) < sum(r.queries_used for results in grid for r in results)
 
-    def test_rounds_cut_into_calls_equal_cells_alone(self):
-        # Rounds of several hundred texts, cut into calls at the cap, with
-        # each sample's rows shared between calls.
+    def test_rounds_cut_into_calls_equal_cells_alone(self, drive_rounds):
+        # Rounds of several hundred texts, cut into calls of whole samples,
+        # each call but a round's last holding at least _ROUND_TEXTS texts.
         embedder = CountingEmbedder(n=3, dim=64, seed=11)
         vocab = tuple("abcdefgh")
         cells = [
             [embedder.embed(" ".join(vocab[i + shift : i + 3 + shift])) for i in range(4)]
             for shift in (0, 1, 2)
         ]
-        embedder.calls.clear()
+        embedder.texts.clear()
         gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
-        config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
+        config = AttackConfig(vocab=vocab, steps=3, beam_width=12, max_tokens=4)
         grid = invert_grid(grid_cells([np.stack(t) for t in cells], gens, [config] * 3),
                            embedder)
-        assert embedder.calls.count(invlab.inversion._ROUND_TEXTS) > 1
+        assert_calls_follow_rounds(drive_rounds, embedder.texts)
+        assert len(embedder.texts) > sum(map(len, drive_rounds))
         for targets, results in zip(cells, grid):
             fresh = NgramEmbedder(n=3, dim=64, seed=11)
             for target, result, alone in zip(
@@ -817,6 +889,39 @@ class TestCellTargets:
                 results,
                 invert_grid(grid_cells([np.stack(targets)], gens, [config]), fresh)[0],
             ):
+                assert_same_attack(result, alone, target, fresh)
+
+    def test_reordered_rows_and_several_chains_embed_each_text_once_a_round(
+        self, drive_rounds
+    ):
+        # Three cells list the same samples in other row orders; the last
+        # has other targets and a budget, so each sample has two chains.
+        # Rounds pass _ROUND_TEXTS texts, yet each round embeds each text a
+        # sample's attacks ask for once, and the bill is, per round, the
+        # union of what each sample asked for.
+        embedder = CountingEmbedder(n=3, dim=64, seed=11)
+        vocab = tuple("abcdefgh")
+        texts = ["a b c", "d e f", "g h a", "b d f"]
+        twins = ["a b c e", "d e", "g h b", "b f d"]
+        gens = [EditMutationGenerator(vocab, max_tokens=4, seed=i) for i in range(4)]
+        config = AttackConfig(vocab=vocab, steps=3, beam_width=8, max_tokens=4)
+        cells = []
+        for order, pool, budget in [([0, 1, 2, 3], texts, None), ([2, 0, 3, 1], texts, None),
+                                    ([3, 1, 0, 2], twins, 150)]:
+            rows = embedder.embed_many([pool[i] for i in order])
+            gens_of = [gens[i] for i in order]
+            cells.append((order, rows, gens_of, dataclasses.replace(config, query_budget=budget)))
+        embedder.texts.clear()
+        grid = invert_grid(cells, embedder)
+        assert_calls_follow_rounds(drive_rounds, embedder.texts)
+        rounds = [requests for drive in drive_rounds for requests in drive]
+        longest = max(sum(len(texts) for _, texts in requests) for requests in rounds)
+        assert longest > invlab.inversion._ROUND_TEXTS
+        bill = sum(map(len, embedder.texts))
+        assert bill < sum(r.queries_used for results in grid for r in results)
+        for cell, results in zip(cells, grid):
+            fresh = NgramEmbedder(n=3, dim=64, seed=11)
+            for target, result, alone in zip(cell[1], results, invert_grid([cell], fresh)[0]):
                 assert_same_attack(result, alone, target, fresh)
 
     def test_proposals_shared_across_cells(self, monkeypatch, embedder):
